@@ -1,30 +1,29 @@
-//! Component decomposition scaling: connected-component max-min solves,
-//! component-scoped warm starts, and router-zone sharding of the flow
-//! engine.
+//! Component-scoped warm starts and router-zone sharding of the flow engine
+//! on a checkpoint storm.
 //!
-//! Three measurements, all against deterministic shapes:
+//! The storm is E20-shaped: heavy steady waves occupy seven namespaces
+//! while a small churn job arrives and drains on the eighth every minute.
+//! Two measurements, both against the same deterministic shape:
 //!
-//! 1. **Decomposition**: a block-structured `MaxMinProblem` (K independent
-//!    zones) solved through the component-parallel path at thread budgets
-//!    0 and 7 versus the undecomposed global oracle. Results are asserted
-//!    bit-identical outside the timed loops — the parallel path buys wall
-//!    time, never answers.
-//! 2. **Warm starts on the checkpoint storm**: an E20-style storm where a
-//!    heavy steady wave occupies one namespace while a small churn job
-//!    arrives and drains on the other every minute. Under the global memo
-//!    scope every churn event re-solves the whole problem; under the
-//!    component scope the steady zone is answered from its memo and only
-//!    the churned component runs. The per-event solve-round ratio is the
-//!    headline number (asserted >= 5x) and lands in
-//!    `BENCH_components.json`.
-//! 3. **Router-zone sharding**: the same storm through
+//! 1. **Component-scoped warm starts**: the storm through the event-driven
+//!    `run_timestep`. The resident session memoizes fixed points per
+//!    connected component, so a churn event re-solves only the churned
+//!    component and replays every steady one from its memo. The share of
+//!    components replayed (the skip fraction) is asserted >= 0.85.
+//! 2. **Router-zone sharding**: the same storm through
 //!    `run_timestep_sharded` — shard-per-zone, zero cross-shard messages,
 //!    a single epoch window.
 //!
-//! With `--smoke` or `--bench` on the command line the bench writes
-//! `BENCH_components.json` into the workspace root; a bare invocation
-//! (`cargo test` running the bench target) shrinks the shapes and writes
-//! nothing.
+//! Both engines are timed side by side at spare-thread budgets 0, 1 and
+//! `cores - 1` (deduplicated; `cores` from `available_parallelism`,
+//! recorded with the results). Each engine's completions and bytes are
+//! asserted identical across budgets outside the timed loops.
+//!
+//! `--bench` writes `BENCH_components.json` into the workspace root.
+//! `--smoke` shrinks the storm and writes
+//! `target/bench-smoke/BENCH_components.json` instead, so a smoke run
+//! cannot overwrite the committed file. A bare invocation (`cargo test`
+//! running the bench target) shrinks the storm and writes nothing.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -32,8 +31,10 @@ use std::time::Instant;
 use spider_core::center::Center;
 use spider_core::config::CenterConfig;
 use spider_core::timestep::{run_timestep, run_timestep_sharded, Job, TimestepConfig};
-use spider_net::{FlowSpec, MaxMinProblem, MemoScope};
 use spider_simkit::{SimDuration, SimTime, MIB};
+
+/// The bench fails below this share of components replayed from the memo.
+const MIN_SKIP_FRACTION: f64 = 0.85;
 
 fn smoke() -> bool {
     std::env::args().any(|a| a == "--smoke") || !std::env::args().any(|a| a == "--bench")
@@ -56,46 +57,11 @@ fn time_ms<R>(iters: u32, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
-/// A block-structured problem: `zones` independent blocks of `res_per_zone`
-/// resources and `flows_per_zone` flows whose paths stay inside their block.
-/// Shapes are pure functions of the indices — no RNG, same problem every
-/// run.
-fn block_problem(
-    zones: usize,
-    res_per_zone: usize,
-    flows_per_zone: usize,
-) -> (MaxMinProblem, Vec<FlowSpec>) {
-    let mut p = MaxMinProblem::new();
-    let mut rs = Vec::new();
-    for z in 0..zones {
-        for j in 0..res_per_zone {
-            rs.push(p.add_resource(4.0 + ((z * 7 + j * 3) % 13) as f64));
-        }
-    }
-    let mut flows = Vec::new();
-    for z in 0..zones {
-        let base = z * res_per_zone;
-        for k in 0..flows_per_zone {
-            let len = 1 + (z + k) % 3;
-            let path: Vec<_> = (0..len)
-                .map(|h| rs[base + (k * 5 + h * 11) % res_per_zone])
-                .collect();
-            let mut f = FlowSpec::new(path).with_weight(0.5 + ((z + k * 2) % 7) as f64 * 0.75);
-            if (z + k) % 5 == 0 {
-                f = f.with_cap(0.25 + (k % 4) as f64);
-            }
-            flows.push(f);
-        }
-    }
-    (p, flows)
-}
-
 /// The warm-start storm: `steady` heavy never-finishing jobs spread over
 /// namespaces 1..`ns` (several large components whose shapes never change)
 /// plus a staggered pair of short churn jobs per wave on fs 0 with strictly
-/// increasing client counts (every churn event is a fresh shape, so the
-/// global memo can never answer it — but the steady components' scoped
-/// signatures always can).
+/// increasing client counts (every churn event is a fresh shape, so only
+/// the steady components' signatures can hit the memo).
 fn warm_start_storm(ns: usize, steady: u32, waves: u64, period: SimDuration) -> Vec<Job> {
     let mut jobs = Vec::new();
     for k in 0..steady {
@@ -129,34 +95,18 @@ fn warm_start_storm(ns: usize, steady: u32, waves: u64, period: SimDuration) -> 
 fn main() {
     spider_obs::init_from_env();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let (zones, res_per_zone, flows_per_zone, steady, waves, iters) = if smoke() {
-        (16usize, 6usize, 8usize, 32u32, 12u64, 3u32)
+    let (steady, waves, iters) = if smoke() {
+        (32u32, 12u64, 3u32)
     } else {
-        (64, 24, 40, 48, 40, 5)
+        (48, 40, 5)
     };
+    // Spare-thread budgets 0, 1 and cores - 1, deduplicated: a 2-core host
+    // times budgets 0 and 1.
+    let full = cores.saturating_sub(1);
+    let mut budgets = vec![0, 1, full];
+    budgets.sort_unstable();
+    budgets.dedup();
 
-    // ---- 1. component-parallel decomposition vs the global oracle ----
-    let (p, flows) = block_problem(zones, res_per_zone, flows_per_zone);
-    let (_, stats) = p.solve_with_stats(&flows);
-    assert_eq!(stats.components, zones as u64, "one component per block");
-
-    rayon::set_spare_thread_budget(0);
-    let comp0_ms = time_ms(iters, || p.solve(&flows));
-    rayon::set_spare_thread_budget(7);
-    let comp7_ms = time_ms(iters, || p.solve(&flows));
-    rayon::set_spare_thread_budget(0);
-    let global_ms = time_ms(iters, || p.solve_global(&flows));
-
-    // Bit-identity spot-check outside the timed loops, at both budgets.
-    let oracle: Vec<u64> = p.solve_global(&flows).iter().map(|r| r.to_bits()).collect();
-    for budget in [0usize, 7] {
-        rayon::set_spare_thread_budget(budget);
-        let got: Vec<u64> = p.solve(&flows).iter().map(|r| r.to_bits()).collect();
-        assert_eq!(got, oracle, "budget {budget} diverged from the oracle");
-    }
-    rayon::set_spare_thread_budget(0);
-
-    // ---- 2. component-scoped warm starts on the checkpoint storm ----
     // The small center widened to 8 namespaces (SSUs and router groups
     // scaled to keep the structure): 7 steady router zones the churn events
     // must not disturb.
@@ -168,121 +118,145 @@ fn main() {
     let center = Center::build(center_cfg);
     let period = SimDuration::from_secs(60);
     let jobs = warm_start_storm(center.namespaces(), steady, waves, period);
-    let horizon = period * waves + SimDuration::from_secs(60);
-    let comp_cfg = TimestepConfig {
-        horizon,
+    let cfg = TimestepConfig {
+        horizon: period * waves + SimDuration::from_secs(60),
         ..TimestepConfig::default()
     };
-    let glob_cfg = TimestepConfig {
-        scope: MemoScope::Global,
-        ..comp_cfg.clone()
-    };
 
-    let comp = run_timestep(&center, &jobs, &comp_cfg);
-    let glob = run_timestep(&center, &jobs, &glob_cfg);
-    assert_eq!(
-        comp.completions, glob.completions,
-        "scope changes cost only"
-    );
-    let cs = comp.solver.expect("event-driven records session stats");
-    let gs = glob.solver.expect("event-driven records session stats");
-    let rounds_ratio = gs.rounds_executed as f64 / cs.rounds_executed.max(1) as f64;
-    let skip_fraction = cs.components_skipped as f64
-        / (cs.components_skipped + cs.components_resolved).max(1) as f64;
+    // ---- 1. component-scoped warm starts (event-driven) ----
+    rayon::set_spare_thread_budget(0);
+    let ev = run_timestep(&center, &jobs, &cfg);
+    let es = ev
+        .solver
+        .clone()
+        .expect("event-driven records session stats");
+    let skip_fraction = es.components_skipped as f64
+        / (es.components_skipped + es.components_resolved).max(1) as f64;
     assert!(
-        rounds_ratio >= 5.0,
-        "component scope must cut per-event solve rounds >= 5x, got {rounds_ratio:.1}x \
-         ({} vs {} rounds)",
-        gs.rounds_executed,
-        cs.rounds_executed
+        skip_fraction >= MIN_SKIP_FRACTION,
+        "component-scoped memo must replay >= {MIN_SKIP_FRACTION} of components, got \
+         {skip_fraction:.3} ({} skipped, {} resolved)",
+        es.components_skipped,
+        es.components_resolved
     );
-    let storm_comp_ms = time_ms(iters, || run_timestep(&center, &jobs, &comp_cfg));
-    let storm_glob_ms = time_ms(iters, || run_timestep(&center, &jobs, &glob_cfg));
 
-    // ---- 3. router-zone sharding of the flow engine ----
-    let (sh, pdes) = run_timestep_sharded(&center, &jobs, &comp_cfg);
+    // ---- 2. router-zone sharding ----
+    let (sh, pdes) = run_timestep_sharded(&center, &jobs, &cfg);
     assert_eq!(pdes.cross_messages, 0, "zones are independent");
     assert!(pdes.shards >= 2, "the storm spans >= 2 router zones");
-    for (i, (a, b)) in comp.completions.iter().zip(&sh.completions).enumerate() {
+    for (i, (a, b)) in ev.completions.iter().zip(&sh.completions).enumerate() {
         assert_eq!(a.is_some(), b.is_some(), "job {i} finish disagreement");
     }
-    rayon::set_spare_thread_budget(0);
-    let sharded0_ms = time_ms(iters, || run_timestep_sharded(&center, &jobs, &comp_cfg));
-    rayon::set_spare_thread_budget(7);
-    let sharded7_ms = time_ms(iters, || run_timestep_sharded(&center, &jobs, &comp_cfg));
-    rayon::set_spare_thread_budget(cores.saturating_sub(1));
+    let ss = sh.solver.clone().expect("sharded records session stats");
+
+    // Same answers at every budget, checked outside the timed loops.
+    for &b in &budgets {
+        rayon::set_spare_thread_budget(b);
+        let again = run_timestep(&center, &jobs, &cfg);
+        assert_eq!(
+            again.completions, ev.completions,
+            "event-driven, budget {b}"
+        );
+        assert_eq!(
+            again.bytes_moved, ev.bytes_moved,
+            "event-driven, budget {b}"
+        );
+        let (again, _) = run_timestep_sharded(&center, &jobs, &cfg);
+        assert_eq!(again.completions, sh.completions, "sharded, budget {b}");
+        assert_eq!(again.bytes_moved, sh.bytes_moved, "sharded, budget {b}");
+    }
+
+    let mut ev_ms = Vec::new();
+    let mut sh_ms = Vec::new();
+    for &b in &budgets {
+        rayon::set_spare_thread_budget(b);
+        ev_ms.push(time_ms(iters, || run_timestep(&center, &jobs, &cfg)));
+        sh_ms.push(time_ms(iters, || {
+            run_timestep_sharded(&center, &jobs, &cfg)
+        }));
+    }
+    rayon::set_spare_thread_budget(full);
+    let by_budget = |ms: &[f64]| -> String {
+        budgets
+            .iter()
+            .zip(ms)
+            .map(|(b, t)| format!("\"{b}\": {t:.2}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
 
     println!(
-        "component_scale decomposition: {} flows, {} components (largest {}), \
-         component budget0 {comp0_ms:.2}ms, budget7 {comp7_ms:.2}ms, global {global_ms:.2}ms",
-        flows.len(),
-        stats.components,
-        stats.largest_component
-    );
-    println!(
-        "component_scale storm: {} jobs, component scope {} rounds vs global {} \
-         ({rounds_ratio:.1}x fewer), skip fraction {skip_fraction:.3}",
+        "component_scale storm: {} jobs, {} solves, {} rounds, skip fraction {skip_fraction:.3}, \
+         event-driven by spare-thread budget {{{}}} ms",
         jobs.len(),
-        cs.rounds_executed,
-        gs.rounds_executed
+        ev.solves,
+        es.rounds_executed,
+        by_budget(&ev_ms)
     );
     println!(
-        "component_scale sharded: {} zones, {} epochs, {} cross-shard messages, \
-         budget0 {sharded0_ms:.2}ms, budget7 {sharded7_ms:.2}ms",
-        pdes.shards, pdes.epochs, pdes.cross_messages
+        "component_scale sharded: {} zones, {} epochs, {} cross-shard messages, {} solves, \
+         by spare-thread budget {{{}}} ms",
+        pdes.shards,
+        pdes.epochs,
+        pdes.cross_messages,
+        sh.solves,
+        by_budget(&sh_ms)
     );
 
     if write_json() {
         let json = format!(
             r#"{{
-  "machine": {{"cores": {cores}, "note": "numbers measured on this machine; on one core a budget-7 run time-shares a single core, so it measures coordination overhead, not scaling. The solver counters (components, rounds, skips, cross-shard messages) are deterministic and machine-independent; the rounds_ratio assertion (>= 5x) is checked by the bench itself"}},
+  "machine": {{"cores": {cores}, "note": "measured on this machine at spare-thread budgets 0, 1 and cores - 1 (deduplicated); a budget above cores - 1 would only time-share cores. The event-driven engine spends its budget on the session's parallel solves of missed components, the sharded engine on running router zones side by side. Solver counters (solves, rounds, skips, zones, cross-shard messages) are deterministic and machine-independent; the skip_fraction gate (>= 0.85) is checked by the bench itself"}},
   "command": "cargo bench -p spider-bench --bench component_scale -- --bench",
-  "shape": {{"zones": {zones}, "resources_per_zone": {res_per_zone}, "flows_per_zone": {flows_per_zone}, "steady_jobs": {steady}, "churn_waves": {waves}, "smoke": {is_smoke}}},
-  "decomposition": {{
-    "flows": {n_flows},
-    "components": {n_components},
-    "largest_component": {largest},
-    "wall_ms": {{"component_budget0": {comp0_ms:.3}, "component_budget7": {comp7_ms:.3}, "global_oracle": {global_ms:.3}}},
-    "bitwise_identical_to_global": true
-  }},
-  "warm_starts": {{
+  "shape": {{"namespaces": {ns}, "steady_jobs": {steady}, "churn_waves": {waves}, "smoke": {is_smoke}}},
+  "spare_thread_budgets": {budgets:?},
+  "event_driven": {{
     "storm_jobs": {n_jobs},
-    "solves": {{"component_scope": {csolves}, "global_scope": {gsolves}}},
-    "rounds_executed": {{"component_scope": {crounds}, "global_scope": {grounds}}},
-    "rounds_ratio": {rounds_ratio:.2},
-    "components_resolved": {cresolved},
-    "components_skipped": {cskipped},
+    "solves": {esolves},
+    "steps": {esteps},
+    "rounds_executed": {erounds},
+    "components_resolved": {eresolved},
+    "components_skipped": {eskipped},
     "skip_fraction": {skip_fraction:.4},
-    "wall_ms": {{"component_scope": {storm_comp_ms:.2}, "global_scope": {storm_glob_ms:.2}}}
+    "wall_ms_by_budget": {{{ewall}}}
   }},
   "sharded": {{
     "router_zones": {n_zones},
     "epoch_barriers": {epochs},
     "cross_shard_messages": {cross},
-    "solves": {shsolves},
-    "wall_ms": {{"budget0": {sharded0_ms:.2}, "budget7": {sharded7_ms:.2}}}
+    "solves": {ssolves},
+    "steps": {ssteps},
+    "rounds_executed": {srounds},
+    "wall_ms_by_budget": {{{swall}}}
   }}
 }}
 "#,
+            ns = center.namespaces(),
             is_smoke = smoke(),
-            n_flows = flows.len(),
-            n_components = stats.components,
-            largest = stats.largest_component,
             n_jobs = jobs.len(),
-            csolves = cs.solves,
-            gsolves = gs.solves,
-            crounds = cs.rounds_executed,
-            grounds = gs.rounds_executed,
-            cresolved = cs.components_resolved,
-            cskipped = cs.components_skipped,
+            esolves = ev.solves,
+            esteps = ev.steps,
+            erounds = es.rounds_executed,
+            eresolved = es.components_resolved,
+            eskipped = es.components_skipped,
+            ewall = by_budget(&ev_ms),
             n_zones = pdes.shards,
             epochs = pdes.epochs,
             cross = pdes.cross_messages,
-            shsolves = sh.solves,
+            ssolves = sh.solves,
+            ssteps = sh.steps,
+            srounds = ss.rounds_executed,
+            swall = by_budget(&sh_ms),
         );
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let path = std::path::Path::new(root).join("BENCH_components.json");
-        std::fs::write(&path, json).expect("workspace root is writable");
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let dir = if smoke() {
+            root.join("target/bench-smoke")
+        } else {
+            root.to_path_buf()
+        };
+        std::fs::create_dir_all(&dir).expect("output directory is creatable");
+        let path = dir.join("BENCH_components.json");
+        std::fs::write(&path, json).expect("output directory is writable");
         println!("component_scale: wrote {}", path.display());
     }
     if let Some(files) = spider_obs::finish() {

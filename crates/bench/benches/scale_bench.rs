@@ -13,11 +13,13 @@
 //!    flow. Records events/sec and asserts the arena stayed at its initial
 //!    occupancy (no per-event allocation).
 //!
-//! With `--smoke` or `--bench` on the command line the bench writes
-//! `BENCH_scale.json` (bytes/client, events/sec, wall times) into the
-//! workspace root; a bare invocation (`cargo test` running the bench
-//! target) shrinks nothing — the 10^6 shape IS the smoke shape — but
-//! writes no file.
+//! `--bench` writes `BENCH_scale.json` (bytes/client, events/sec, wall
+//! times) into the workspace root. `--smoke` runs fewer churn events and
+//! timing iterations and writes `target/bench-smoke/BENCH_scale.json`
+//! instead, so a smoke run cannot overwrite the committed file. A bare
+//! invocation (`cargo test` running the bench target) runs the smoke shape
+//! — the 10^6-client solve is the same in every shape — and writes no
+//! file.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -164,9 +166,15 @@ fn main() {
             is_smoke = smoke(),
             gbps = rep.mean.as_gb_per_sec(),
         );
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let path = std::path::Path::new(root).join("BENCH_scale.json");
-        std::fs::write(&path, json).expect("workspace root is writable");
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let dir = if smoke() {
+            root.join("target/bench-smoke")
+        } else {
+            root.to_path_buf()
+        };
+        std::fs::create_dir_all(&dir).expect("output directory is creatable");
+        let path = dir.join("BENCH_scale.json");
+        std::fs::write(&path, json).expect("output directory is writable");
         println!("scale_bench: wrote {}", path.display());
     }
 }

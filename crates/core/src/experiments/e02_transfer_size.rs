@@ -12,7 +12,7 @@ use spider_workload::ior::{run_ior, IorConfig};
 
 use crate::center::Center;
 use crate::config::{CenterConfig, Scale};
-use crate::flowsim::{solve_with_stats, CenterTarget, FlowTest};
+use crate::flowsim::CenterTarget;
 use crate::report::Table;
 
 /// The swept transfer sizes.
@@ -58,27 +58,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
             let mut cfg = IorConfig::paper_scaling(clients, ts);
             cfg.iterations = 1;
             let rep = run_ior(&target, &cfg);
-            // Component structure of the point's solve, surfaced on the
-            // sweep span so a trace viewer shows how decomposed the
-            // allocation problem was at each point.
-            let (_, stats) = solve_with_stats(
-                &center,
-                &FlowTest {
-                    fs: 0,
-                    clients,
-                    transfer_size: ts,
-                    write: cfg.write,
-                    optimal_placement: cfg.optimal_placement,
-                },
-            );
             super::trace::sweep_point(
                 "E2",
                 idx,
                 &[
                     ("transfer_size", ts.into()),
                     ("gbps", rep.mean.as_gb_per_sec().into()),
-                    ("components", stats.components.into()),
-                    ("largest_component", stats.largest_component.into()),
                 ],
             );
             vec![

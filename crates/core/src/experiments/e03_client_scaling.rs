@@ -12,7 +12,7 @@ use spider_workload::ior::{run_ior, IorConfig};
 
 use crate::center::Center;
 use crate::config::{CenterConfig, Scale};
-use crate::flowsim::{solve_with_stats, CenterTarget, FlowTest};
+use crate::flowsim::CenterTarget;
 use crate::report::Table;
 
 /// Client counts swept at each scale.
@@ -47,27 +47,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
             let mut cfg = IorConfig::paper_scaling(clients, MIB);
             cfg.iterations = 1;
             let rep = run_ior(&target, &cfg);
-            // Component structure of the point's solve, surfaced on the
-            // sweep span (single-namespace sweeps stay one component; the
-            // args pin that the decomposed path sees the same problem).
-            let (_, stats) = solve_with_stats(
-                &center,
-                &FlowTest {
-                    fs: 0,
-                    clients,
-                    transfer_size: MIB,
-                    write: cfg.write,
-                    optimal_placement: cfg.optimal_placement,
-                },
-            );
             super::trace::sweep_point(
                 "E3",
                 idx,
                 &[
                     ("clients", (clients as u64).into()),
                     ("gbps", rep.mean.as_gb_per_sec().into()),
-                    ("components", stats.components.into()),
-                    ("largest_component", stats.largest_component.into()),
                 ],
             );
             vec![
@@ -113,24 +98,12 @@ pub fn run_extreme() -> Vec<Table> {
             target.rate_classes(&cfg)
         };
         let rep = run_ior(&target, &cfg);
-        let (_, stats) = solve_with_stats(
-            &center,
-            &FlowTest {
-                fs: 0,
-                clients,
-                transfer_size: MIB,
-                write: cfg.write,
-                optimal_placement: cfg.optimal_placement,
-            },
-        );
         super::trace::sweep_point(
             "E3",
             idx,
             &[
                 ("clients", (clients as u64).into()),
                 ("gbps", rep.mean.as_gb_per_sec().into()),
-                ("components", stats.components.into()),
-                ("largest_component", stats.largest_component.into()),
             ],
         );
         table.row(vec![

@@ -11,8 +11,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use spider_net::maxmin::{FlowSpec, MaxMinProblem, ResourceId, SolveStats};
-use spider_net::session::{FlowId, MemoScope, SessionStats, SolveSession};
+use spider_net::maxmin::{FlowSpec, MaxMinProblem, ResourceId};
+use spider_net::session::{FlowId, SessionStats, SolveSession};
 use spider_pfs::ost::OstId;
 use spider_simkit::Bandwidth;
 use spider_workload::ior::{IorConfig, IorTarget, RateClasses};
@@ -181,9 +181,8 @@ impl FlowClasses {
     }
 }
 
-/// The one-test problem build shared by [`solve`] and [`solve_with_stats`]:
-/// the full resource chain for `test.fs` plus the weighted class
-/// decomposition of the clients.
+/// The one-test problem build behind [`solve`]: the full resource chain for
+/// `test.fs` plus the weighted class decomposition of the clients.
 fn build_problem(center: &Center, test: &FlowTest) -> (MaxMinProblem, FlowClasses, usize) {
     assert!(test.fs < center.namespaces(), "unknown namespace");
     assert!(test.clients > 0 && test.transfer_size > 0);
@@ -298,22 +297,6 @@ pub fn solve(center: &Center, test: &FlowTest) -> FlowSolution {
         }
     }
     solution
-}
-
-/// [`solve`] plus the solver's event counters — notably `components` and
-/// `largest_component`, the per-router-zone decomposition of the flow
-/// problem. The E2/E3 sweeps surface these in their trace spans. Rates are
-/// bit-identical to [`solve`] (same build, same decomposed core).
-pub fn solve_with_stats(center: &Center, test: &FlowTest) -> (FlowSolution, SolveStats) {
-    let (problem, fc, _) = build_problem(center, test);
-    spider_obs::counter_add("flowsim_solves", 1);
-    let (rates, stats) = problem.solve_with_stats(&fc.classes);
-    let solution = FlowSolution {
-        aggregate: Bandwidth(MaxMinProblem::weighted_total(&fc.classes, &rates)),
-        class_rate: rates,
-        class_of_client: Arc::new(fc.class_of_client),
-    };
-    (solution, stats)
 }
 
 /// Solve several tests *concurrently*: all flows share one resource graph,
@@ -616,70 +599,27 @@ impl<'a> FlowSession<'a> {
         self.solver.stats()
     }
 
-    /// Set the underlying solver's memo scoping policy (default
-    /// [`MemoScope::Component`]): whether warm starts are per whole active
-    /// set or per router-zone component.
-    pub fn set_memo_scope(&mut self, scope: MemoScope) {
-        self.solver.set_memo_scope(scope);
-    }
-
-    /// The per-router-zone component structure of the active tests: groups
-    /// of [`TestId`]s such that tests in different groups share no
-    /// capacitated resource, directly or transitively — they are fully
-    /// independent sub-problems (a test whose classes span several solver
-    /// components glues those components into one group). Groups are
-    /// ordered by smallest member, members ascending. This is the partition
-    /// the sharded timestep engine shards by.
-    pub fn test_components(&mut self) -> Vec<Vec<TestId>> {
-        let flow_groups = self.solver.components();
-        let mut group_of_flow: BTreeMap<FlowId, u32> = BTreeMap::new();
-        for (g, flows) in flow_groups.iter().enumerate() {
-            for &f in flows {
-                group_of_flow.insert(f, g as u32);
-            }
-        }
-        // Union tests that touch the same solver component.
-        let tests: Vec<u64> = self.active.keys().copied().collect();
-        let mut parent: Vec<u32> = (0..tests.len() as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let grand = parent[parent[x as usize] as usize];
-                parent[x as usize] = grand;
-                x = grand;
-            }
-            x
-        }
-        let mut owner_of_group: BTreeMap<u32, u32> = BTreeMap::new();
-        for (tpos, tid) in tests.iter().enumerate() {
-            for fid in &self.active[tid].1 {
-                let g = group_of_flow[fid];
-                match owner_of_group.entry(g) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(tpos as u32);
-                    }
-                    std::collections::btree_map::Entry::Occupied(e) => {
-                        let ra = find(&mut parent, *e.get());
-                        let rb = find(&mut parent, tpos as u32);
-                        if ra < rb {
-                            parent[rb as usize] = ra;
-                        } else if rb < ra {
-                            parent[ra as usize] = rb;
-                        }
-                    }
-                }
-            }
-        }
-        let mut groups: Vec<Vec<TestId>> = Vec::new();
-        let mut group_of_root: BTreeMap<u32, usize> = BTreeMap::new();
-        for (tpos, tid) in tests.iter().enumerate() {
-            let root = find(&mut parent, tpos as u32);
-            let gi = *group_of_root.entry(root).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push(TestId(*tid));
-        }
-        groups
+    /// The solver's connected components, each as the tests owning its
+    /// flows (ascending, deduplicated). Tests that never share a group share
+    /// no capacitated resource, directly or transitively; a test whose
+    /// classes span several components appears in each of them.
+    pub fn components(&mut self) -> Vec<Vec<TestId>> {
+        let test_of: BTreeMap<FlowId, TestId> = self
+            .active
+            .iter()
+            .flat_map(|(&t, (_, ids))| ids.iter().map(move |&f| (f, TestId(t))))
+            .collect();
+        self.solver
+            .components()
+            .iter()
+            .map(|flows| {
+                // Flow ids ascend with test ids (a test's flows are added
+                // together), so equal tests are adjacent.
+                let mut tests: Vec<TestId> = flows.iter().map(|f| test_of[f]).collect();
+                tests.dedup();
+                tests
+            })
+            .collect()
     }
 }
 
@@ -1049,11 +989,12 @@ mod tests {
     }
 
     #[test]
-    fn test_components_split_by_namespace() {
+    fn components_split_by_namespace() {
         // Namespaces share no storage-side resources, and at small scale
         // fine-grained routing keeps their router zones disjoint too — so
-        // two tests on different namespaces are independent components
-        // while two on the same namespace share one.
+        // no component mixes tests of different namespaces, while two tests
+        // on the same namespace share every component they touch (here each
+        // namespace's classes split into two components).
         let c = small();
         let job = |fs: usize| FlowTest {
             fs,
@@ -1066,32 +1007,10 @@ mod tests {
         let a = s.add_test(&job(0));
         let b = s.add_test(&job(1));
         let d = s.add_test(&job(0));
-        let groups = s.test_components();
-        assert_eq!(groups, vec![vec![a, d], vec![b]]);
-        // Removing the last fs-0 test leaves two singletons.
+        let (ad, bb) = (vec![a, d], vec![b]);
+        assert_eq!(s.components(), vec![ad.clone(), ad, bb.clone(), bb]);
         s.remove_test(d);
-        assert_eq!(s.test_components(), vec![vec![a], vec![b]]);
-    }
-
-    #[test]
-    fn solve_with_stats_matches_solve_bitwise() {
-        let c = small();
-        let t = FlowTest {
-            fs: 0,
-            clients: 500,
-            transfer_size: MIB,
-            write: true,
-            optimal_placement: false,
-        };
-        let plain = solve(&c, &t);
-        let (traced, stats) = solve_with_stats(&c, &t);
-        assert_eq!(
-            plain.aggregate.as_bytes_per_sec().to_bits(),
-            traced.aggregate.as_bytes_per_sec().to_bits()
-        );
-        assert!(stats.components >= 1);
-        assert!(stats.largest_component >= 1);
-        assert_eq!(stats.flows, plain.classes() as u64);
+        assert_eq!(s.components(), vec![vec![a], vec![a], vec![b], vec![b]]);
     }
 
     #[test]

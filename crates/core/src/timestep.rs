@@ -18,7 +18,7 @@
 //! jump's bytes over the bins it covers. The engine holds one
 //! [`FlowSession`] for the whole run, so each event re-solve pays only for
 //! the job delta, and recurring active sets (identical checkpoint waves)
-//! are answered from the solver's fixed-point memo.
+//! are answered from the solver's per-component fixed-point memo.
 //!
 //! [`SteppingMode::FixedStep`] keeps the legacy scan — a from-scratch
 //! [`solve_concurrent`] every `step` — as the differential oracle and the
@@ -26,28 +26,27 @@
 //!
 //! # Sharded stepping
 //!
-//! [`SteppingMode::Sharded`] cashes in the solver's component decomposition
-//! at the engine level: jobs are partitioned into independent *router
+//! [`run_timestep_sharded`] partitions the jobs into independent *router
 //! zones* (connected components of the flow–resource coupling graph,
-//! coarsened to namespace granularity), and each zone becomes one shard of
-//! a [`ShardedEngine`] running its own event-driven loop with its own
-//! resident [`FlowSession`]. Zones share no capacitated resource, so the
-//! run generates **zero cross-shard messages** and the legal lookahead is
-//! the whole horizon — a single epoch window, embarrassingly parallel.
-//! Each shard only ever solves its own zone, so a zone's job events no
-//! longer cost even a memo probe in the other zones. Within one zone the
-//! wake sequence replays the event-driven loop exactly (a single-zone
-//! sharded run is bit-identical to [`SteppingMode::EventDriven`]); across
+//! coarsened to namespace granularity) and runs each zone as one shard of
+//! a [`ShardedEngine`]. A shard drives the same per-event-point step as
+//! the event-driven engine over its own jobs and its own resident
+//! [`FlowSession`]. Zones share no capacitated resource, so the run
+//! generates **zero cross-shard messages** and the legal lookahead is the
+//! whole horizon — a single epoch window, embarrassingly parallel. Within
+//! one zone the wake sequence replays the event-driven loop exactly (a
+//! single-zone sharded run is bit-identical to it, apart from the
+//! event-driven loop counting its final empty check as a step); across
 //! zones the engines cut the timeline at different event points, so moved
-//! bytes and completions agree to rounding, not bitwise — [`run_timestep`]'s
-//! callers compare them with the same one-log-interval bound the E20
-//! experiment pins. Live-telemetry sampling stays off in this mode: shard
-//! handlers run off the coordinator thread, where sample order would not be
+//! bytes and completions agree to rounding, not bitwise — callers compare
+//! them with the same one-log-interval bound the E20 experiment pins.
+//! Live-telemetry sampling stays off in sharded runs: shard handlers run
+//! off the coordinator thread, where sample order would not be
 //! deterministic.
 
 use std::collections::BTreeMap;
 
-use spider_net::{MemoScope, SessionStats};
+use spider_net::{SessionStats, UnionFind};
 use spider_simkit::{
     Bandwidth, PdesConfig, PdesStats, Shard, ShardCtx, ShardedEngine, SimDuration, SimTime,
     TimeSeries,
@@ -83,9 +82,20 @@ impl Job {
     pub fn total_bytes(&self) -> f64 {
         (self.bytes_per_client as u128 * self.clients as u128) as f64
     }
+
+    /// The flow test this job runs while active.
+    fn flow_test(&self) -> FlowTest {
+        FlowTest {
+            fs: self.fs,
+            clients: self.clients,
+            transfer_size: self.transfer_size,
+            write: self.write,
+            optimal_placement: self.optimal_placement,
+        }
+    }
 }
 
-/// Columnar per-job state shared by both stepping engines (the `JobColumns`
+/// Columnar per-job state shared by every stepping engine (the `JobColumns`
 /// side of the SoA layer): parallel columns indexed by job id, sized once at
 /// run start — no per-step allocation, and a single place to account the
 /// engine's per-job memory.
@@ -96,7 +106,7 @@ struct JobColumns {
     completions: Vec<Option<SimTime>>,
     /// Bytes actually moved.
     bytes_moved: Vec<f64>,
-    /// Active test handle in the resident session (event-driven engine).
+    /// Active test handle in the resident session (event-driven loops).
     test_of: Vec<Option<TestId>>,
 }
 
@@ -152,9 +162,6 @@ pub enum SteppingMode {
     /// Legacy fixed-interval scanning: one from-scratch solve every `step`.
     /// Kept as the differential oracle and bench baseline.
     FixedStep,
-    /// One [`ShardedEngine`] shard per independent router zone, each running
-    /// its own event-driven loop (see the module docs).
-    Sharded,
 }
 
 /// Stepping parameters.
@@ -169,11 +176,6 @@ pub struct TimestepConfig {
     pub log_interval: SimDuration,
     /// Advance mode; defaults to [`SteppingMode::EventDriven`].
     pub mode: SteppingMode,
-    /// Warm-start memo scope for the resident solver sessions (event-driven
-    /// and sharded modes). Defaults to [`MemoScope::Component`]; the
-    /// `component_scale` bench flips it to measure the component-scoped
-    /// saving on the checkpoint storm.
-    pub scope: MemoScope,
 }
 
 impl Default for TimestepConfig {
@@ -183,7 +185,6 @@ impl Default for TimestepConfig {
             horizon: SimDuration::from_hours(2),
             log_interval: SimDuration::from_secs(10),
             mode: SteppingMode::default(),
-            scope: MemoScope::default(),
         }
     }
 }
@@ -201,9 +202,9 @@ pub struct TimestepResult {
     pub solves: u64,
     /// Time advances taken (fixed steps or event jumps).
     pub steps: u64,
-    /// Resident-session counters (event-driven and sharded modes; `None`
-    /// for the fixed-step oracle, which solves from scratch). The sharded
-    /// engine reports the sum over its zone sessions.
+    /// Resident-session counters (event-driven and sharded runs; `None`
+    /// for the fixed-step oracle, which solves from scratch). A sharded
+    /// run reports the sum over its zone sessions.
     pub solver: Option<SessionStats>,
 }
 
@@ -221,11 +222,7 @@ fn next_arrival(jobs: &[Job], completions: &[Option<SimTime>], t: SimTime) -> Op
 /// (MB/s over the window). Both stepping modes run their advance loop
 /// single-threaded in time order, so the sample stream — and any detector
 /// verdict on it — is deterministic.
-fn live_feed_window(
-    t_end: SimTime,
-    dt: SimDuration,
-    fs_moved: &std::collections::BTreeMap<usize, f64>,
-) {
+fn live_feed_window(t_end: SimTime, dt: SimDuration, fs_moved: &BTreeMap<usize, f64>) {
     spider_obs::live_tick(t_end.as_nanos());
     let secs = dt.as_secs_f64();
     for (fs, moved) in fs_moved {
@@ -240,7 +237,6 @@ pub fn run_timestep(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> Time
     let res = match cfg.mode {
         SteppingMode::EventDriven => run_event_driven(center, jobs, cfg),
         SteppingMode::FixedStep => run_fixed_step(center, jobs, cfg),
-        SteppingMode::Sharded => run_timestep_sharded(center, jobs, cfg).0,
     };
     if spider_obs::enabled() {
         spider_obs::counter_add("timestep_runs", 1);
@@ -278,16 +274,7 @@ fn run_fixed_step(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> Timest
                 _ => break,
             }
         }
-        let tests: Vec<FlowTest> = active
-            .iter()
-            .map(|&i| FlowTest {
-                fs: jobs[i].fs,
-                clients: jobs[i].clients,
-                transfer_size: jobs[i].transfer_size,
-                write: jobs[i].write,
-                optimal_placement: jobs[i].optimal_placement,
-            })
-            .collect();
+        let tests: Vec<FlowTest> = active.iter().map(|&i| jobs[i].flow_test()).collect();
         solves += 1;
         let solutions = solve_concurrent(center, &tests);
 
@@ -306,7 +293,7 @@ fn run_fixed_step(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> Timest
         }
         // Advance.
         let live = spider_obs::live_enabled();
-        let mut fs_moved: std::collections::BTreeMap<usize, f64> = Default::default();
+        let mut fs_moved: BTreeMap<usize, f64> = BTreeMap::new();
         for (k, &i) in active.iter().enumerate() {
             let rate = Bandwidth(solutions[k].aggregate.as_bytes_per_sec());
             let moved = rate.bytes_over(dt).min(cols.remaining[i]);
@@ -330,57 +317,65 @@ fn run_fixed_step(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> Timest
     cols.into_result(logs, solves, steps)
 }
 
-/// The event-driven engine: one resident [`FlowSession`], one solve per job
-/// event, analytic jumps in between.
-fn run_event_driven(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> TimestepResult {
-    let mut cols = JobColumns::new(jobs);
-    let mut logs: Vec<TimeSeries> = (0..center.namespaces())
-        .map(|_| TimeSeries::new(cfg.log_interval))
-        .collect();
+/// The state one event-driven loop advances: a resident [`FlowSession`],
+/// the per-job columns and the per-namespace logs. [`run_event_driven`]
+/// runs one over every job; [`run_timestep_sharded`] runs one per router
+/// zone, over that zone's jobs only.
+struct EventLoop<'a> {
+    session: FlowSession<'a>,
+    cols: JobColumns,
+    logs: Vec<TimeSeries>,
+    solves: u64,
+    steps: u64,
+}
 
-    let mut session = FlowSession::new(center);
-    session.set_memo_scope(cfg.scope);
+impl<'a> EventLoop<'a> {
+    fn new(center: &'a Center, jobs: &[Job], log_interval: SimDuration) -> Self {
+        EventLoop {
+            session: FlowSession::new(center),
+            cols: JobColumns::new(jobs),
+            logs: (0..center.namespaces())
+                .map(|_| TimeSeries::new(log_interval))
+                .collect(),
+            solves: 0,
+            steps: 0,
+        }
+    }
 
-    let mut steps = 0u64;
-    let mut solves = 0u64;
-    let mut solves_avoided = 0u64;
-    let mut t = SimTime::ZERO;
-    let end = SimTime::ZERO + cfg.horizon;
-    while t < end {
-        steps += 1;
-        // Admit arrivals due at this instant.
+    /// One event point at `t`: admit the jobs due by `t`, then — if any job
+    /// is active — solve once and jump every active job's bytes to the
+    /// earliest of (next arrival, next completion, `end`). Returns the
+    /// jump, or `None` when no job is active. `fs_moved`, when given,
+    /// accumulates each namespace's bytes over the jump (the live feed).
+    fn step(
+        &mut self,
+        jobs: &[Job],
+        t: SimTime,
+        end: SimTime,
+        mut fs_moved: Option<&mut BTreeMap<usize, f64>>,
+    ) -> Option<SimDuration> {
+        self.steps += 1;
+        let cols = &mut self.cols;
         for (i, j) in jobs.iter().enumerate() {
             if cols.test_of[i].is_none() && cols.completions[i].is_none() && j.start <= t {
-                cols.test_of[i] = Some(session.add_test(&FlowTest {
-                    fs: j.fs,
-                    clients: j.clients,
-                    transfer_size: j.transfer_size,
-                    write: j.write,
-                    optimal_placement: j.optimal_placement,
-                }));
+                cols.test_of[i] = Some(self.session.add_test(&j.flow_test()));
             }
         }
         let active: Vec<usize> = (0..jobs.len())
             .filter(|&i| cols.test_of[i].is_some() && cols.completions[i].is_none())
             .collect();
         if active.is_empty() {
-            match next_arrival(jobs, &cols.completions, t) {
-                Some(s) if s < end => {
-                    t = s;
-                    continue;
-                }
-                _ => break,
-            }
+            return None;
         }
 
         // One solve per event point; the allocation then holds until the
         // next arrival or completion, which we compute analytically.
-        solves += 1;
-        session.solve();
+        self.solves += 1;
+        self.session.solve();
         let rates: Vec<f64> = active
             .iter()
             .map(|&i| {
-                session
+                self.session
                     .aggregate_of(cols.test_of[i].expect("active implies admitted"))
                     .as_bytes_per_sec()
             })
@@ -398,22 +393,52 @@ fn run_event_driven(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> Time
         }
 
         // Jump: move every active job's bytes over the whole window.
-        let live = spider_obs::live_enabled();
-        let mut fs_moved: std::collections::BTreeMap<usize, f64> = Default::default();
         for (k, &i) in active.iter().enumerate() {
             let moved = Bandwidth(rates[k]).bytes_over(dt).min(cols.remaining[i]);
             cols.remaining[i] -= moved;
             cols.bytes_moved[i] += moved;
-            logs[jobs[i].fs].add_spread(t, dt, moved);
-            if live {
-                *fs_moved.entry(jobs[i].fs).or_insert(0.0) += moved;
+            self.logs[jobs[i].fs].add_spread(t, dt, moved);
+            if let Some(acc) = fs_moved.as_deref_mut() {
+                *acc.entry(jobs[i].fs).or_insert(0.0) += moved;
             }
             if cols.remaining[i] <= 1.0 {
                 cols.remaining[i] = 0.0;
                 cols.completions[i] = Some(t + dt);
-                session.remove_test(cols.test_of[i].expect("active implies admitted"));
+                self.session
+                    .remove_test(cols.test_of[i].expect("active implies admitted"));
             }
         }
+        Some(dt)
+    }
+
+    fn into_result(self) -> TimestepResult {
+        let solver = self.session.solver_stats().clone();
+        let mut res = self.cols.into_result(self.logs, self.solves, self.steps);
+        res.solver = Some(solver);
+        res
+    }
+}
+
+/// The event-driven engine: one [`EventLoop`] over every job, one solve per
+/// job event, analytic jumps in between. Its stop check — no job active and
+/// none still to arrive — counts as a step.
+fn run_event_driven(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> TimestepResult {
+    let mut lp = EventLoop::new(center, jobs, cfg.log_interval);
+    let mut solves_avoided = 0u64;
+    let mut t = SimTime::ZERO;
+    let end = SimTime::ZERO + cfg.horizon;
+    while t < end {
+        let live = spider_obs::live_enabled();
+        let mut fs_moved = BTreeMap::new();
+        let Some(dt) = lp.step(jobs, t, end, live.then_some(&mut fs_moved)) else {
+            match next_arrival(jobs, &lp.cols.completions, t) {
+                Some(s) if s < end => {
+                    t = s;
+                    continue;
+                }
+                _ => break,
+            }
+        };
         if live {
             live_feed_window(t + dt, dt, &fs_moved);
         }
@@ -426,138 +451,52 @@ fn run_event_driven(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> Time
         spider_obs::counter_add("timestep_solves_avoided", solves_avoided);
         spider_obs::mem_gauge(
             "timestep_session",
-            spider_simkit::MemFootprint::mem_bytes(&session),
+            spider_simkit::MemFootprint::mem_bytes(&lp.session),
         );
         spider_obs::mem_gauge(
             "timestep_job_columns",
-            spider_simkit::MemFootprint::mem_bytes(&cols),
+            spider_simkit::MemFootprint::mem_bytes(&lp.cols),
         );
     }
-    let mut res = cols.into_result(logs, solves, steps);
-    res.solver = Some(session.solver_stats().clone());
-    res
+    lp.into_result()
 }
 
-/// One independent router zone as a [`Shard`]: the zone's jobs, a resident
-/// [`FlowSession`] that only ever sees those jobs, and the zone's slice of
-/// the job/log state. Every event is a self-scheduled wake — the zones share
-/// no resource, so nothing ever crosses shards.
+/// One independent router zone as a [`Shard`]: the zone's jobs and an
+/// [`EventLoop`] that only ever sees them. Every event is a self-scheduled
+/// wake — the zones share no resource, so nothing ever crosses shards.
 struct ZoneShard<'a> {
     /// Global job indices owned by this zone, ascending.
     idx: Vec<usize>,
     /// The owned jobs, parallel to `idx`.
     jobs: Vec<Job>,
-    session: FlowSession<'a>,
-    remaining: Vec<f64>,
-    completions: Vec<Option<SimTime>>,
-    bytes_moved: Vec<f64>,
-    test_of: Vec<Option<TestId>>,
-    /// Per-namespace logs; each namespace belongs to exactly one zone.
-    logs: BTreeMap<usize, TimeSeries>,
-    solves: u64,
-    steps: u64,
+    lp: EventLoop<'a>,
     end: SimTime,
-    log_interval: SimDuration,
-}
-
-/// What a zone hands back at the end of the run.
-struct ZoneOut {
-    idx: Vec<usize>,
-    completions: Vec<Option<SimTime>>,
-    bytes_moved: Vec<f64>,
-    logs: BTreeMap<usize, TimeSeries>,
-    solves: u64,
-    steps: u64,
-    solver: SessionStats,
 }
 
 impl Shard for ZoneShard<'_> {
     type Event = ();
-    type Out = ZoneOut;
+    type Out = (Vec<usize>, TimestepResult);
 
     fn handle(&mut self, ctx: &mut ShardCtx<'_, '_, ()>, (): ()) {
         let t = ctx.now();
         if t >= self.end {
             return;
         }
-        self.steps += 1;
-        for (k, j) in self.jobs.iter().enumerate() {
-            if self.test_of[k].is_none() && self.completions[k].is_none() && j.start <= t {
-                self.test_of[k] = Some(self.session.add_test(&FlowTest {
-                    fs: j.fs,
-                    clients: j.clients,
-                    transfer_size: j.transfer_size,
-                    write: j.write,
-                    optimal_placement: j.optimal_placement,
-                }));
+        // Unlike the event-driven loop, a zone takes no final empty step:
+        // it stops waking once every job it owns has completed.
+        let next = match self.lp.step(&self.jobs, t, self.end, None) {
+            Some(dt) => {
+                Some(t + dt).filter(|_| self.lp.cols.completions.iter().any(Option::is_none))
             }
-        }
-        let active: Vec<usize> = (0..self.jobs.len())
-            .filter(|&k| self.test_of[k].is_some() && self.completions[k].is_none())
-            .collect();
-        if active.is_empty() {
-            if let Some(s) = next_arrival(&self.jobs, &self.completions, t) {
-                if s < self.end {
-                    ctx.schedule(s, ());
-                }
-            }
-            return;
-        }
-
-        // The event-driven loop body, scoped to this zone: solve, find the
-        // next event analytically, jump.
-        self.solves += 1;
-        self.session.solve();
-        let rates: Vec<f64> = active
-            .iter()
-            .map(|&k| {
-                self.session
-                    .aggregate_of(self.test_of[k].expect("active implies admitted"))
-                    .as_bytes_per_sec()
-            })
-            .collect();
-
-        let mut dt = self.end - t;
-        if let Some(s) = next_arrival(&self.jobs, &self.completions, t) {
-            dt = dt.min(s.since(t));
-        }
-        for (r, &k) in rates.iter().zip(&active) {
-            if *r > 0.0 {
-                let finish = SimDuration::from_secs_f64(self.remaining[k] / r);
-                dt = dt.min(finish.max(SimDuration::NANO));
-            }
-        }
-        for (r, &k) in rates.iter().zip(&active) {
-            let moved = Bandwidth(*r).bytes_over(dt).min(self.remaining[k]);
-            self.remaining[k] -= moved;
-            self.bytes_moved[k] += moved;
-            self.logs
-                .entry(self.jobs[k].fs)
-                .or_insert_with(|| TimeSeries::new(self.log_interval))
-                .add_spread(t, dt, moved);
-            if self.remaining[k] <= 1.0 {
-                self.remaining[k] = 0.0;
-                self.completions[k] = Some(t + dt);
-                self.session
-                    .remove_test(self.test_of[k].expect("active implies admitted"));
-            }
-        }
-        let next = t + dt;
-        if next < self.end && self.completions.iter().any(Option::is_none) {
+            None => next_arrival(&self.jobs, &self.lp.cols.completions, t),
+        };
+        if let Some(next) = next.filter(|&n| n < self.end) {
             ctx.schedule(next, ());
         }
     }
 
-    fn finish(self) -> ZoneOut {
-        ZoneOut {
-            idx: self.idx,
-            completions: self.completions,
-            bytes_moved: self.bytes_moved,
-            logs: self.logs,
-            solves: self.solves,
-            steps: self.steps,
-            solver: self.session.solver_stats().clone(),
-        }
+    fn finish(self) -> Self::Out {
+        (self.idx, self.lp.into_result())
     }
 }
 
@@ -569,49 +508,21 @@ impl Shard for ZoneShard<'_> {
 /// groups ordered by their smallest namespace.
 fn router_zones(center: &Center, jobs: &[Job]) -> Vec<Vec<usize>> {
     let mut probe = FlowSession::new(center);
-    let mut job_of_test: BTreeMap<TestId, usize> = BTreeMap::new();
-    for (i, j) in jobs.iter().enumerate() {
-        let tid = probe.add_test(&FlowTest {
-            fs: j.fs,
-            clients: j.clients,
-            transfer_size: j.transfer_size,
-            write: j.write,
-            optimal_placement: j.optimal_placement,
-        });
-        job_of_test.insert(tid, i);
-    }
-
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    let mut parent: Vec<u32> = (0..center.namespaces() as u32).collect();
-    for group in probe.test_components() {
-        let mut acc: Option<u32> = None;
-        for tid in &group {
-            let r = find(&mut parent, jobs[job_of_test[tid]].fs as u32);
-            match acc {
-                None => acc = Some(r),
-                Some(a) if a != r => {
-                    // Smaller root wins: the zone keeps its smallest
-                    // namespace as the representative.
-                    let (lo, hi) = if a < r { (a, r) } else { (r, a) };
-                    parent[hi as usize] = lo;
-                    acc = Some(lo);
-                }
-                Some(_) => {}
-            }
-        }
+    let fs_of_test: BTreeMap<TestId, u32> = jobs
+        .iter()
+        .map(|j| (probe.add_test(&j.flow_test()), j.fs as u32))
+        .collect();
+    // Namespaces whose jobs share a solver component share a zone; the
+    // smaller root wins, so a zone's representative is its smallest
+    // namespace.
+    let mut zone_of = UnionFind::new(center.namespaces());
+    for tests in probe.components() {
+        let namespaces: Vec<u32> = tests.iter().map(|t| fs_of_test[t]).collect();
+        zone_of.union_all(&namespaces);
     }
     let mut zones: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (i, j) in jobs.iter().enumerate() {
-        zones
-            .entry(find(&mut parent, j.fs as u32))
-            .or_default()
-            .push(i);
+        zones.entry(zone_of.find(j.fs as u32)).or_default().push(i);
     }
     zones.into_values().collect()
 }
@@ -627,41 +538,31 @@ pub fn run_timestep_sharded(
     cfg: &TimestepConfig,
 ) -> (TimestepResult, PdesStats) {
     assert!(!cfg.step.is_zero());
-    let cols = JobColumns::new(jobs);
-    let mut logs: Vec<TimeSeries> = (0..center.namespaces())
+    let logs = (0..center.namespaces())
         .map(|_| TimeSeries::new(cfg.log_interval))
         .collect();
-    let empty = PdesStats {
-        shards: 0,
-        epochs: 0,
-        events: 0,
-        cross_messages: 0,
-        queue_high_water: 0,
-    };
+    let mut res = JobColumns::new(jobs).into_result(logs, 0, 0);
     if jobs.is_empty() || cfg.horizon.is_zero() {
-        return (cols.into_result(logs, 0, 0), empty);
+        let empty = PdesStats {
+            shards: 0,
+            epochs: 0,
+            events: 0,
+            cross_messages: 0,
+            queue_high_water: 0,
+        };
+        return (res, empty);
     }
-    let mut cols = cols;
     let zones = router_zones(center, jobs);
     let end = SimTime::ZERO + cfg.horizon;
     let shards: Vec<ZoneShard<'_>> = zones
         .iter()
         .map(|idx| {
-            let mut session = FlowSession::new(center);
-            session.set_memo_scope(cfg.scope);
+            let zone_jobs: Vec<Job> = idx.iter().map(|&i| jobs[i].clone()).collect();
             ZoneShard {
                 idx: idx.clone(),
-                jobs: idx.iter().map(|&i| jobs[i].clone()).collect(),
-                session,
-                remaining: idx.iter().map(|&i| jobs[i].total_bytes()).collect(),
-                completions: vec![None; idx.len()],
-                bytes_moved: vec![0.0; idx.len()],
-                test_of: vec![None; idx.len()],
-                logs: BTreeMap::new(),
-                solves: 0,
-                steps: 0,
+                lp: EventLoop::new(center, &zone_jobs, cfg.log_interval),
+                jobs: zone_jobs,
                 end,
-                log_interval: cfg.log_interval,
             }
         })
         .collect();
@@ -678,21 +579,22 @@ pub fn run_timestep_sharded(
     }
     let run = engine.run();
 
-    let mut solves = 0u64;
-    let mut steps = 0u64;
     let mut solver = SessionStats::default();
-    for out in run.outs {
-        for (k, &i) in out.idx.iter().enumerate() {
-            cols.completions[i] = out.completions[k];
-            cols.bytes_moved[i] = out.bytes_moved[k];
-            cols.remaining[i] = jobs[i].total_bytes() - out.bytes_moved[k];
+    for (idx, zone) in run.outs {
+        for (k, &i) in idx.iter().enumerate() {
+            res.completions[i] = zone.completions[k];
+            res.bytes_moved[i] = zone.bytes_moved[k];
         }
-        for (fs, ts) in out.logs {
-            logs[fs] = ts;
+        // Each namespace belongs to exactly one zone; every other zone
+        // leaves its log empty.
+        for (fs, log) in zone.namespace_logs.into_iter().enumerate() {
+            if !log.is_empty() {
+                res.namespace_logs[fs] = log;
+            }
         }
-        solves += out.solves;
-        steps += out.steps;
-        let s = &out.solver;
+        res.solves += zone.solves;
+        res.steps += zone.steps;
+        let s = zone.solver.expect("a zone keeps a resident session");
         solver.solves += s.solves;
         solver.cache_hits += s.cache_hits;
         solver.cache_misses += s.cache_misses;
@@ -706,7 +608,6 @@ pub fn run_timestep_sharded(
         spider_obs::counter_add("timestep_sharded_runs", 1);
         spider_obs::counter_add("timestep_sharded_zones", run.stats.shards as u64);
     }
-    let mut res = cols.into_result(logs, solves, steps);
     res.solver = Some(solver);
     (res, run.stats)
 }
@@ -979,32 +880,10 @@ mod tests {
         assert_eq!(sh.completions, ev.completions);
         assert_eq!(sh.bytes_moved, ev.bytes_moved);
         assert_eq!(sh.solves, ev.solves);
-    }
-
-    #[test]
-    fn memo_scope_does_not_change_the_trajectory() {
-        let c = center();
-        let jobs = vec![job(0, 16, 1, 0), job(1, 8, 1, 10), job(0, 16, 2, 45)];
-        let component = run_timestep(&c, &jobs, &TimestepConfig::default());
-        let global = run_timestep(
-            &c,
-            &jobs,
-            &TimestepConfig {
-                scope: MemoScope::Global,
-                ..TimestepConfig::default()
-            },
-        );
-        assert_eq!(component.completions, global.completions);
-        assert_eq!(component.bytes_moved, global.bytes_moved);
-        // The component-scoped session skips untouched zones; the global
-        // one re-solves everything it misses on.
-        let comp = component.solver.expect("event-driven records stats");
-        let glob = global.solver.expect("event-driven records stats");
-        assert!(comp.components_skipped > 0, "{comp:?}");
-        assert!(
-            comp.rounds_executed <= glob.rounds_executed,
-            "{comp:?} vs {glob:?}"
-        );
+        // Both drivers run the same per-event-point step; only the stop
+        // rule differs: the event-driven loop counts its final empty check
+        // as a step, a zone stops once its last job completes.
+        assert_eq!((ev.steps, sh.steps), (6, 5));
     }
 
     #[test]

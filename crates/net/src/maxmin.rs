@@ -31,30 +31,18 @@
 //! [`MaxMinProblem::solve_reference`] is the naive full-rescan loop kept as
 //! the differential-testing oracle; both must agree to within 1e-6.
 //!
-//! # Component decomposition
-//!
-//! Two flows are *coupled* when they are connected in the bipartite
-//! flow–resource graph: they share a resource, or share one transitively
-//! through other flows. Water-filling never moves capacity between
-//! components of that graph, so [`MaxMinProblem::solve`] partitions the
-//! flow set with a union-find over resource indices and solves each
-//! connected component independently — in parallel across components, in
-//! fixed component-id order — and scatters the per-component rates back
-//! into the flat result. The per-component solves are **bitwise identical**
-//! to the corresponding positions of one global event-driven solve: every
-//! float the solver touches (`active_weight`, checkpoints, levels) is
-//! per-resource state owned by exactly one component, the event loop
-//! processes events in ascending level order with deterministic tie-breaks
-//! (cap events by `(cap, flow position)`, saturation events by resource
-//! id), and the water level is monotone — so the global event sequence
-//! restricted to one component is exactly that component's own event
-//! sequence. [`MaxMinProblem::solve_global`] keeps the undecomposed path
-//! as the differential oracle for that claim.
+//! A stateless solve always runs the event-driven core over the whole flow
+//! set. Splitting a one-shot problem into its connected components and
+//! solving them in parallel did not pay: on a 64-block problem (2,560
+//! flows) the split solve took 0.60 ms against 0.46 ms undecomposed on one
+//! core, and 1.12 ms against 0.72 ms on two. Components pay off only
+//! across *repeated* solves, where an untouched component can replay a
+//! memoized fixed point, so the incremental
+//! [`SolveSession`](crate::session::SolveSession) is the one place that
+//! decomposes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-use rayon::prelude::*;
 
 /// Identifier of a capacitated resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,7 +71,8 @@ impl FlowSpec {
         }
     }
 
-    /// Attach an intrinsic per-member cap.
+    /// Attach an intrinsic per-member cap (non-negative; a zero cap makes a
+    /// dead flow). Solves and sessions reject NaN and negative caps.
     pub fn with_cap(mut self, cap: f64) -> Self {
         self.cap = Some(cap);
         self
@@ -160,18 +149,9 @@ pub struct SolveStats {
     /// Popped entries discarded as stale (invalidated by a later reschedule
     /// of the same resource, or by its saturation or emptying).
     pub stale_discards: u64,
-    /// Connected components in the flow–resource coupling graph (prefrozen
-    /// flows count as singletons; 0 for an empty flow set). Left at 0 by
-    /// the undecomposed [`MaxMinProblem::solve_global`] oracle.
-    pub components: u64,
-    /// Flow count of the largest component. Left at 0 by
-    /// [`MaxMinProblem::solve_global`].
-    pub largest_component: u64,
     /// Resources in the order they saturated. Only collected by
     /// [`MaxMinProblem::solve_with_stats`] — the plain path skips the
-    /// allocation. On the component-decomposed path the order is grouped
-    /// by component (components are independent, so no global interleaving
-    /// is lost).
+    /// allocation.
     pub saturation_order: Vec<u32>,
 }
 
@@ -188,62 +168,6 @@ impl SolveStats {
         spider_obs::counter_add("maxmin_heap_pops", self.heap_pops);
         spider_obs::counter_add("maxmin_stale_discards", self.stale_discards);
         spider_obs::hist_record("maxmin_flows_per_solve", self.flows as f64);
-        if self.components > 0 {
-            spider_obs::hist_record("maxmin_components_per_solve", self.components as f64);
-        }
-    }
-}
-
-/// Union-find over resource indices, the component index of the
-/// flow–resource coupling graph. Unions always keep the smaller root, so a
-/// set's representative is its minimum resource index — a canonical label
-/// independent of union order.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ResourceUnionFind {
-    parent: Vec<u32>,
-}
-
-impl ResourceUnionFind {
-    pub(crate) fn new(n_res: usize) -> Self {
-        ResourceUnionFind {
-            parent: (0..n_res as u32).collect(),
-        }
-    }
-
-    /// Representative of `x`'s set, with path halving.
-    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let grand = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = grand;
-            x = grand;
-        }
-        x
-    }
-
-    /// Merge the sets of `a` and `b`; the smaller root wins.
-    pub(crate) fn union(&mut self, a: u32, b: u32) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra < rb {
-            self.parent[rb as usize] = ra;
-        } else if rb < ra {
-            self.parent[ra as usize] = rb;
-        }
-    }
-
-    /// Union all resources along one flow path into one set.
-    pub(crate) fn union_path(&mut self, path: &[u32]) {
-        if let Some((&first, rest)) = path.split_first() {
-            for &r in rest {
-                self.union(first, r);
-            }
-        }
-    }
-}
-
-impl spider_simkit::MemFootprint for ResourceUnionFind {
-    fn mem_bytes(&self) -> u64 {
-        spider_simkit::slab_bytes::<u32>(self.parent.capacity())
     }
 }
 
@@ -323,6 +247,11 @@ impl FlowColumns {
         cols
     }
 
+    /// Resource indices crossed by the flow in arena slot `slot`.
+    pub(crate) fn path(&self, slot: usize) -> &[u32] {
+        &self.path_res[self.path_off[slot] as usize..self.path_off[slot + 1] as usize]
+    }
+
     pub(crate) fn view(&self) -> FlowsView<'_> {
         FlowsView {
             ids: &self.ids,
@@ -359,7 +288,10 @@ impl MaxMinProblem {
 
     /// Register a resource with the given capacity (>= 0).
     pub fn add_resource(&mut self, capacity: f64) -> ResourceId {
-        assert!(capacity >= 0.0 && capacity.is_finite());
+        assert!(
+            capacity >= 0.0 && capacity.is_finite(),
+            "resource capacity must be non-negative and finite, got {capacity}"
+        );
         self.capacities.push(capacity);
         ResourceId(self.capacities.len() - 1)
     }
@@ -374,44 +306,31 @@ impl MaxMinProblem {
         self.capacities[r.0]
     }
 
-    fn validate(&self, flows: &[FlowSpec]) {
-        let n_res = self.capacities.len();
-        for (i, f) in flows.iter().enumerate() {
+    /// The one flow check every entry point runs (`solve`, `solve_reference`
+    /// and [`crate::session::SolveSession::add_flow`]). `cap` is
+    /// `f64::INFINITY` for an uncapped flow; a zero cap is legal (a dead
+    /// flow), a NaN or negative one is not.
+    pub(crate) fn validate_flow(&self, k: usize, path: &[u32], cap: f64, weight: f64) {
+        assert!(cap >= 0.0, "flow {k} has a NaN or negative cap {cap}");
+        assert!(
+            !path.is_empty() || cap.is_finite(),
+            "flow {k} has no resources and no cap: unbounded"
+        );
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "flow {k} has non-positive weight {weight}"
+        );
+        for &r in path {
             assert!(
-                !f.resources.is_empty() || f.cap.is_some(),
-                "flow {i} has no resources and no cap: unbounded"
+                (r as usize) < self.capacities.len(),
+                "flow {k} references unknown resource ResourceId({r})"
             );
-            assert!(
-                f.weight > 0.0 && f.weight.is_finite(),
-                "flow {i} has non-positive weight {}",
-                f.weight
-            );
-            for r in &f.resources {
-                assert!(r.0 < n_res, "flow {i} references unknown resource {r:?}");
-            }
         }
     }
 
-    /// View-level validation mirroring [`Self::validate`]; `f64::INFINITY`
-    /// caps stand for "uncapped".
     fn validate_view(&self, v: &FlowsView<'_>) {
-        let n_res = self.capacities.len();
         for k in 0..v.len() {
-            let (path, cap, weight) = (v.path(k), v.cap_of(k), v.weight_of(k));
-            assert!(
-                !path.is_empty() || cap.is_finite(),
-                "flow {k} has no resources and no cap: unbounded"
-            );
-            assert!(
-                weight > 0.0 && weight.is_finite(),
-                "flow {k} has non-positive weight {weight}"
-            );
-            for &r in path {
-                assert!(
-                    (r as usize) < n_res,
-                    "flow {k} references unknown resource ResourceId({r})"
-                );
-            }
+            self.validate_flow(k, v.path(k), v.cap_of(k), v.weight_of(k));
         }
     }
 
@@ -426,183 +345,31 @@ impl MaxMinProblem {
         path.iter().any(|&r| self.capacities[r as usize] <= EPS) || cap <= EPS
     }
 
-    /// Solve for the max-min fair per-member rates of `flows`.
+    /// Solve for the max-min fair per-member rates of `flows` by
+    /// event-driven water-filling over the whole flow set.
     ///
-    /// Event-driven water-filling, decomposed over the connected components
-    /// of the flow–resource coupling graph (independent components solve in
-    /// parallel; a single-component problem takes the undecomposed path
-    /// directly). Every flow must either cross at least one resource or
-    /// carry a cap; otherwise its fair rate would be unbounded and the call
-    /// panics.
+    /// Every flow must either cross at least one resource or carry a finite
+    /// cap (otherwise its fair rate would be unbounded); caps must be
+    /// non-negative and weights positive and finite. The call panics on any
+    /// other input.
     pub fn solve(&self, flows: &[FlowSpec]) -> Vec<f64> {
-        let mut stats = SolveStats::default();
-        let cols = FlowColumns::from_specs(flows);
-        let rates = self.solve_decomposed(&cols.view(), &mut stats, false);
-        if spider_obs::enabled() {
-            stats.flush_obs();
-        }
-        rates
+        self.solve_specs(flows, false).0
     }
 
     /// Like [`Self::solve`], also returning the solver's event counters and
     /// the order in which resources saturated.
     pub fn solve_with_stats(&self, flows: &[FlowSpec]) -> (Vec<f64>, SolveStats) {
+        self.solve_specs(flows, true)
+    }
+
+    fn solve_specs(&self, flows: &[FlowSpec], want_order: bool) -> (Vec<f64>, SolveStats) {
         let mut stats = SolveStats::default();
         let cols = FlowColumns::from_specs(flows);
-        let rates = self.solve_decomposed(&cols.view(), &mut stats, true);
+        let rates = self.solve_view(&cols.view(), &mut stats, want_order);
         if spider_obs::enabled() {
             stats.flush_obs();
         }
         (rates, stats)
-    }
-
-    /// Solve the whole flow set as one coupled problem, skipping the
-    /// component decomposition. This is the differential oracle for the
-    /// decomposed [`Self::solve`]: the two are bitwise identical on every
-    /// input (`components` / `largest_component` stay 0 here — this path
-    /// never counts them).
-    pub fn solve_global(&self, flows: &[FlowSpec]) -> Vec<f64> {
-        self.solve_global_with_stats(flows).0
-    }
-
-    /// [`Self::solve_global`] with the solver's event counters.
-    pub fn solve_global_with_stats(&self, flows: &[FlowSpec]) -> (Vec<f64>, SolveStats) {
-        let mut stats = SolveStats::default();
-        let cols = FlowColumns::from_specs(flows);
-        let rates = self.solve_view(&cols.view(), &mut stats, true);
-        if spider_obs::enabled() {
-            stats.flush_obs();
-        }
-        (rates, stats)
-    }
-
-    /// Connected components of the flow–resource coupling graph: groups of
-    /// flow indices (positions in `flows`), each group ascending, groups
-    /// ordered by smallest member. Flows coupled through a shared
-    /// capacitated resource — directly or transitively — share a group;
-    /// cap-only flows and prefrozen flows (exhausted resource or zero cap,
-    /// rate pinned at 0) are singletons since they never exchange capacity
-    /// with anything.
-    pub fn flow_components(&self, flows: &[FlowSpec]) -> Vec<Vec<u32>> {
-        let cols = FlowColumns::from_specs(flows);
-        self.components_of_view(&cols.view())
-    }
-
-    /// [`Self::flow_components`] on a columnar view.
-    pub(crate) fn components_of_view(&self, v: &FlowsView<'_>) -> Vec<Vec<u32>> {
-        let mut uf = ResourceUnionFind::new(self.capacities.len());
-        for k in 0..v.len() {
-            if !self.prefrozen_path(v.path(k), v.cap_of(k)) {
-                uf.union_path(v.path(k));
-            }
-        }
-        self.group_by_component(v, &mut uf)
-    }
-
-    /// Partition view positions into component groups under an existing
-    /// union-find. The index may be *coarser* than the true partition
-    /// (stale unions from removed flows): merged-but-independent components
-    /// still solve bit-identically, just with less parallelism, so callers
-    /// maintaining `uf` incrementally can rebuild lazily.
-    pub(crate) fn group_by_component(
-        &self,
-        v: &FlowsView<'_>,
-        uf: &mut ResourceUnionFind,
-    ) -> Vec<Vec<u32>> {
-        let mut groups: Vec<Vec<u32>> = Vec::new();
-        let mut group_of_root: Vec<u32> = vec![u32::MAX; self.capacities.len()];
-        for k in 0..v.len() {
-            let path = v.path(k);
-            if path.is_empty() || self.prefrozen_path(path, v.cap_of(k)) {
-                groups.push(vec![k as u32]);
-            } else {
-                let root = uf.find(path[0]) as usize;
-                if group_of_root[root] == u32::MAX {
-                    group_of_root[root] = groups.len() as u32;
-                    groups.push(Vec::new());
-                }
-                groups[group_of_root[root] as usize].push(k as u32);
-            }
-        }
-        groups
-    }
-
-    /// Component-decomposed solve: partition, solve each component, scatter.
-    pub(crate) fn solve_decomposed(
-        &self,
-        flows: &FlowsView<'_>,
-        stats: &mut SolveStats,
-        want_order: bool,
-    ) -> Vec<f64> {
-        let groups = self.components_of_view(flows);
-        if groups.len() <= 1 {
-            // Single component: the decomposition would be the identity, so
-            // run the undecomposed core directly — zero per-component
-            // overhead, identical event counters.
-            stats.components = groups.len() as u64;
-            stats.largest_component = flows.len() as u64;
-            return self.solve_view(flows, stats, want_order);
-        }
-        self.solve_components(flows, &groups, stats, want_order)
-    }
-
-    /// Solve each component independently — in parallel, in fixed
-    /// component-id order — against the full problem (resource indices are
-    /// not remapped; a component view simply selects its member flows).
-    /// Rates scatter back by view position; counters sum in component
-    /// order. Bitwise identical to [`Self::solve_view`] on the whole view:
-    /// see the module docs.
-    pub(crate) fn solve_components(
-        &self,
-        flows: &FlowsView<'_>,
-        groups: &[Vec<u32>],
-        stats: &mut SolveStats,
-        want_order: bool,
-    ) -> Vec<f64> {
-        stats.components = groups.len() as u64;
-        stats.largest_component = groups.iter().map(Vec::len).max().unwrap_or(0) as u64;
-        let indexed: Vec<(u32, &Vec<u32>)> = groups
-            .iter()
-            .enumerate()
-            .map(|(g, members)| (g as u32, members))
-            .collect();
-        let mut parts: Vec<(u32, Vec<f64>, SolveStats)> = indexed
-            .par_iter()
-            .map(|&(g, members)| {
-                let ids: Vec<u32> = members.iter().map(|&k| flows.ids[k as usize]).collect();
-                let sub = FlowsView {
-                    ids: &ids,
-                    ..*flows
-                };
-                let mut st = SolveStats::default();
-                let rates = self.solve_view(&sub, &mut st, want_order);
-                (g, rates, st)
-            })
-            .collect();
-        // `collect` already preserves input order; the sort is the explicit
-        // fixed-order barrier canonicalizing the merge by component id
-        // regardless of which thread solved what.
-        parts.sort_by_key(|p| p.0);
-        let mut rates = vec![0.0f64; flows.len()];
-        for ((_, part_rates, st), members) in parts.iter().zip(groups) {
-            for (&k, &r) in members.iter().zip(part_rates) {
-                rates[k as usize] = r;
-            }
-            stats.flows += st.flows;
-            stats.prefrozen += st.prefrozen;
-            stats.rounds += st.rounds;
-            stats.cap_freezes += st.cap_freezes;
-            stats.saturation_freezes += st.saturation_freezes;
-            stats.heap_pushes += st.heap_pushes;
-            stats.heap_pops += st.heap_pops;
-            stats.stale_discards += st.stale_discards;
-            if want_order {
-                stats
-                    .saturation_order
-                    .extend_from_slice(&st.saturation_order);
-            }
-        }
-        rates
     }
 
     /// The event-driven solver core, running on a columnar [`FlowsView`].
@@ -705,8 +472,9 @@ impl MaxMinProblem {
             .collect();
         // Equal caps tie-break by view position: equal-cap freezes on a
         // shared resource subtract `active_weight` in a fixed order, which
-        // the component-decomposed path relies on to stay bit-identical to
-        // the global solve (a component view preserves relative positions).
+        // the session's per-component solves rely on to stay bit-identical
+        // to the whole-set solve (a component view preserves relative
+        // positions).
         by_cap.sort_unstable_by(|&a, &b| {
             let ca = flows.cap_of(a as usize);
             let cb = flows.cap_of(b as usize);
@@ -842,7 +610,7 @@ impl MaxMinProblem {
         if n_flows == 0 {
             return rates;
         }
-        self.validate(flows);
+        self.validate_view(&FlowColumns::from_specs(flows).view());
 
         let mut remaining = self.capacities.clone();
         // Weighted usage of each unfrozen flow class on each resource.
@@ -1008,10 +776,15 @@ mod tests {
         let mut p = MaxMinProblem::new();
         let dead = p.add_resource(0.0);
         let live = p.add_resource(5.0);
-        let flows = vec![FlowSpec::new(vec![dead, live]), FlowSpec::new(vec![live])];
+        let flows = vec![
+            FlowSpec::new(vec![dead, live]),
+            FlowSpec::new(vec![live]),
+            FlowSpec::new(vec![live]).with_cap(0.0), // a zero cap is a dead flow too
+        ];
         let rates = assert_solvers_agree(&p, &flows);
         assert_eq!(rates[0], 0.0);
         assert!((rates[1] - 5.0).abs() < 1e-6);
+        assert_eq!(rates[2], 0.0);
     }
 
     #[test]
@@ -1048,6 +821,31 @@ mod tests {
         let mut p = MaxMinProblem::new();
         let r = p.add_resource(1.0);
         let _ = p.solve(&[FlowSpec::new(vec![r]).with_weight(0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN or negative cap")]
+    fn nan_cap_panics_in_solve() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(10.0);
+        let _ = p.solve(&[
+            FlowSpec::new(vec![r]).with_cap(f64::NAN),
+            FlowSpec::new(vec![r]).with_cap(1.0),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN or negative cap")]
+    fn negative_cap_panics_in_solve_reference() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(10.0);
+        let _ = p.solve_reference(&[FlowSpec::new(vec![r]).with_cap(-1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "resource capacity must be non-negative and finite")]
+    fn nan_capacity_panics() {
+        let _ = MaxMinProblem::new().add_resource(f64::NAN);
     }
 
     #[test]
@@ -1205,112 +1003,6 @@ mod tests {
         assert!(stats.heap_pops <= stats.heap_pushes);
         // l1 saturates (0.5 + 0.5); l2 never does (0.5 + 0.1 < 10).
         assert_eq!(stats.saturation_order, vec![l1.0 as u32]);
-    }
-
-    #[test]
-    fn flow_components_partition_by_shared_resources() {
-        let mut p = MaxMinProblem::new();
-        let dead = p.add_resource(0.0);
-        let a1 = p.add_resource(1.0);
-        let a2 = p.add_resource(2.0);
-        let b1 = p.add_resource(3.0);
-        let flows = vec![
-            FlowSpec::new(vec![a1]),             // component A
-            FlowSpec::new(vec![b1]),             // component B
-            FlowSpec::new(vec![a2, a1]),         // bridges a1-a2 into A
-            FlowSpec::new(vec![]).with_cap(1.0), // cap-only singleton
-            FlowSpec::new(vec![dead, b1]),       // prefrozen singleton (dead res)
-            FlowSpec::new(vec![a2]),             // component A via a2
-        ];
-        let groups = p.flow_components(&flows);
-        assert_eq!(groups, vec![vec![0, 2, 5], vec![1], vec![3], vec![4]]);
-        let (_, stats) = p.solve_with_stats(&flows);
-        assert_eq!(stats.components, 4);
-        assert_eq!(stats.largest_component, 3);
-        assert_eq!(stats.flows, 6);
-        assert_eq!(stats.prefrozen, 1);
-    }
-
-    #[test]
-    fn component_solve_is_bitwise_identical_to_global() {
-        // Randomized multi-component problems: paths drawn within disjoint
-        // resource blocks plus occasional full-range paths that merge
-        // blocks, solved decomposed vs undecomposed, compared to_bits().
-        let mut rng = spider_simkit::SimRng::seed_from_u64(23);
-        for _ in 0..40 {
-            let mut p = MaxMinProblem::new();
-            let blocks = 2 + rng.index(4);
-            let per_block = 2 + rng.index(4);
-            let rs: Vec<ResourceId> = (0..blocks * per_block)
-                .map(|_| {
-                    let cap = if rng.chance(0.1) {
-                        0.0
-                    } else {
-                        rng.range_f64(0.5, 40.0)
-                    };
-                    p.add_resource(cap)
-                })
-                .collect();
-            let n_flows = 1 + rng.index(50);
-            let flows: Vec<FlowSpec> = (0..n_flows)
-                .map(|_| {
-                    let k = 1 + rng.index(3);
-                    let path: Vec<ResourceId> = if rng.chance(0.05) {
-                        // Rare block-spanning flow.
-                        (0..k).map(|_| rs[rng.index(rs.len())]).collect()
-                    } else {
-                        let b = rng.index(blocks);
-                        (0..k)
-                            .map(|_| rs[b * per_block + rng.index(per_block)])
-                            .collect()
-                    };
-                    let mut f = FlowSpec::new(path);
-                    if rng.chance(0.4) {
-                        // Coarse caps make equal-cap ties common, pinning
-                        // the (cap, position) tie-break.
-                        f = f.with_cap(f64::from(1 + rng.index(3) as u32));
-                    }
-                    if rng.chance(0.4) {
-                        f = f.with_weight(rng.range_f64(0.5, 8.0));
-                    }
-                    f
-                })
-                .collect();
-            let decomposed: Vec<u64> = p.solve(&flows).iter().map(|r| r.to_bits()).collect();
-            let global: Vec<u64> = p.solve_global(&flows).iter().map(|r| r.to_bits()).collect();
-            assert_eq!(decomposed, global);
-            let reference = p.solve_reference(&flows);
-            for (a, b) in p.solve(&flows).iter().zip(&reference) {
-                assert!((a - b).abs() <= 1e-6 * (1.0 + b.abs()));
-            }
-        }
-    }
-
-    #[test]
-    fn single_component_takes_the_global_fast_path_with_zero_overhead() {
-        // One coupled component: the decomposed entry point must run the
-        // undecomposed core directly — identical rates AND identical event
-        // counters (no extra rounds, pushes, or pops from decomposition).
-        let mut p = MaxMinProblem::new();
-        let rs: Vec<ResourceId> = (0..8).map(|i| p.add_resource(2.0 + i as f64)).collect();
-        let flows: Vec<FlowSpec> = (0..40)
-            .map(|i| {
-                // Consecutive resources chain every flow into one component.
-                FlowSpec::new(vec![rs[i % 8], rs[(i + 1) % 8]]).with_weight(1.0 + (i % 5) as f64)
-            })
-            .collect();
-        let (rates, mut stats) = p.solve_with_stats(&flows);
-        let (global_rates, global_stats) = p.solve_global_with_stats(&flows);
-        let bits: Vec<u64> = rates.iter().map(|r| r.to_bits()).collect();
-        let global_bits: Vec<u64> = global_rates.iter().map(|r| r.to_bits()).collect();
-        assert_eq!(bits, global_bits);
-        assert_eq!(stats.components, 1);
-        assert_eq!(stats.largest_component, 40);
-        // Modulo the component counters (which the oracle never fills), the
-        // event counters must be *equal*, not merely consistent.
-        stats.components = 0;
-        stats.largest_component = 0;
-        assert_eq!(stats, global_stats);
     }
 
     #[test]

@@ -7,48 +7,53 @@
 //!
 //! - [`SolveSession::add_flows`] / [`SolveSession::remove_flows`] /
 //!   [`SolveSession::update_weight`] edit the resident flow set in place.
-//! - Full solutions are memoized under a deterministic *active-set
-//!   signature* — a 128-bit hash of the live flows' paths, caps, and
-//!   weights in solve order, deliberately blind to flow identity, so a
-//!   recurring workload shape (the same checkpoint wave appearing with
-//!   fresh [`FlowId`]s every period) warm-starts from its previous fixed
-//!   point instead of re-running the water-filling.
+//! - Fixed points are memoized per *connected component* of the
+//!   flow–resource coupling graph under a deterministic 128-bit signature
+//!   of the component's paths, caps, and weights in solve order,
+//!   deliberately blind to flow identity, so a recurring workload shape
+//!   (the same checkpoint wave appearing with fresh [`FlowId`]s every
+//!   period) warm-starts from its previous fixed point instead of
+//!   re-running the water-filling.
 //!
 //! # Component-scoped warm starts
 //!
-//! Under the default [`MemoScope::Component`], signatures and memo entries
-//! are per *connected component* of the flow–resource coupling graph (see
-//! the `maxmin` module docs), not per whole active set. The session keeps
-//! the component index incrementally — resources union on every add, and a
-//! remove marks the index for a lazy rebuild at the next solve — so churn
-//! on one job invalidates only that job's component: every untouched
-//! component replays its memoized fixed point and only the touched one
-//! re-runs the water-filling. That turns a checkpoint storm's per-event
-//! cost from O(total flows) into O(touched component).
-//! [`MemoScope::Global`] keeps the original whole-set signature behavior
-//! as the measurable baseline. Both scopes preserve the bitwise contract
-//! below, because component-decomposed solves are bit-identical to global
-//! solves by construction.
+//! Two flows are *coupled* when they share a resource, directly or
+//! transitively through other flows. Water-filling never moves capacity
+//! between components of that graph, so the session keeps a component
+//! index — a [`UnionFind`] over resources, unioned on every add; a remove
+//! marks it for a lazy rebuild at the next solve — and keys its memo per
+//! component. Churn on one job then invalidates only that job's component:
+//! every untouched component replays its memoized fixed point and only the
+//! touched ones re-run the water-filling, in parallel and in fixed
+//! component order. That turns a checkpoint storm's per-event cost from
+//! O(total flows) into O(touched component). The session is the only
+//! place that decomposes: a one-shot [`MaxMinProblem::solve`] has no memo
+//! to replay, and splitting it measured slower than solving it whole (see
+//! the `maxmin` module docs).
 //!
 //! # Bitwise contract
 //!
 //! Session results are **bit-identical** to a from-scratch
 //! [`MaxMinProblem::solve`] over the same active flows in session order.
-//! Two mechanisms guarantee this. Cold solves run the *same* columnar core
-//! ([`MaxMinProblem`]'s internal `solve_view`) that `solve` itself runs, so
-//! the float-operation sequence is identical by construction. Cache hits
-//! replay a fixed point that was itself produced by that core for an
-//! identical active set. The session never extrapolates a stale fixed point
-//! numerically — that would converge to the same allocation but through
-//! different roundoff, breaking the differential oracle.
+//! Cold components run the *same* columnar core ([`MaxMinProblem`]'s
+//! internal `solve_view`) that `solve` runs on the whole set, and a
+//! component's solve is bitwise the whole solve restricted to its flows:
+//! every float the core touches (`active_weight`, checkpoints, levels) is
+//! per-resource state owned by exactly one component, events fire in
+//! ascending level order with deterministic tie-breaks (cap events by
+//! `(cap, flow position)`, saturation events by resource id), and the
+//! water level is monotone — so the whole solve's event sequence
+//! restricted to one component is that component's own event sequence.
+//! Cache hits replay a fixed point that was itself produced by that core
+//! for an identical component. The session never extrapolates a stale
+//! fixed point numerically — that would converge to the same allocation
+//! but through different roundoff, breaking the differential oracle.
 
 use std::collections::BTreeMap;
 
 use rayon::prelude::*;
 
-use crate::maxmin::{
-    FlowColumns, FlowSpec, FlowsView, MaxMinProblem, ResourceUnionFind, SolveStats,
-};
+use crate::maxmin::{FlowColumns, FlowSpec, FlowsView, MaxMinProblem, SolveStats};
 
 /// Handle to a flow added to a [`SolveSession`]. Never reused within a
 /// session, even after the flow is removed.
@@ -62,26 +67,13 @@ impl FlowId {
     }
 }
 
-/// Memo scoping policy for a [`SolveSession`]: what one signature (and so
-/// one memo entry) covers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MemoScope {
-    /// One signature over the whole active set — any churn anywhere misses.
-    /// The original session behavior, kept as the measurable baseline.
-    Global,
-    /// One signature per connected component — churn misses only the
-    /// touched component; every other component replays its fixed point.
-    #[default]
-    Component,
-}
-
 /// Event counters for one [`SolveSession`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Calls to [`SolveSession::solve`].
     pub solves: u64,
     /// Solves answered entirely from the memo without running the core
-    /// (under [`MemoScope::Component`]: every live component hit).
+    /// (every live component hit).
     pub cache_hits: u64,
     /// Solves that ran the water-filling core on at least one component
     /// (and populated the memo).
@@ -91,9 +83,9 @@ pub struct SessionStats {
     pub rounds_saved: u64,
     /// Event-loop rounds actually executed by cold solves.
     pub rounds_executed: u64,
-    /// Components re-solved cold ([`MemoScope::Component`] only).
+    /// Components re-solved cold.
     pub components_resolved: u64,
-    /// Components replayed from the memo ([`MemoScope::Component`] only).
+    /// Components replayed from the memo.
     pub components_skipped: u64,
     /// Memo entries evicted by the oldest-half policy.
     pub memo_evictions: u64,
@@ -131,14 +123,67 @@ pub struct SolveSession {
     /// a remove only marks `rebuild_pending` (a stale index is merely
     /// coarser — still a correct partition — so rebuilding can wait for
     /// the next solve).
-    uf: ResourceUnionFind,
+    uf: UnionFind,
     rebuild_pending: bool,
-    scope: MemoScope,
     stats: SessionStats,
     /// Rates of the last [`SolveSession::solve`], aligned with
     /// `last_active`.
     last_rates: Vec<f64>,
     last_active: Vec<u32>,
+}
+
+/// Union-find over dense `u32` indices (the session's component index over
+/// resources; callers may reuse it for any coarser grouping). Unions always
+/// keep the smaller root, so a set's representative is its minimum index —
+/// a canonical label independent of union order.
+#[derive(Debug, Clone)]
+pub struct UnionFind {
+    parent: Vec<u32>,
+}
+
+impl UnionFind {
+    /// `n` singleton sets `0..n`.
+    pub fn new(n: usize) -> Self {
+        UnionFind {
+            parent: (0..n as u32).collect(),
+        }
+    }
+
+    /// Representative of `x`'s set, with path halving.
+    pub fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let grand = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = grand;
+            x = grand;
+        }
+        x
+    }
+
+    /// Merge the sets of `a` and `b`; the smaller root wins.
+    fn union(&mut self, a: u32, b: u32) {
+        let ra = self.find(a);
+        let rb = self.find(b);
+        if ra < rb {
+            self.parent[rb as usize] = ra;
+        } else if rb < ra {
+            self.parent[ra as usize] = rb;
+        }
+    }
+
+    /// Merge every index in `members` into one set.
+    pub fn union_all(&mut self, members: &[u32]) {
+        if let Some((&first, rest)) = members.split_first() {
+            for &r in rest {
+                self.union(first, r);
+            }
+        }
+    }
+}
+
+impl spider_simkit::MemFootprint for UnionFind {
+    fn mem_bytes(&self) -> u64 {
+        spider_simkit::slab_bytes::<u32>(self.parent.capacity())
+    }
 }
 
 /// Fold a `u64` into an FNV-1a hash, byte by byte.
@@ -155,7 +200,7 @@ impl SolveSession {
     pub fn new(problem: MaxMinProblem) -> Self {
         let mut cols = FlowColumns::default();
         cols.path_off.push(0);
-        let uf = ResourceUnionFind::new(problem.resources());
+        let uf = UnionFind::new(problem.resources());
         SolveSession {
             problem,
             cols,
@@ -164,24 +209,10 @@ impl SolveSession {
             next_epoch: 0,
             uf,
             rebuild_pending: false,
-            scope: MemoScope::default(),
             stats: SessionStats::default(),
             last_rates: Vec::new(),
             last_active: Vec::new(),
         }
-    }
-
-    /// Set the memo scoping policy (default [`MemoScope::Component`]).
-    /// Existing entries stay valid under either scope — signatures are
-    /// content-addressed, so a hit always replays a fixed point of the
-    /// exact flow set it covers.
-    pub fn set_memo_scope(&mut self, scope: MemoScope) {
-        self.scope = scope;
-    }
-
-    /// The active memo scoping policy.
-    pub fn memo_scope(&self) -> MemoScope {
-        self.scope
     }
 
     /// The underlying problem (resources and capacities).
@@ -212,35 +243,22 @@ impl SolveSession {
     /// Add one flow; returns its handle.
     pub fn add_flow(&mut self, spec: &FlowSpec) -> FlowId {
         let slot = self.cols.cap.len() as u32;
-        let n_res = self.problem.resources();
-        assert!(
-            !spec.resources.is_empty() || spec.cap.is_some(),
-            "flow {slot} has no resources and no cap: unbounded"
-        );
-        assert!(
-            spec.weight > 0.0 && spec.weight.is_finite(),
-            "flow {slot} has non-positive weight {}",
-            spec.weight
-        );
-        for r in &spec.resources {
-            assert!(r.0 < n_res, "flow {slot} references unknown resource {r:?}");
-            self.cols.path_res.push(r.0 as u32);
-        }
-        self.cols.path_off.push(self.cols.path_res.len() as u32);
         let cap = spec.cap.unwrap_or(f64::INFINITY);
+        self.cols
+            .path_res
+            .extend(spec.resources.iter().map(|r| r.0 as u32));
+        self.cols.path_off.push(self.cols.path_res.len() as u32);
         self.cols.cap.push(cap);
         self.cols.weight.push(spec.weight);
-        let path_slice = {
-            let lo = self.cols.path_off[slot as usize] as usize;
-            let hi = self.cols.path_off[slot as usize + 1] as usize;
-            &self.cols.path_res[lo..hi]
-        };
-        let prefrozen = self.problem.prefrozen_path(path_slice, cap);
+        let path = self.cols.path(slot as usize);
+        self.problem
+            .validate_flow(slot as usize, path, cap, spec.weight);
+        let prefrozen = self.problem.prefrozen_path(path, cap);
         if !prefrozen {
             // A live flow couples every resource on its path into one
             // component: union eagerly, the index only ever gets finer at
             // the lazy rebuild.
-            self.uf.union_path(path_slice);
+            self.uf.union_all(path);
         }
         self.prefrozen.push(prefrozen);
         // Slots grow monotonically, so pushing keeps `ids` ascending.
@@ -287,48 +305,27 @@ impl SolveSession {
         self.cols.weight[id.index()] = weight;
     }
 
-    /// Fold one slot's path, cap bits, and weight bits into both hashes.
-    fn sig_fold(&self, h: &mut (u64, u64), slot: usize) {
-        let lo = self.cols.path_off[slot] as usize;
-        let hi = self.cols.path_off[slot + 1] as usize;
-        let fields = std::iter::once((hi - lo) as u64)
-            .chain(self.cols.path_res[lo..hi].iter().map(|&r| u64::from(r)))
-            .chain([
-                self.cols.cap[slot].to_bits(),
-                self.cols.weight[slot].to_bits(),
-            ]);
-        for v in fields {
-            h.0 = fnv1a(h.0, v);
-            h.1 = fnv1a(h.1, v);
-        }
-    }
-
-    /// The deterministic active-set signature: two independent FNV-1a-64
-    /// passes (different offset bases) over the non-prefrozen active flows'
-    /// paths, cap bits, and weight bits, in solve order. Slot ids are
-    /// deliberately excluded so identical workload shapes re-appearing with
-    /// fresh ids still hit the memo; prefrozen flows are excluded because
-    /// their rate is always exactly 0.
-    fn signature(&self) -> (u64, u64) {
-        let mut h = (0xcbf2_9ce4_8422_2325u64, 0x9ae1_6a3b_2f90_404fu64);
-        for &s in &self.cols.ids {
-            if !self.prefrozen[s as usize] {
-                self.sig_fold(&mut h, s as usize);
-            }
-        }
-        h
-    }
-
-    /// Per-component signature: the same hash restricted to one component's
-    /// members (view positions into `cols.ids`, ascending). Component
-    /// membership is derived from paths, so identical component shapes on
-    /// identical resources re-appearing after churn hash equal.
+    /// The deterministic signature of one component: two independent
+    /// FNV-1a-64 passes (different offset bases) over its non-prefrozen
+    /// members' paths, cap bits, and weight bits, in solve order (`members`
+    /// are view positions into `cols.ids`, ascending). Slot ids are
+    /// deliberately excluded, so identical component shapes on identical
+    /// resources re-appearing with fresh ids still hit the memo; prefrozen
+    /// flows are excluded because their rate is always exactly 0.
     fn group_signature(&self, members: &[u32]) -> (u64, u64) {
         let mut h = (0xcbf2_9ce4_8422_2325u64, 0x9ae1_6a3b_2f90_404fu64);
         for &k in members {
             let s = self.cols.ids[k as usize] as usize;
-            if !self.prefrozen[s] {
-                self.sig_fold(&mut h, s);
+            if self.prefrozen[s] {
+                continue;
+            }
+            let path = self.cols.path(s);
+            let fields = std::iter::once(path.len() as u64)
+                .chain(path.iter().map(|&r| u64::from(r)))
+                .chain([self.cols.cap[s].to_bits(), self.cols.weight[s].to_bits()]);
+            for v in fields {
+                h.0 = fnv1a(h.0, v);
+                h.1 = fnv1a(h.1, v);
             }
         }
         h
@@ -362,32 +359,44 @@ impl SolveSession {
         );
     }
 
-    /// Rebuild the component index from the live active flows (called
-    /// lazily once a remove has potentially split a component).
-    fn rebuild_index(&mut self) {
-        self.uf = ResourceUnionFind::new(self.problem.resources());
-        for &s in &self.cols.ids {
-            let s = s as usize;
-            if !self.prefrozen[s] {
-                let lo = self.cols.path_off[s] as usize;
-                let hi = self.cols.path_off[s + 1] as usize;
-                self.uf.union_path(&self.cols.path_res[lo..hi]);
+    /// Partition the active flows into component groups of view positions
+    /// (indices into `cols.ids`): each group ascending, groups ordered by
+    /// smallest member. Cap-only and prefrozen flows are singletons — they
+    /// never exchange capacity with anything. A remove since the last call
+    /// triggers the lazy index rebuild first; between rebuilds the index
+    /// may only be coarser than the true partition, never finer.
+    fn groups(&mut self) -> Vec<Vec<u32>> {
+        if self.rebuild_pending {
+            self.uf = UnionFind::new(self.problem.resources());
+            for &s in &self.cols.ids {
+                if !self.prefrozen[s as usize] {
+                    self.uf.union_all(self.cols.path(s as usize));
+                }
+            }
+            self.rebuild_pending = false;
+        }
+        let mut groups: Vec<Vec<u32>> = Vec::new();
+        let mut group_of_root = vec![u32::MAX; self.problem.resources()];
+        for (k, &s) in self.cols.ids.iter().enumerate() {
+            let path = self.cols.path(s as usize);
+            if path.is_empty() || self.prefrozen[s as usize] {
+                groups.push(vec![k as u32]);
+            } else {
+                let root = self.uf.find(path[0]) as usize;
+                if group_of_root[root] == u32::MAX {
+                    group_of_root[root] = groups.len() as u32;
+                    groups.push(Vec::new());
+                }
+                groups[group_of_root[root] as usize].push(k as u32);
             }
         }
-        self.rebuild_pending = false;
+        groups
     }
 
     /// Connected components of the active flow set: groups of [`FlowId`]s,
-    /// each ascending, groups ordered by smallest member. Rebuilds the
-    /// index first if a remove left it stale.
+    /// each ascending, groups ordered by smallest member.
     pub fn components(&mut self) -> Vec<Vec<FlowId>> {
-        if self.rebuild_pending {
-            self.rebuild_index();
-        }
-        let groups = self
-            .problem
-            .group_by_component(&self.cols.view(), &mut self.uf);
-        groups
+        self.groups()
             .iter()
             .map(|g| {
                 g.iter()
@@ -399,75 +408,14 @@ impl SolveSession {
 
     /// Solve for the max-min fair per-member rates of the active flows, in
     /// solve order (ascending [`FlowId`]). Bit-identical to
-    /// [`MaxMinProblem::solve`] over the same flows in the same order,
-    /// under either [`MemoScope`].
+    /// [`MaxMinProblem::solve`] over the same flows in the same order.
+    ///
+    /// Every component whose signature hits the memo replays its fixed
+    /// point; the ones that miss re-solve in parallel, scattered back in
+    /// fixed component order.
     pub fn solve(&mut self) -> &[f64] {
         self.stats.solves += 1;
-        match self.scope {
-            MemoScope::Global => self.solve_global_scope(),
-            MemoScope::Component => self.solve_component_scope(),
-        }
-        self.last_active.clear();
-        self.last_active.extend_from_slice(&self.cols.ids);
-        &self.last_rates
-    }
-
-    /// One whole-set signature; hit replays everything, miss re-solves
-    /// everything. The pre-decomposition behavior, kept as the baseline.
-    fn solve_global_scope(&mut self) {
-        let sig = self.signature();
-        if let Some(entry) = self.memo.get(&sig) {
-            self.stats.cache_hits += 1;
-            self.stats.rounds_saved += entry.rounds;
-            if spider_obs::enabled() {
-                spider_obs::counter_add("maxmin_cache_hits", 1);
-                spider_obs::counter_add("maxmin_warm_rounds_saved", entry.rounds);
-            }
-            // Replay the fixed point: prefrozen actives are exactly 0.
-            self.last_rates.clear();
-            let mut live = entry.live_rates.iter();
-            for &s in &self.cols.ids {
-                if self.prefrozen[s as usize] {
-                    self.last_rates.push(0.0);
-                } else {
-                    self.last_rates
-                        .push(*live.next().expect("memo entry matches active set"));
-                }
-            }
-        } else {
-            self.stats.cache_misses += 1;
-            if spider_obs::enabled() {
-                spider_obs::counter_add("maxmin_cache_misses", 1);
-            }
-            let mut stats = SolveStats::default();
-            self.last_rates = self
-                .problem
-                .solve_decomposed(&self.cols.view(), &mut stats, false);
-            self.stats.rounds_executed += stats.rounds;
-            if spider_obs::enabled() {
-                stats.flush_obs();
-            }
-            let live_rates = self
-                .cols
-                .ids
-                .iter()
-                .zip(&self.last_rates)
-                .filter(|(&s, _)| !self.prefrozen[s as usize])
-                .map(|(_, &r)| r)
-                .collect();
-            self.memo_insert(sig, live_rates, stats.rounds);
-        }
-    }
-
-    /// One signature per component: replay every component that hits,
-    /// re-solve only the ones that miss (in parallel, in component order).
-    fn solve_component_scope(&mut self) {
-        if self.rebuild_pending {
-            self.rebuild_index();
-        }
-        let groups = self
-            .problem
-            .group_by_component(&self.cols.view(), &mut self.uf);
+        let groups = self.groups();
         let sigs: Vec<(u64, u64)> = groups.iter().map(|g| self.group_signature(g)).collect();
 
         self.last_rates.clear();
@@ -540,9 +488,8 @@ impl SolveSession {
                 self.memo_insert(sigs[gi], rates, rounds);
             }
             if spider_obs::enabled() {
-                total.components = groups.len() as u64;
-                total.largest_component = groups.iter().map(Vec::len).max().unwrap_or(0) as u64;
                 total.flush_obs();
+                spider_obs::hist_record("maxmin_components_per_solve", groups.len() as f64);
             }
         }
         if spider_obs::enabled() {
@@ -555,6 +502,9 @@ impl SolveSession {
                 spider_obs::counter_add("maxmin_cache_misses", 1);
             }
         }
+        self.last_active.clear();
+        self.last_active.extend_from_slice(&self.cols.ids);
+        &self.last_rates
     }
 
     /// Per-member rates from the last [`Self::solve`], in solve order.
@@ -758,7 +708,6 @@ mod tests {
         let a = p.add_resource(10.0);
         let b = p.add_resource(20.0);
         let mut sess = SolveSession::new(p);
-        assert_eq!(sess.memo_scope(), MemoScope::Component);
         for _ in 0..4 {
             sess.add_flow(&FlowSpec::new(vec![a]));
             sess.add_flow(&FlowSpec::new(vec![b]));
@@ -839,35 +788,83 @@ mod tests {
     }
 
     #[test]
-    fn global_scope_matches_component_scope_bitwise() {
-        let mut rng = spider_simkit::SimRng::seed_from_u64(31);
+    fn components_partition_by_shared_resources() {
         let mut p = MaxMinProblem::new();
-        let rs: Vec<ResourceId> = (0..10)
-            .map(|_| p.add_resource(rng.range_f64(1.0, 30.0)))
-            .collect();
-        let mut comp = SolveSession::new(p.clone());
-        let mut glob = SolveSession::new(p);
-        glob.set_memo_scope(MemoScope::Global);
-        let mut live: Vec<FlowId> = Vec::new();
-        for step in 0..80 {
-            if live.len() < 3 || rng.chance(0.6) {
-                // Paths within one of two blocks keep several components.
-                let block = rng.index(2) * 5;
-                let k = 1 + rng.index(2);
-                let path: Vec<ResourceId> = (0..k).map(|_| rs[block + rng.index(5)]).collect();
-                let spec = FlowSpec::new(path).with_weight(1.0 + (step % 7) as f64);
-                comp.add_flow(&spec);
-                live.push(glob.add_flow(&spec));
-            } else {
-                let id = live.remove(rng.index(live.len()));
-                comp.remove_flow(id);
-                glob.remove_flow(id);
-            }
-            assert_eq!(bits(comp.solve()), bits(glob.solve()));
+        let dead = p.add_resource(0.0);
+        let a1 = p.add_resource(1.0);
+        let a2 = p.add_resource(2.0);
+        let b1 = p.add_resource(3.0);
+        let mut sess = SolveSession::new(p);
+        let ids = sess.add_flows(&[
+            FlowSpec::new(vec![a1]),             // component A
+            FlowSpec::new(vec![b1]),             // component B
+            FlowSpec::new(vec![a2, a1]),         // bridges a1-a2 into A
+            FlowSpec::new(vec![]).with_cap(1.0), // cap-only singleton
+            FlowSpec::new(vec![dead, b1]),       // prefrozen singleton (dead res)
+            FlowSpec::new(vec![a2]),             // component A via a2
+        ]);
+        assert_eq!(
+            sess.components(),
+            vec![
+                vec![ids[0], ids[2], ids[5]],
+                vec![ids[1]],
+                vec![ids[3]],
+                vec![ids[4]]
+            ]
+        );
+        sess.solve();
+        assert_eq!(sess.stats().components_resolved, 3, "prefrozen: no solve");
+    }
+
+    #[test]
+    fn component_solves_are_bitwise_identical_to_the_whole_solve() {
+        // Randomized multi-component problems: paths drawn within disjoint
+        // resource blocks plus occasional block-spanning paths that merge
+        // blocks, solved per component by a cold session vs whole by
+        // `MaxMinProblem::solve`, compared to_bits().
+        let mut rng = spider_simkit::SimRng::seed_from_u64(23);
+        for _ in 0..40 {
+            let mut p = MaxMinProblem::new();
+            let blocks = 2 + rng.index(4);
+            let per_block = 2 + rng.index(4);
+            let rs: Vec<ResourceId> = (0..blocks * per_block)
+                .map(|_| {
+                    let cap = if rng.chance(0.1) {
+                        0.0
+                    } else {
+                        rng.range_f64(0.5, 40.0)
+                    };
+                    p.add_resource(cap)
+                })
+                .collect();
+            let n_flows = 1 + rng.index(50);
+            let flows: Vec<FlowSpec> = (0..n_flows)
+                .map(|_| {
+                    let k = 1 + rng.index(3);
+                    let path: Vec<ResourceId> = if rng.chance(0.05) {
+                        (0..k).map(|_| rs[rng.index(rs.len())]).collect()
+                    } else {
+                        let b = rng.index(blocks);
+                        (0..k)
+                            .map(|_| rs[b * per_block + rng.index(per_block)])
+                            .collect()
+                    };
+                    let mut f = FlowSpec::new(path);
+                    if rng.chance(0.4) {
+                        // Coarse caps make equal-cap ties common, pinning
+                        // the (cap, position) tie-break.
+                        f = f.with_cap(f64::from(1 + rng.index(3) as u32));
+                    }
+                    if rng.chance(0.4) {
+                        f = f.with_weight(rng.range_f64(0.5, 8.0));
+                    }
+                    f
+                })
+                .collect();
+            let mut sess = SolveSession::new(p.clone());
+            sess.add_flows(&flows);
+            assert_eq!(bits(sess.solve()), bits(&p.solve(&flows)));
         }
-        // Component scoping must actually have warm-started something.
-        assert!(comp.stats().components_skipped > 0);
-        assert!(comp.stats().rounds_executed <= glob.stats().rounds_executed);
     }
 
     #[test]
@@ -887,5 +884,14 @@ mod tests {
         let p = MaxMinProblem::new();
         let mut sess = SolveSession::new(p);
         sess.add_flow(&FlowSpec::new(vec![]));
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN or negative cap")]
+    fn nan_cap_rejected_at_add_time() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(10.0);
+        let mut sess = SolveSession::new(p);
+        sess.add_flow(&FlowSpec::new(vec![r]).with_cap(f64::NAN));
     }
 }

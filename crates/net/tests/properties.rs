@@ -65,98 +65,19 @@ proptest! {
         prop_assert!((rates.iter().sum::<f64>() - cap).abs() < 1e-6);
     }
 
-    /// Incremental session solves are bit-identical to from-scratch solves
-    /// after any sequence of add / remove / update-weight deltas.
+    /// Incremental session solves — decomposed into components, the
+    /// missed ones solved in parallel — are bit-identical to undecomposed
+    /// from-scratch solves after any sequence of add / remove /
+    /// update-weight deltas, at every thread budget (budget 0 is fully
+    /// sequential; 7 is an odd worker count).
     #[test]
-    fn session_churn_matches_from_scratch_bitwise(
+    fn session_churn_bitwise_across_thread_budgets(
         caps in prop::collection::vec(0.5f64..50.0, 2..8),
         ops in prop::collection::vec(
             // (op selector, path seeds, cap?, weight, victim seed)
             (0u8..4, prop::collection::vec(0usize..64, 1..4), prop::option::of(0.05f64..8.0),
              0.5f64..16.0, 0usize..64),
             1..40
-        ),
-    ) {
-        let mut p = MaxMinProblem::new();
-        let rs: Vec<_> = caps.iter().map(|&c| p.add_resource(c)).collect();
-        let mut sess = SolveSession::new(p.clone());
-        let mut live: Vec<(FlowId, FlowSpec)> = Vec::new();
-        for (op, path, cap, weight, victim) in ops {
-            match op {
-                0 | 1 => {
-                    let mut f = FlowSpec::new(
-                        path.iter().map(|&s| rs[s % rs.len()]).collect(),
-                    ).with_weight(weight);
-                    if let Some(c) = cap {
-                        f = f.with_cap(c);
-                    }
-                    let id = sess.add_flow(&f);
-                    live.push((id, f));
-                }
-                2 if !live.is_empty() => {
-                    let (id, _) = live.remove(victim % live.len());
-                    sess.remove_flow(id);
-                }
-                3 if !live.is_empty() => {
-                    let j = victim % live.len();
-                    sess.update_weight(live[j].0, weight);
-                    live[j].1.weight = weight;
-                }
-                _ => {}
-            }
-            live.sort_by_key(|(id, _)| *id);
-            let specs: Vec<FlowSpec> = live.iter().map(|(_, f)| f.clone()).collect();
-            let session_bits: Vec<u64> = sess.solve().iter().map(|r| r.to_bits()).collect();
-            let oracle_bits: Vec<u64> = p.solve(&specs).iter().map(|r| r.to_bits()).collect();
-            prop_assert_eq!(session_bits, oracle_bits);
-        }
-    }
-
-    /// The component-decomposed parallel solve is bit-identical to the
-    /// undecomposed global solve at every thread budget, including fully
-    /// sequential (budget 0) and an odd worker count.
-    #[test]
-    fn component_solve_bitwise_across_thread_budgets(
-        caps in prop::collection::vec(0.5f64..50.0, 4..12),
-        specs in prop::collection::vec(
-            // (path seeds, cap?, weight): paths biased short so several
-            // components form; occasional long paths merge them.
-            (prop::collection::vec(0usize..64, 1..4), prop::option::of(0.05f64..8.0),
-             0.5f64..16.0),
-            1..40
-        ),
-    ) {
-        let mut p = MaxMinProblem::new();
-        let rs: Vec<_> = caps.iter().map(|&c| p.add_resource(c)).collect();
-        let flows: Vec<FlowSpec> = specs
-            .iter()
-            .map(|(path, cap, weight)| {
-                let mut f = FlowSpec::new(path.iter().map(|&s| rs[s % rs.len()]).collect())
-                    .with_weight(*weight);
-                if let Some(c) = cap {
-                    f = f.with_cap(*c);
-                }
-                f
-            })
-            .collect();
-        let oracle: Vec<u64> = p.solve_global(&flows).iter().map(|r| r.to_bits()).collect();
-        for budget in [0usize, 1, 7] {
-            rayon::set_spare_thread_budget(budget);
-            let got: Vec<u64> = p.solve(&flows).iter().map(|r| r.to_bits()).collect();
-            prop_assert_eq!(&got, &oracle, "thread budget {}", budget);
-        }
-        rayon::set_spare_thread_budget(0);
-    }
-
-    /// Component-scoped sessions stay bit-identical to from-scratch global
-    /// solves under churn, at every thread budget.
-    #[test]
-    fn session_churn_bitwise_across_thread_budgets(
-        caps in prop::collection::vec(0.5f64..50.0, 2..8),
-        ops in prop::collection::vec(
-            (0u8..4, prop::collection::vec(0usize..64, 1..4), prop::option::of(0.05f64..8.0),
-             0.5f64..16.0, 0usize..64),
-            1..24
         ),
         budget_sel in 0usize..3,
     ) {
@@ -191,8 +112,7 @@ proptest! {
             live.sort_by_key(|(id, _)| *id);
             let specs: Vec<FlowSpec> = live.iter().map(|(_, f)| f.clone()).collect();
             let session_bits: Vec<u64> = sess.solve().iter().map(|r| r.to_bits()).collect();
-            let oracle_bits: Vec<u64> =
-                p.solve_global(&specs).iter().map(|r| r.to_bits()).collect();
+            let oracle_bits: Vec<u64> = p.solve(&specs).iter().map(|r| r.to_bits()).collect();
             prop_assert_eq!(session_bits, oracle_bits);
         }
         rayon::set_spare_thread_budget(0);
