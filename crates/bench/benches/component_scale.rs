@@ -14,20 +14,12 @@
 //!    `run_timestep_sharded` — shard-per-zone, zero cross-shard messages,
 //!    a single epoch window.
 //!
-//! Both engines are timed side by side at spare-thread budgets 0, 1 and
-//! `cores - 1` (deduplicated; `cores` from `available_parallelism`,
-//! recorded with the results). Each engine's completions and bytes are
+//! Both engines are timed side by side at the spare-thread budgets of
+//! [`spider_bench::record`], which also decides the storm's shape and where
+//! `BENCH_components.json` goes. Each engine's completions and bytes are
 //! asserted identical across budgets outside the timed loops.
-//!
-//! `--bench` writes `BENCH_components.json` into the workspace root.
-//! `--smoke` shrinks the storm and writes
-//! `target/bench-smoke/BENCH_components.json` instead, so a smoke run
-//! cannot overwrite the committed file. A bare invocation (`cargo test`
-//! running the bench target) shrinks the storm and writes nothing.
 
-use std::hint::black_box;
-use std::time::Instant;
-
+use spider_bench::record::{self, by_budget, time_ms};
 use spider_core::center::Center;
 use spider_core::config::CenterConfig;
 use spider_core::timestep::{run_timestep, run_timestep_sharded, Job, TimestepConfig};
@@ -35,27 +27,6 @@ use spider_simkit::{SimDuration, SimTime, MIB};
 
 /// The bench fails below this share of components replayed from the memo.
 const MIN_SKIP_FRACTION: f64 = 0.85;
-
-fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke") || !std::env::args().any(|a| a == "--bench")
-}
-
-/// JSON output is opt-in: `cargo test` runs this binary with neither flag
-/// and must not dirty the worktree.
-fn write_json() -> bool {
-    std::env::args().any(|a| a == "--smoke" || a == "--bench")
-}
-
-/// Best-of-`iters` wall time in milliseconds.
-fn time_ms<R>(iters: u32, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
 
 /// The warm-start storm: `steady` heavy never-finishing jobs spread over
 /// namespaces 1..`ns` (several large components whose shapes never change)
@@ -94,18 +65,12 @@ fn warm_start_storm(ns: usize, steady: u32, waves: u64, period: SimDuration) -> 
 #[allow(clippy::too_many_lines)]
 fn main() {
     spider_obs::init_from_env();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let (steady, waves, iters) = if smoke() {
+    let (steady, waves, iters) = if record::smoke() {
         (32u32, 12u64, 3u32)
     } else {
         (48, 40, 5)
     };
-    // Spare-thread budgets 0, 1 and cores - 1, deduplicated: a 2-core host
-    // times budgets 0 and 1.
-    let full = cores.saturating_sub(1);
-    let mut budgets = vec![0, 1, full];
-    budgets.sort_unstable();
-    budgets.dedup();
+    let budgets = record::budgets();
 
     // The small center widened to 8 namespaces (SSUs and router groups
     // scaled to keep the structure): 7 steady router zones the churn events
@@ -175,40 +140,25 @@ fn main() {
             run_timestep_sharded(&center, &jobs, &cfg)
         }));
     }
-    rayon::set_spare_thread_budget(full);
-    let by_budget = |ms: &[f64]| -> String {
-        budgets
-            .iter()
-            .zip(ms)
-            .map(|(b, t)| format!("\"{b}\": {t:.2}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
+    rayon::set_spare_thread_budget(record::cores() - 1);
+    let (ewall, swall) = (by_budget(&ev_ms), by_budget(&sh_ms));
 
     println!(
         "component_scale storm: {} jobs, {} solves, {} rounds, skip fraction {skip_fraction:.3}, \
-         event-driven by spare-thread budget {{{}}} ms",
+         event-driven by spare-thread budget {ewall} ms",
         jobs.len(),
         ev.solves,
         es.rounds_executed,
-        by_budget(&ev_ms)
     );
     println!(
         "component_scale sharded: {} zones, {} epochs, {} cross-shard messages, {} solves, \
-         by spare-thread budget {{{}}} ms",
-        pdes.shards,
-        pdes.epochs,
-        pdes.cross_messages,
-        sh.solves,
-        by_budget(&sh_ms)
+         by spare-thread budget {swall} ms",
+        pdes.shards, pdes.epochs, pdes.cross_messages, sh.solves,
     );
 
-    if write_json() {
-        let json = format!(
-            r#"{{
-  "machine": {{"cores": {cores}, "note": "measured on this machine at spare-thread budgets 0, 1 and cores - 1 (deduplicated); a budget above cores - 1 would only time-share cores. The event-driven engine spends its budget on the session's parallel solves of missed components, the sharded engine on running router zones side by side. Solver counters (solves, rounds, skips, zones, cross-shard messages) are deterministic and machine-independent; the skip_fraction gate (>= 0.85) is checked by the bench itself"}},
-  "command": "cargo bench -p spider-bench --bench component_scale -- --bench",
-  "shape": {{"namespaces": {ns}, "steady_jobs": {steady}, "churn_waves": {waves}, "smoke": {is_smoke}}},
+    let fields = format!(
+        r#"  "note": "timed at spare-thread budgets 0, 1 and cores - 1 (deduplicated); a budget above cores - 1 would only time-share cores. The event-driven engine spends its budget on the session's parallel solves of missed components, the sharded engine on running router zones side by side. Solver counters (solves, rounds, skips, zones, cross-shard messages) are deterministic and machine-independent; the skip_fraction gate (>= 0.85) is checked by the bench itself",
+  "shape": {{"namespaces": {ns}, "steady_jobs": {steady}, "churn_waves": {waves}}},
   "spare_thread_budgets": {budgets:?},
   "event_driven": {{
     "storm_jobs": {n_jobs},
@@ -218,7 +168,7 @@ fn main() {
     "components_resolved": {eresolved},
     "components_skipped": {eskipped},
     "skip_fraction": {skip_fraction:.4},
-    "wall_ms_by_budget": {{{ewall}}}
+    "wall_ms_by_budget": {ewall}
   }},
   "sharded": {{
     "router_zones": {n_zones},
@@ -227,38 +177,23 @@ fn main() {
     "solves": {ssolves},
     "steps": {ssteps},
     "rounds_executed": {srounds},
-    "wall_ms_by_budget": {{{swall}}}
-  }}
-}}
-"#,
-            ns = center.namespaces(),
-            is_smoke = smoke(),
-            n_jobs = jobs.len(),
-            esolves = ev.solves,
-            esteps = ev.steps,
-            erounds = es.rounds_executed,
-            eresolved = es.components_resolved,
-            eskipped = es.components_skipped,
-            ewall = by_budget(&ev_ms),
-            n_zones = pdes.shards,
-            epochs = pdes.epochs,
-            cross = pdes.cross_messages,
-            ssolves = sh.solves,
-            ssteps = sh.steps,
-            srounds = ss.rounds_executed,
-            swall = by_budget(&sh_ms),
-        );
-        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-        let dir = if smoke() {
-            root.join("target/bench-smoke")
-        } else {
-            root.to_path_buf()
-        };
-        std::fs::create_dir_all(&dir).expect("output directory is creatable");
-        let path = dir.join("BENCH_components.json");
-        std::fs::write(&path, json).expect("output directory is writable");
-        println!("component_scale: wrote {}", path.display());
-    }
+    "wall_ms_by_budget": {swall}
+  }}"#,
+        ns = center.namespaces(),
+        n_jobs = jobs.len(),
+        esolves = ev.solves,
+        esteps = ev.steps,
+        erounds = es.rounds_executed,
+        eresolved = es.components_resolved,
+        eskipped = es.components_skipped,
+        n_zones = pdes.shards,
+        epochs = pdes.epochs,
+        cross = pdes.cross_messages,
+        ssolves = sh.solves,
+        ssteps = sh.steps,
+        srounds = ss.rounds_executed,
+    );
+    record::write("component_scale", "BENCH_components.json", &fields);
     if let Some(files) = spider_obs::finish() {
         eprintln!("obs: wrote {}", files.dir.display());
     }

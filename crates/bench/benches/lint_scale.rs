@@ -12,42 +12,18 @@
 //!
 //! `deep - shallow` is the price of the workspace analysis itself; `load`
 //! dominating both is the tokenize-once design working as intended (the
-//! passes re-use tokens instead of re-lexing).
-//!
-//! With `--smoke` or `--bench` the bench writes `BENCH_lint.json` into the
-//! workspace root; a bare invocation writes nothing.
+//! passes re-use tokens instead of re-lexing). [`spider_bench::record`]
+//! decides the iteration count and where `BENCH_lint.json` goes.
 
-use std::hint::black_box;
-use std::path::Path;
-use std::time::Instant;
-
+use spider_bench::record::{self, time_ms};
 use spider_lint::Workspace;
 
-fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke") || !std::env::args().any(|a| a == "--bench")
-}
-
-fn write_json() -> bool {
-    std::env::args().any(|a| a == "--smoke" || a == "--bench")
-}
-
-/// Best-of-`iters` wall time in milliseconds.
-fn time_ms<R>(iters: u32, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 fn main() {
-    let iters = if smoke() { 2u32 } else { 5 };
-    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let iters = if record::smoke() { 2u32 } else { 5 };
+    let root = record::workspace_root();
 
-    let load_ms = time_ms(iters, || Workspace::load(root, &[]).unwrap().files.len());
-    let ws = Workspace::load(root, &[]).unwrap();
+    let load_ms = time_ms(iters, || Workspace::load(&root, &[]).unwrap().files.len());
+    let ws = Workspace::load(&root, &[]).unwrap();
     let files = ws.files.len();
     let lines: usize = ws
         .files
@@ -71,21 +47,16 @@ fn main() {
         "whole-workspace deep run must stay well under 5s, took {total_ms:.0}ms"
     );
 
+    let delta = deep_ms - shallow_ms;
     println!(
         "lint_scale: {files} files / {lines} lines; load {load_ms:.1}ms, \
-         shallow {shallow_ms:.1}ms, deep {deep_ms:.1}ms \
-         (graph+taint {:.1}ms)",
-        deep_ms - shallow_ms
+         shallow {shallow_ms:.1}ms, deep {deep_ms:.1}ms (graph+taint {delta:.1}ms)"
     );
 
-    if write_json() {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let json = format!(
-            r#"{{
-  "machine": {{"cores": {cores}, "note": "numbers measured on this machine; the contract is the < 5s whole-workspace budget, not the absolute figures"}},
-  "command": "cargo bench -p spider-bench --bench lint_scale -- --bench",
+    let fields = format!(
+        r#"  "note": "the contract is the < 5s whole-workspace budget, not the absolute figures",
   "question": "what does the --deep call-graph taint pass cost on top of the per-file rules, and does a whole-workspace deep run fit the CI budget?",
-  "shape": {{"files": {files}, "lines": {lines}, "smoke": {is_smoke}}},
+  "shape": {{"files": {files}, "lines": {lines}}},
   "wall_ms": {{
     "load_and_tokenize": {load_ms:.2},
     "shallow_pass": {shallow_ms:.2},
@@ -94,16 +65,9 @@ fn main() {
     "end_to_end_deep": {total_ms:.2}
   }},
   "diagnostics": {{"violations": {viol}, "allowed": {allowed}}},
-  "verdict": "tokenize-once holds: lexing dominates and both passes share the token streams, so --deep adds only the graph build and taint walk on top of the shallow pass; the end-to-end deep run sits orders of magnitude inside the 5s budget"
-}}
-"#,
-            is_smoke = smoke(),
-            delta = deep_ms - shallow_ms,
-            viol = report.violations(),
-            allowed = report.allowed(),
-        );
-        let path = root.join("BENCH_lint.json");
-        std::fs::write(&path, json).expect("workspace root is writable");
-        println!("lint_scale: wrote {}", path.display());
-    }
+  "verdict": "tokenize-once holds: lexing dominates and both passes share the token streams, so --deep adds only the graph build and taint walk on top of the shallow pass; the end-to-end deep run sits orders of magnitude inside the 5s budget""#,
+        viol = report.violations(),
+        allowed = report.allowed(),
+    );
+    record::write("lint_scale", "BENCH_lint.json", &fields);
 }

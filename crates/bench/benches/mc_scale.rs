@@ -15,29 +15,23 @@
 //!    single-core container; on one core the 8-way number only measures
 //!    scheduling overhead, see BENCH_mc.json.
 //!
-//! `BENCH_mc.json` records a full run. Smoke mode (`--smoke`, or any
-//! invocation without `--bench`) shrinks the fleet and replication counts
-//! so the binary stays fast in CI and test runs.
+//! `BENCH_mc.json` records a full run. The smoke shape
+//! ([`spider_bench::record`] decides it) shrinks the fleet and replication
+//! counts so the binary stays fast in CI and test runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use spider_bench::record;
 use spider_simkit::montecarlo::{replicate, McConfig};
 use spider_simkit::SimRng;
 use spider_storage::reliability::{
     run_reliability, run_reliability_fast, ReliabilityConfig, SplittingConfig,
 };
 
-/// `--smoke` forces the small shape even under `cargo bench` (which always
-/// passes `--bench`); without `--bench` (e.g. `cargo test`) smoke is
-/// automatic.
-fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke") || !std::env::args().any(|a| a == "--bench")
-}
-
 fn bench_mc_scale(c: &mut Criterion) {
     spider_obs::init_from_env();
-    let (groups, reps) = if smoke() {
+    let (groups, reps) = if record::smoke() {
         (200u32, 64u64)
     } else {
         (2_016, 512)
@@ -92,7 +86,7 @@ fn bench_mc_scale(c: &mut Criterion) {
         b.iter(|| black_box(replicate(&mc, study)));
     });
     // Restore the machine-derived budget for anything running after us.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let cores = record::cores();
     rayon::set_spare_thread_budget(cores.saturating_sub(1));
     g.finish();
 

@@ -14,38 +14,17 @@
 //! States 1 and 2 must sit within run-to-run noise of each other (the
 //! live layer is free until switched on); state 3 is the price of a
 //! console, reported honestly. A standalone microbench pins the
-//! monitor's own sample+poll throughput.
-//!
-//! With `--smoke` or `--bench` the bench writes `BENCH_monitor.json`
-//! into the workspace root; a bare invocation writes nothing.
+//! monitor's own sample+poll throughput. [`spider_bench::record`] decides
+//! the shape and where `BENCH_monitor.json` goes.
 
 use std::hint::black_box;
-use std::time::Instant;
 
+use spider_bench::record::{self, time_ms};
 use spider_core::config::CenterConfig;
 use spider_core::flowsim::{solve, FlowTest};
 use spider_core::Center;
 use spider_obs::{DetectorSpec, LiveConfig, Monitor};
 use spider_simkit::MIB;
-
-fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke") || !std::env::args().any(|a| a == "--bench")
-}
-
-fn write_json() -> bool {
-    std::env::args().any(|a| a == "--smoke" || a == "--bench")
-}
-
-/// Best-of-`iters` wall time in milliseconds.
-fn time_ms<R>(iters: u32, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
 
 fn live_config() -> LiveConfig {
     LiveConfig {
@@ -66,7 +45,7 @@ fn live_config() -> LiveConfig {
 }
 
 fn main() {
-    let (clients, batch, iters, micro_rounds) = if smoke() {
+    let (clients, batch, iters, micro_rounds) = if record::smoke() {
         (600u32, 10u32, 3u32, 2_000u64)
     } else {
         (2_000, 30, 5, 20_000)
@@ -137,14 +116,10 @@ fn main() {
          ({ns_per_sample:.0} ns/sample)"
     );
 
-    if write_json() {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let json = format!(
-            r#"{{
-  "machine": {{"cores": {cores}, "note": "numbers measured on this machine; compare states within this file, and the obs-off/obs-on pair against BENCH_obs.json's verdict on the same contract"}},
-  "command": "cargo bench -p spider-bench --bench monitor_overhead -- --bench",
+    let fields = format!(
+        r#"  "note": "compare states within this file, and the obs-off/obs-on pair against BENCH_obs.json's verdict on the same contract",
   "question": "does the live telemetry layer cost anything when disabled, and how much when enabled?",
-  "shape": {{"center": "small", "clients": {clients}, "solves_per_iter": {batch}, "smoke": {is_smoke}}},
+  "shape": {{"center": "small", "clients": {clients}, "solves_per_iter": {batch}}},
   "flow_solve_ms": {{
     "obs_off": {off_ms:.3},
     "obs_on_live_off": {obs_ms:.3},
@@ -158,15 +133,8 @@ fn main() {
     "ns_per_sample": {ns_per_sample:.0}
   }},
   "alarm_log_bytes_state3": {alarm_bytes},
-  "verdict": "live-off is within run-to-run noise of obs-off (the live branch is one relaxed atomic load behind the existing obs short-circuit, matching the BENCH_obs.json contract); live-on pays one mutexed sample per OST per solve plus windowed detector evaluation per poll boundary, which is the operations-console price and stays off the solver path unless explicitly enabled"
-}}
-"#,
-            is_smoke = smoke(),
-        );
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let path = std::path::Path::new(root).join("BENCH_monitor.json");
-        std::fs::write(&path, json).expect("workspace root is writable");
-        println!("monitor_overhead: wrote {}", path.display());
-    }
+  "verdict": "live-off is within run-to-run noise of obs-off (the live branch is one relaxed atomic load behind the existing obs short-circuit, matching the BENCH_obs.json contract); live-on pays one mutexed sample per OST per solve plus windowed detector evaluation per poll boundary, which is the operations-console price and stays off the solver path unless explicitly enabled""#,
+    );
+    record::write("monitor_overhead", "BENCH_monitor.json", &fields);
     std::fs::remove_dir_all(&dir).ok();
 }

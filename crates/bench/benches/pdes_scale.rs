@@ -11,19 +11,12 @@
 //!    1 ms cross-namespace RPC hop as the lookahead — thousands of epoch
 //!    barriers and real cross-shard message flow.
 //!
-//! Both storms are timed at spare-thread budgets 0, 1 and `cores - 1`
-//! (`cores` from `available_parallelism`, recorded with the results).
-//!
-//! `--bench` writes `BENCH_pdes.json` (wall time per budget, events/sec,
-//! barrier count, cross-shard message ratio) into the workspace root;
-//! `--smoke` shrinks the shapes and writes `target/bench-smoke/BENCH_pdes.json`
-//! instead, so a smoke run cannot overwrite the committed file. A bare
-//! invocation (`cargo test` running the bench target) shrinks the shapes
-//! and writes nothing.
+//! Both storms are timed at the spare-thread budgets of
+//! [`spider_bench::record`], which also decides the shapes and where
+//! `BENCH_pdes.json` (wall time per budget, events/sec, barrier count,
+//! cross-shard message ratio) goes.
 
-use std::hint::black_box;
-use std::time::Instant;
-
+use spider_bench::record::{self, by_budget, time_ms};
 use spider_core::experiments::e08_namespaces::federation_storm;
 use spider_core::rpcsim::{run_interference, run_interference_sharded};
 use spider_pfs::ost::{Ost, OstId};
@@ -32,16 +25,6 @@ use spider_storage::disk::{Disk, DiskId, DiskSpec};
 use spider_storage::raid::{RaidConfig, RaidGroup, RaidGroupId};
 use spider_workload::generator::{generate_trace, merge_traces};
 use spider_workload::spec::{IoRequest, StreamSpec};
-
-fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke") || !std::env::args().any(|a| a == "--bench")
-}
-
-/// JSON output is opt-in: `cargo test` runs this binary with neither flag
-/// and must not dirty the worktree.
-fn write_json() -> bool {
-    std::env::args().any(|a| a == "--smoke" || a == "--bench")
-}
 
 fn osts(n: u32) -> Vec<Ost> {
     let cfg = RaidConfig::raid6_8p2();
@@ -76,22 +59,10 @@ fn storm_trace(clients: u32, secs: u64) -> Vec<IoRequest> {
     merge_traces(traces)
 }
 
-/// Best-of-`iters` wall time in milliseconds.
-fn time_ms<R>(iters: u32, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
     spider_obs::init_from_env();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let (n_osts, clients, secs, fed_ns, fed_ops, iters) = if smoke() {
+    let (n_osts, clients, secs, fed_ns, fed_ops, iters) = if record::smoke() {
         (16u32, 16u32, 120u64, 8usize, 1_000u32, 3u32)
     } else {
         (32, 64, 600, 16, 10_000, 5)
@@ -101,13 +72,7 @@ fn main() {
     let osts = osts(n_osts);
     let trace = storm_trace(clients, secs);
     let horizon = SimDuration::from_secs(secs);
-
-    // Spare-thread budgets 0, 1 and cores - 1, deduplicated: a 2-core host
-    // times 0 and 1.
-    let full = cores.saturating_sub(1);
-    let mut budgets = vec![0, 1, full];
-    budgets.sort_unstable();
-    budgets.dedup();
+    let budgets = record::budgets();
 
     let single_ms = time_ms(iters, || run_interference(&osts, &trace, horizon));
     let shard_ms: Vec<f64> = budgets
@@ -157,52 +122,35 @@ fn main() {
         fed.get_or_insert(run);
     }
     let fed = fed.expect("the budget list is never empty");
-    rayon::set_spare_thread_budget(full);
+    rayon::set_spare_thread_budget(record::cores() - 1);
 
     let ievents_per_sec = istats.events as f64 / (shard_ms[0] / 1e3);
     let fevents_per_sec = fed.stats.events as f64 / (fed_ms[0] / 1e3);
     let fratio = fed.stats.cross_messages as f64 / fed.stats.events as f64;
-    let by_budget = |ms: &[f64]| -> String {
-        budgets
-            .iter()
-            .zip(ms)
-            .map(|(b, t)| format!("\"{b}\": {t:.2}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-
+    let (ishard, fpar) = (by_budget(&shard_ms), by_budget(&fed_ms));
     println!(
         "pdes_scale interference: {} shards, {} events, {} barriers, \
-         single-engine {single_ms:.1}ms, sharded by spare-thread budget {{{}}} ms",
-        istats.shards,
-        istats.events,
-        istats.epochs,
-        by_budget(&shard_ms)
+         single-engine {single_ms:.1}ms, sharded by spare-thread budget {ishard} ms",
+        istats.shards, istats.events, istats.epochs,
     );
     println!(
         "pdes_scale federation: {} shards, {} events, {} barriers, \
-         cross-shard ratio {fratio:.3}, oracle {oracle_ms:.1}ms, by spare-thread budget {{{}}} ms",
-        fed.stats.shards,
-        fed.stats.events,
-        fed.stats.epochs,
-        by_budget(&fed_ms)
+         cross-shard ratio {fratio:.3}, oracle {oracle_ms:.1}ms, by spare-thread budget {fpar} ms",
+        fed.stats.shards, fed.stats.events, fed.stats.epochs,
     );
 
-    if write_json() {
-        let last = budgets.len() - 1;
-        let json = format!(
-            r#"{{
-  "machine": {{"cores": {cores}, "note": "measured on this machine at spare-thread budgets 0, 1 and cores - 1 (deduplicated); a budget above cores - 1 would only time-share cores. Helper threads come from the rayon shim's persistent pool, so an epoch barrier costs a handoff to a running helper, not a thread spawn. Bit-identity across budgets and against the sequential oracles is asserted by this bench and by crates/simkit/tests/pdes_threads.rs"}},
-  "command": "cargo bench -p spider-bench --bench pdes_scale -- --bench",
-  "shape": {{"interference_osts": {n_osts}, "interference_clients": {n_clients}, "trace_secs": {secs}, "federation_namespaces": {fed_ns}, "federation_ops_per_ns": {fed_ops}, "federation_remote_share": 0.2, "smoke": {is_smoke}}},
-  "spare_thread_budgets": {budget_list:?},
+    let last = budgets.len() - 1;
+    let fields = format!(
+        r#"  "note": "timed at spare-thread budgets 0, 1 and cores - 1 (deduplicated); a budget above cores - 1 would only time-share cores. Helper threads come from the rayon shim's persistent pool, so an epoch barrier costs a handoff to a running helper, not a thread spawn. Bit-identity across budgets and against the sequential oracles is asserted by this bench and by crates/simkit/tests/pdes_threads.rs",
+  "shape": {{"interference_osts": {n_osts}, "interference_clients": {clients}, "trace_secs": {secs}, "federation_namespaces": {fed_ns}, "federation_ops_per_ns": {fed_ops}, "federation_remote_share": 0.2}},
+  "spare_thread_budgets": {budgets:?},
   "interference": {{
     "shards": {n_shards},
     "events": {ievents},
     "epoch_barriers": {iepochs},
     "cross_shard_message_ratio": 0.0,
-    "wall_ms": {{"single_engine": {single_ms:.2}, "sharded_by_budget": {{{ishard}}}}},
-    "events_per_sec_sharded_budget0": {ieps:.0}
+    "wall_ms": {{"single_engine": {single_ms:.2}, "sharded_by_budget": {ishard}}},
+    "events_per_sec_sharded_budget0": {ievents_per_sec:.0}
   }},
   "federation": {{
     "shards": {fshards},
@@ -210,46 +158,27 @@ fn main() {
     "epoch_barriers": {fepochs},
     "cross_shard_messages": {fmsgs},
     "cross_shard_message_ratio": {fratio:.4},
-    "wall_ms": {{"sequential_oracle": {oracle_ms:.2}, "parallel_by_budget": {{{fpar}}}}},
-    "events_per_sec_budget0": {feps:.0}
+    "wall_ms": {{"sequential_oracle": {oracle_ms:.2}, "parallel_by_budget": {fpar}}},
+    "events_per_sec_budget0": {fevents_per_sec:.0}
   }},
   "speedups": {{
     "interference_sharded_budget0_vs_single_engine": {imeasured:.2},
     "interference_budget{top}_vs_budget0": {iscale:.2},
     "federation_budget{top}_vs_budget0": {fscale:.2}
-  }}
-}}
-"#,
-            budget_list = budgets,
-            top = budgets[last],
-            ishard = by_budget(&shard_ms),
-            fpar = by_budget(&fed_ms),
-            n_shards = istats.shards,
-            n_clients = clients,
-            is_smoke = smoke(),
-            ievents = istats.events,
-            iepochs = istats.epochs,
-            ieps = ievents_per_sec,
-            fshards = fed.stats.shards,
-            fevents = fed.stats.events,
-            fepochs = fed.stats.epochs,
-            fmsgs = fed.stats.cross_messages,
-            feps = fevents_per_sec,
-            imeasured = single_ms / shard_ms[0],
-            iscale = shard_ms[0] / shard_ms[last],
-            fscale = fed_ms[0] / fed_ms[last],
-        );
-        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-        let dir = if smoke() {
-            root.join("target/bench-smoke")
-        } else {
-            root.to_path_buf()
-        };
-        std::fs::create_dir_all(&dir).expect("output directory is creatable");
-        let path = dir.join("BENCH_pdes.json");
-        std::fs::write(&path, json).expect("output directory is writable");
-        println!("pdes_scale: wrote {}", path.display());
-    }
+  }}"#,
+        top = budgets[last],
+        n_shards = istats.shards,
+        ievents = istats.events,
+        iepochs = istats.epochs,
+        fshards = fed.stats.shards,
+        fevents = fed.stats.events,
+        fepochs = fed.stats.epochs,
+        fmsgs = fed.stats.cross_messages,
+        imeasured = single_ms / shard_ms[0],
+        iscale = shard_ms[0] / shard_ms[last],
+        fscale = fed_ms[0] / fed_ms[last],
+    );
+    record::write("pdes_scale", "BENCH_pdes.json", &fields);
     if let Some(files) = spider_obs::finish() {
         eprintln!("obs: wrote {}", files.dir.display());
     }

@@ -13,17 +13,14 @@
 //!    flow. Records events/sec and asserts the arena stayed at its initial
 //!    occupancy (no per-event allocation).
 //!
-//! `--bench` writes `BENCH_scale.json` (bytes/client, events/sec, wall
-//! times) into the workspace root. `--smoke` runs fewer churn events and
-//! timing iterations and writes `target/bench-smoke/BENCH_scale.json`
-//! instead, so a smoke run cannot overwrite the committed file. A bare
-//! invocation (`cargo test` running the bench target) runs the smoke shape
-//! — the 10^6-client solve is the same in every shape — and writes no
-//! file.
+//! The smoke shape ([`spider_bench::record`] decides it, and where
+//! `BENCH_scale.json` — bytes/client, events/sec, wall times — goes) runs
+//! fewer churn events and timing iterations; the 10^6-client solve is the
+//! same in every shape.
 
-use std::hint::black_box;
 use std::time::Instant;
 
+use spider_bench::record::{self, time_ms};
 use spider_core::center::Center;
 use spider_core::config::{CenterConfig, Scale};
 use spider_core::flowsim::{CenterTarget, FlowSession, FlowTest};
@@ -36,31 +33,10 @@ const BYTES_PER_CLIENT_BUDGET: f64 = 128.0;
 /// Smoke wall budget for the full 10^6-client solve.
 const SMOKE_BUDGET_MS: f64 = 5_000.0;
 
-fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke") || !std::env::args().any(|a| a == "--bench")
-}
-
-/// JSON output is opt-in: `cargo test` runs this binary with neither flag
-/// and must not dirty the worktree.
-fn write_json() -> bool {
-    std::env::args().any(|a| a == "--smoke" || a == "--bench")
-}
-
-/// Best-of-`iters` wall time in milliseconds.
-fn time_ms<R>(iters: u32, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let smoke = record::smoke();
     let clients: u32 = 1_000_000;
-    let (churn_events, iters) = if smoke() {
+    let (churn_events, iters) = if smoke {
         (2_000_000u64, 1u32)
     } else {
         (20_000_000, 3)
@@ -103,7 +79,7 @@ fn main() {
         "steady-state footprint {bytes_per_client:.1} B/client blew the \
          {BYTES_PER_CLIENT_BUDGET} B/client budget"
     );
-    if smoke() {
+    if smoke {
         assert!(
             solve_ms < SMOKE_BUDGET_MS,
             "10^6-client solve took {solve_ms:.0}ms, smoke budget {SMOKE_BUDGET_MS:.0}ms"
@@ -139,12 +115,9 @@ fn main() {
         "arena grew past the resident population: churn must recycle slots"
     );
 
-    if write_json() {
-        let json = format!(
-            r#"{{
-  "machine": {{"cores": {cores}, "note": "wall times and events/sec measured on this machine; bytes figures are deterministic (container capacities via MemFootprint, identical on every host). The columnar section is the E3 shape at 10^6 clients: the weighted-class collapse resolves a million clients to O(100) flow classes, so solve wall time is flat in client count and the resident session charges ~4 B/client for the class map plus class-level columns. The arena section is steady-state churn: a fixed resident event population recycled through the slab free list, zero allocation per event"}},
-  "command": "cargo bench -p spider-bench --bench scale_bench -- --bench",
-  "shape": {{"clients": {clients}, "churn_events": {churn_events}, "resident_events": {resident}, "smoke": {is_smoke}}},
+    let fields = format!(
+        r#"  "note": "wall times and events/sec measured on this machine; bytes figures are deterministic (container capacities via MemFootprint, identical on every host). The columnar section is the E3 shape at 10^6 clients: the weighted-class collapse resolves a million clients to O(100) flow classes, so solve wall time is flat in client count and the resident session charges ~4 B/client for the class map plus class-level columns. The arena section is steady-state churn: a fixed resident event population recycled through the slab free list, zero allocation per event",
+  "shape": {{"clients": {clients}, "churn_events": {churn_events}, "resident_events": {resident}}},
   "columnar": {{
     "clients": {clients},
     "flow_classes": {classes},
@@ -160,21 +133,8 @@ fn main() {
     "events_per_sec": {events_per_sec:.0},
     "arena_slots": {slots},
     "engine_bytes": {engine_bytes}
-  }}
-}}
-"#,
-            is_smoke = smoke(),
-            gbps = rep.mean.as_gb_per_sec(),
-        );
-        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-        let dir = if smoke() {
-            root.join("target/bench-smoke")
-        } else {
-            root.to_path_buf()
-        };
-        std::fs::create_dir_all(&dir).expect("output directory is creatable");
-        let path = dir.join("BENCH_scale.json");
-        std::fs::write(&path, json).expect("output directory is writable");
-        println!("scale_bench: wrote {}", path.display());
-    }
+  }}"#,
+        gbps = rep.mean.as_gb_per_sec(),
+    );
+    record::write("scale_bench", "BENCH_scale.json", &fields);
 }

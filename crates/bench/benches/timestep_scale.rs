@@ -9,13 +9,14 @@
 //! end-to-end `run_timestep` wall time for both and prints the solve
 //! counts; `BENCH_timestep.json` records a full run.
 //!
-//! Smoke mode (`--smoke`, or any invocation without `--bench`, e.g.
-//! `cargo test` running the bench target) shrinks the storm to 6 waves of
-//! 4 jobs over 36 min so the binary stays fast in CI and test runs.
+//! The smoke shape ([`spider_bench::record`] decides it) shrinks the storm
+//! to 6 waves of 4 jobs over 36 min so the binary stays fast in CI and test
+//! runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use spider_bench::record;
 use spider_core::center::Center;
 use spider_core::config::CenterConfig;
 use spider_core::timestep::{run_timestep, Job, SteppingMode, TimestepConfig};
@@ -41,16 +42,9 @@ fn storm(waves: u64, jobs_per_wave: u32, period: SimDuration) -> Vec<Job> {
     jobs
 }
 
-/// `--smoke` forces the small shape even under `cargo bench` (which always
-/// passes `--bench`); without `--bench` (e.g. `cargo test`) smoke is
-/// automatic.
-fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke") || !std::env::args().any(|a| a == "--bench")
-}
-
 fn bench_timestep_scale(c: &mut Criterion) {
     spider_obs::init_from_env();
-    let (waves, jobs_per_wave, horizon) = if smoke() {
+    let (waves, jobs_per_wave, horizon) = if record::smoke() {
         (6u64, 4u32, SimDuration::from_mins(36))
     } else {
         (20, 10, SimDuration::from_hours(2))

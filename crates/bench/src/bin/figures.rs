@@ -122,16 +122,16 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        use spider_core::report::json_string;
+        use spider_obs::jsonio::write_str;
         let mut body = String::from("[");
         for (i, (id, pr, tables)) in results.iter().enumerate() {
             if i > 0 {
                 body.push(',');
             }
             body.push_str("{\"id\":");
-            json_string(&mut body, id);
+            write_str(&mut body, id);
             body.push_str(",\"paper_ref\":");
-            json_string(&mut body, pr);
+            write_str(&mut body, pr);
             body.push_str(",\"tables\":[");
             for (j, t) in tables.iter().enumerate() {
                 if j > 0 {

@@ -8,10 +8,14 @@
 //! - the Criterion benches under `benches/` time each experiment and the
 //!   load-bearing substrate components (DES engine, max-min solver,
 //!   namespace, parallel tools), including the ablations called out in
-//!   `DESIGN.md`.
+//!   `DESIGN.md`;
+//! - [`record`] is the one record path of the benches that write a
+//!   committed `BENCH_*.json`.
 //!
 //! Run `cargo run -p spider-bench --release --bin figures` for the full
 //! paper-scale reproduction, or `-- --scale small` for a quick pass.
+
+pub mod record;
 
 use spider_core::config::Scale;
 use spider_core::experiments::registry;

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use spider_obs::jsonio::write_str;
+
 /// A simple aligned table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -43,7 +45,7 @@ impl Table {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128);
         out.push_str("{\"title\":");
-        json_string(&mut out, &self.title);
+        write_str(&mut out, &self.title);
         out.push_str(",\"headers\":");
         json_string_array(&mut out, &self.headers);
         out.push_str(",\"rows\":[");
@@ -58,30 +60,13 @@ impl Table {
     }
 }
 
-/// Append a JSON string literal (with escaping) to `out`.
-pub fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn json_string_array(out: &mut String, items: &[String]) {
     out.push('[');
     for (i, s) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        json_string(out, s);
+        write_str(out, s);
     }
     out.push(']');
 }
@@ -162,12 +147,5 @@ mod tests {
         let json = t.to_json();
         assert!(json.contains("\"title\":\"s\""));
         assert!(json.contains("\"rows\":[[\"1\"]]"));
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        let mut out = String::new();
-        json_string(&mut out, "a\"b\\c\nd");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -98,45 +98,23 @@ fn test_kind_relaxes_all_but_always_on() {
 }
 
 #[test]
-fn session_pattern_fixture_is_clean() {
-    let report = lint_workspace(&fixture_root(), &["session_patterns.rs".to_owned()]).unwrap();
-    assert_eq!(report.files_scanned, 1);
-    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
-}
-
-#[test]
-fn montecarlo_pattern_fixture_is_clean() {
-    let report = lint_workspace(&fixture_root(), &["montecarlo_patterns.rs".to_owned()]).unwrap();
-    assert_eq!(report.files_scanned, 1);
-    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
-}
-
-#[test]
-fn pdes_pattern_fixture_is_clean() {
-    let report = lint_workspace(&fixture_root(), &["pdes_patterns.rs".to_owned()]).unwrap();
-    assert_eq!(report.files_scanned, 1);
-    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
-}
-
-#[test]
-fn monitor_pattern_fixture_is_clean() {
-    let report = lint_workspace(&fixture_root(), &["monitor_patterns.rs".to_owned()]).unwrap();
-    assert_eq!(report.files_scanned, 1);
-    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
-}
-
-#[test]
-fn scale_pattern_fixture_is_clean() {
-    let report = lint_workspace(&fixture_root(), &["scale_patterns.rs".to_owned()]).unwrap();
-    assert_eq!(report.files_scanned, 1);
-    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
-}
-
-#[test]
-fn component_pattern_fixture_is_clean() {
-    let report = lint_workspace(&fixture_root(), &["component_patterns.rs".to_owned()]).unwrap();
-    assert_eq!(report.files_scanned, 1);
-    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
+fn pattern_fixtures_are_clean() {
+    for file in [
+        "session_patterns.rs",
+        "montecarlo_patterns.rs",
+        "pdes_patterns.rs",
+        "monitor_patterns.rs",
+        "scale_patterns.rs",
+        "component_patterns.rs",
+    ] {
+        let report = lint_workspace(&fixture_root(), &[file.to_owned()]).unwrap();
+        assert_eq!(report.files_scanned, 1, "{file}");
+        assert!(
+            report.diagnostics.is_empty(),
+            "{file}: {:#?}",
+            report.diagnostics
+        );
+    }
 }
 
 #[test]

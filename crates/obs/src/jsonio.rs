@@ -1,11 +1,12 @@
 //! Minimal JSON writing and parsing.
 //!
 //! The workspace has no serde; the sink files (`manifest.json`,
-//! `trace.jsonl`, `trace_chrome.json`) are written with the same hand-rolled
-//! escaping the report layer uses, and the parser here is the strict inverse
-//! used by the round-trip tests and by external validators. Numbers are kept
-//! as `f64` (every value the sinks emit fits without precision loss below
-//! 2^53; counters above that are emitted as strings by the caller).
+//! `trace.jsonl`, `trace_chrome.json`), the report layer's table JSON and
+//! the bench record headers all escape strings with [`write_str`], and the
+//! parser here is the strict inverse used by the round-trip tests and by
+//! external validators. Numbers are kept as `f64` (every value the sinks
+//! emit fits without precision loss below 2^53; counters above that are
+//! emitted as strings by the caller).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -315,10 +316,18 @@ mod tests {
 
     #[test]
     fn string_escaping_round_trips() {
-        let nasty = "a\"b\\c\nd\te\u{1}f — ünïcode";
-        let mut out = String::new();
-        write_str(&mut out, nasty);
-        assert_eq!(parse(&out).unwrap(), JsonValue::Str(nasty.to_owned()));
+        for (input, escaped) in [
+            (
+                "a\"b\\c\nd\te\u{1}f — ünïcode",
+                r#""a\"b\\c\nd\te\u0001f — ünïcode""#,
+            ),
+            ("a\"b\\c\nd", r#""a\"b\\c\nd""#),
+        ] {
+            let mut out = String::new();
+            write_str(&mut out, input);
+            assert_eq!(out, escaped);
+            assert_eq!(parse(&out).unwrap(), JsonValue::Str(input.to_owned()));
+        }
     }
 
     #[test]

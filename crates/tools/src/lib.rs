@@ -14,9 +14,9 @@
 //!   on synthetic benchmarks and +24% for S3D.
 //! - [`iosi`]: the I/O Signature Identifier (§VI-B, [16]): per-application
 //!   I/O signatures recovered from noisy server-side throughput logs.
-//! - [`monitor`]: the monitoring stack of §IV-A: health checks, the Lustre
-//!   Health Checker event coalescer, and the DDN-tool controller poller
-//!   with its query store.
+//! - [`monitor`]: the monitoring stack of §IV-A: health checks and the
+//!   Lustre Health Checker event coalescer (the DDN-tool controller poller
+//!   is `spider_obs::live::Monitor`).
 //! - [`lustredu`]: server-side disk-usage aggregation (§VI-C) versus the
 //!   MDS-crushing client-side `du`.
 //! - [`ptools`]: scalable parallel file tools (§VI-C, [10]): work-stealing
@@ -47,7 +47,7 @@ pub use culling::{run_culling_campaign, CullingConfig, CullingReport};
 pub use iosi::{extract_signature, IoSignature, IosiConfig};
 pub use libpio::{Libpio, LoadSnapshot, PlacementRequest};
 pub use lustredu::{client_du_cost, DuDatabase};
-pub use monitor::{Alert, CheckOutcome, EventCoalescer, HealthChecker, PollStore, Severity};
+pub use monitor::{Alert, CheckOutcome, EventCoalescer, HealthChecker, Severity};
 pub use planner::{classify_projects, CapacityPlan, Project, ProjectClass};
 pub use provision::{BootOutcome, ImageBuild, NodeSpec, ProvisioningSystem};
 pub use ptools::{dcp, dfind, du_parallel, dwalk, WalkStats};

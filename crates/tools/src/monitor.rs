@@ -1,6 +1,6 @@
 //! The monitoring stack (§IV-A "Monitoring", Lesson Learned 8).
 //!
-//! Three pieces, mirroring what OLCF built:
+//! Two pieces, mirroring what OLCF built:
 //!
 //! - [`HealthChecker`]: Nagios-style scheduled checks with state-transition
 //!   alerting and flap suppression.
@@ -8,9 +8,11 @@
 //!   collection of associated errors from a Lustre failure condition",
 //!   correlating raw events into incidents and discriminating hardware
 //!   events from Lustre software issues.
-//! - [`PollStore`]: the DDN-tool idea — poll controllers "for various pieces
-//!   of information (e.g. I/O request sizes, write and read bandwidths) at
-//!   regular rates", store samples, and answer standardized queries.
+//!
+//! The third, the DDN-tool poller (poll controllers "for various pieces of
+//! information (e.g. I/O request sizes, write and read bandwidths) at
+//! regular rates" and answer queries over the samples), is
+//! `spider_obs::live::Monitor`.
 
 use std::collections::BTreeMap;
 
@@ -209,97 +211,6 @@ impl EventCoalescer {
     }
 }
 
-/// One controller counter sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sample {
-    /// When.
-    pub at: SimTime,
-    /// Value (bytes/s, IOPS, ...).
-    pub value: f64,
-}
-
-/// The DDN-tool sample store: per (controller, metric) time series with
-/// standardized queries.
-///
-/// Series are kept as `controller -> metric -> samples` so that reads
-/// (`mean_over`, `series`) look keys up with borrowed `&str` — no `String`
-/// allocation per query, which matters when the poll loop interrogates the
-/// store once per controller per tick.
-#[derive(Debug, Default)]
-pub struct PollStore {
-    series: BTreeMap<String, BTreeMap<String, Vec<Sample>>>,
-}
-
-impl PollStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        PollStore::default()
-    }
-
-    /// Record one poll result.
-    pub fn record(&mut self, controller: &str, metric: &str, at: SimTime, value: f64) {
-        // Fast path: both keys already exist (every poll after the first),
-        // found without allocating.
-        if let Some(samples) = self
-            .series
-            .get_mut(controller)
-            .and_then(|m| m.get_mut(metric))
-        {
-            samples.push(Sample { at, value });
-            return;
-        }
-        self.series
-            .entry(controller.to_owned())
-            .or_default()
-            .entry(metric.to_owned())
-            .or_default()
-            .push(Sample { at, value });
-    }
-
-    /// Mean of a metric over `[from, to]` for one controller.
-    pub fn mean_over(&self, controller: &str, metric: &str, from: SimTime, to: SimTime) -> f64 {
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        for s in self.series(controller, metric) {
-            if s.at >= from && s.at <= to {
-                sum += s.value;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
-    }
-
-    /// The `n` controllers with the highest latest value of `metric` —
-    /// the standardized "who is busy / who is lagging" report.
-    pub fn top_n_latest(&self, metric: &str, n: usize) -> Vec<(String, f64)> {
-        let mut latest: Vec<(String, f64)> = self
-            .series
-            .iter()
-            .filter_map(|(c, metrics)| {
-                metrics
-                    .get(metric)
-                    .and_then(|v| v.last())
-                    .map(|s| (c.clone(), s.value))
-            })
-            .collect();
-        latest.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        latest.truncate(n);
-        latest
-    }
-
-    /// Full series for export. Borrowed lookup: no allocation.
-    pub fn series(&self, controller: &str, metric: &str) -> &[Sample] {
-        self.series
-            .get(controller)
-            .and_then(|m| m.get(metric))
-            .map_or(&[], std::vec::Vec::as_slice)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,21 +353,5 @@ mod tests {
     fn coalescer_empty_finish_yields_no_incidents() {
         let c = EventCoalescer::new(SimDuration::from_secs(60));
         assert!(c.finish().is_empty());
-    }
-
-    #[test]
-    fn poll_store_queries() {
-        let mut store = PollStore::new();
-        for t in 0..10u64 {
-            store.record("sfa-00", "write_bw", at(t), 100.0 + t as f64);
-            store.record("sfa-01", "write_bw", at(t), 500.0);
-        }
-        let mean = store.mean_over("sfa-00", "write_bw", at(0), at(4));
-        assert!((mean - 102.0).abs() < 1e-9);
-        let top = store.top_n_latest("write_bw", 1);
-        assert_eq!(top, vec![("sfa-01".to_owned(), 500.0)]);
-        assert_eq!(store.series("sfa-00", "write_bw").len(), 10);
-        assert!(store.series("sfa-77", "write_bw").is_empty());
-        assert_eq!(store.mean_over("sfa-77", "write_bw", at(0), at(9)), 0.0);
     }
 }

@@ -4,8 +4,9 @@
 //! in-place diagnosis procedure names the cable to replace.
 
 use spider_net::cable::{diagnose, CableDiagnosis, CablePlant, PortCounters};
+use spider_obs::{LiveConfig, Monitor};
 use spider_simkit::{Bandwidth, SimRng, SimTime};
-use spider_tools::monitor::{CheckOutcome, HealthChecker, PollStore, Severity};
+use spider_tools::monitor::{CheckOutcome, HealthChecker, Severity};
 
 /// Map a cable's counters onto a check outcome, the way the custom OFED
 /// wrapper checks did.
@@ -29,15 +30,15 @@ fn cable_check(name: &str, counters: &PortCounters) -> CheckOutcome {
 fn cable_degradation_surfaces_as_an_alert_and_a_bandwidth_drop() {
     let mut plant = CablePlant::new(12, Bandwidth::gb_per_sec(6.0));
     let mut checker = HealthChecker::new();
-    let mut store = PollStore::new();
+    let mut poller = Monitor::new(LiveConfig::default());
 
     // Minute 0..5: healthy polls. No alerts, steady bandwidth.
     for minute in 0..5u64 {
         let now = SimTime::from_secs(minute * 60);
-        store.record(
-            "leaf-07",
+        poller.tick(now.as_nanos());
+        poller.sample(
             "delivered_bw",
-            now,
+            "leaf-07",
             plant.delivered().as_bytes_per_sec(),
         );
         for (i, c) in plant.cables.iter().enumerate() {
@@ -52,10 +53,10 @@ fn cable_degradation_surfaces_as_an_alert_and_a_bandwidth_drop() {
     let mut rng = SimRng::seed_from_u64(8);
     let bad = plant.degrade_one(1, &mut rng);
     let now = SimTime::from_secs(5 * 60);
-    store.record(
-        "leaf-07",
+    poller.tick(now.as_nanos());
+    poller.sample(
         "delivered_bw",
-        now,
+        "leaf-07",
         plant.delivered().as_bytes_per_sec(),
     );
     let mut alerts = Vec::new();
@@ -69,12 +70,8 @@ fn cable_degradation_surfaces_as_an_alert_and_a_bandwidth_drop() {
     assert_eq!(alerts[0].to, Severity::Critical);
     assert!(alerts[0].check.ends_with(&format!("cable-{bad}")));
 
-    // The poll store shows the measurable degradation LL8 warns about.
-    let degraded_bw = store
-        .series("leaf-07", "delivered_bw")
-        .last()
-        .unwrap()
-        .value;
+    // The poller shows the measurable degradation LL8 warns about.
+    let degraded_bw = poller.stats("delivered_bw", "leaf-07").unwrap().last;
     assert!(degraded_bw < healthy_bw * 0.95);
 
     // The in-place survey names the same cable; replacement clears both
@@ -93,26 +90,28 @@ fn cable_degradation_surfaces_as_an_alert_and_a_bandwidth_drop() {
 }
 
 #[test]
-fn poll_store_ranks_the_degraded_leaf_last() {
-    let mut store = PollStore::new();
+fn poller_ranks_the_degraded_leaf_last() {
+    let mut poller = Monitor::new(LiveConfig::default());
     let healthy = CablePlant::new(12, Bandwidth::gb_per_sec(6.0));
     let mut degraded = CablePlant::new(12, Bandwidth::gb_per_sec(6.0));
     let mut rng = SimRng::seed_from_u64(9);
     degraded.degrade_one(1, &mut rng);
-    let now = SimTime::from_secs(0);
-    store.record(
-        "leaf-01",
+    poller.tick(SimTime::from_secs(0).as_nanos());
+    poller.sample(
         "delivered_bw",
-        now,
+        "leaf-01",
         healthy.delivered().as_bytes_per_sec(),
     );
-    store.record(
-        "leaf-02",
+    poller.sample(
         "delivered_bw",
-        now,
+        "leaf-02",
         degraded.delivered().as_bytes_per_sec(),
     );
-    let top = store.top_n_latest("delivered_bw", 2);
+    let mut top: Vec<(&str, f64)> = ["leaf-02", "leaf-01"]
+        .into_iter()
+        .map(|leaf| (leaf, poller.stats("delivered_bw", leaf).unwrap().last))
+        .collect();
+    top.sort_by(|a, b| b.1.total_cmp(&a.1));
     assert_eq!(top[0].0, "leaf-01");
     assert_eq!(top[1].0, "leaf-02");
     let _ = (healthy.survey(), degraded.survey());

@@ -9,13 +9,14 @@
 //! cargo run --release --example center_operations
 //! ```
 
+use spider::obs::{LiveConfig, Monitor};
 use spider::pfs::mds::MdsCluster;
 use spider::prelude::*;
 use spider::storage::fleet::{FleetSpec, StorageFleet};
 use spider::tools::culling::{run_culling_campaign, CullingConfig};
 use spider::tools::lustredu::{client_du_cost, DuDatabase};
 use spider::tools::monitor::{
-    CheckOutcome, EventClass, EventCoalescer, HealthChecker, PollStore, RawEvent, Severity,
+    CheckOutcome, EventClass, EventCoalescer, HealthChecker, RawEvent, Severity,
 };
 use spider::tools::planner::{CapacityPlan, Project};
 use spider::tools::provision::{ConfigScript, ImageBuild, NodeSpec, ProvisioningSystem};
@@ -134,18 +135,19 @@ fn main() {
     );
 
     // --- 16:00 — controller telemetry check ---
-    let mut store = PollStore::new();
+    let mut poller = Monitor::new(LiveConfig::default());
     for minute in 0..30u64 {
-        let t = SimTime::from_secs(16 * 3600 + minute * 60);
-        store.record("sfa-07", "write_bw", t, 14.2e9 + (minute as f64) * 1e7);
-        store.record("sfa-12", "write_bw", t, 17.6e9);
+        poller.tick(SimTime::from_secs(16 * 3600 + minute * 60).as_nanos());
+        poller.sample("write_bw", "sfa-07", 14.2e9 + (minute as f64) * 1e7);
+        poller.sample("write_bw", "sfa-12", 17.6e9);
     }
-    let top = store.top_n_latest("write_bw", 1);
-    println!(
-        "[16:00] busiest couplet: {} at {:.1} GB/s",
-        top[0].0,
-        top[0].1 / 1e9
-    );
+    let latest = |c: &str| poller.stats("write_bw", c).expect("couplet polled").last;
+    let (couplet, bw) = ["sfa-07", "sfa-12"]
+        .into_iter()
+        .map(|c| (c, latest(c)))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("two couplets");
+    println!("[16:00] busiest couplet: {couplet} at {:.1} GB/s", bw / 1e9);
 
     // --- 17:00 — next quarter's project placement ---
     let projects = vec![
