@@ -1,15 +1,18 @@
 //! Sharded PDES scaling: one big simulation split across shards.
 //!
-//! Two workloads, both with the sequential path kept as the differential
-//! oracle (results are asserted bit-identical inside this bench):
+//! Two workloads, each asserted bit-identical across thread budgets
+//! inside this bench:
 //!
 //! 1. **Interference storm** (`rpcsim`): a mixed analytics + checkpoint
 //!    trace against >= 16 OSTs, one shard per OST. The client -> OST map is
 //!    static, so there is zero cross-shard traffic and the legal lookahead
 //!    is the whole horizon — a single epoch window, embarrassingly parallel.
+//!    Every budget must reproduce budget 0's report.
 //! 2. **Federation storm** (E8d): cross-namespace metadata traffic with the
 //!    1 ms cross-namespace RPC hop as the lookahead — thousands of epoch
-//!    barriers and real cross-shard message flow.
+//!    barriers and real cross-shard message flow. Every budget must match
+//!    `ShardedEngine::run_sequential`, the PDES layer's oracle, which is
+//!    also timed.
 //!
 //! Both storms are timed at the spare-thread budgets of
 //! [`spider_bench::record`], which also decides the shapes and where
@@ -18,7 +21,7 @@
 
 use spider_bench::record::{self, by_budget, time_ms};
 use spider_core::experiments::e08_namespaces::federation_storm;
-use spider_core::rpcsim::{run_interference, run_interference_sharded};
+use spider_core::rpcsim::{run_interference_sharded, ClassStats};
 use spider_pfs::ost::{Ost, OstId};
 use spider_simkit::{SimDuration, SimRng};
 use spider_storage::disk::{Disk, DiskId, DiskSpec};
@@ -74,7 +77,6 @@ fn main() {
     let horizon = SimDuration::from_secs(secs);
     let budgets = record::budgets();
 
-    let single_ms = time_ms(iters, || run_interference(&osts, &trace, horizon));
     let shard_ms: Vec<f64> = budgets
         .iter()
         .map(|&b| {
@@ -83,20 +85,23 @@ fn main() {
         })
         .collect();
 
-    // Determinism spot-check outside the timed loops: the single-engine
-    // oracle and every thread budget must agree bit for bit.
-    let oracle = run_interference(&osts, &trace, horizon);
-    let mut istats = None;
-    for &b in &budgets {
+    // Determinism spot-check outside the timed loops: every thread budget
+    // must reproduce budget 0's report bit for bit.
+    let same = |a: &ClassStats, b: &ClassStats| {
+        (a.completed, a.bytes, a.truncated) == (b.completed, b.bytes, b.truncated)
+            && a.latency.mean().to_bits() == b.latency.mean().to_bits()
+            && a.latency.variance().to_bits() == b.latency.variance().to_bits()
+            && a.latency_percentile(0.99).to_bits() == b.latency_percentile(0.99).to_bits()
+    };
+    rayon::set_spare_thread_budget(budgets[0]);
+    let (rep0, istats) = run_interference_sharded(&osts, &trace, horizon);
+    for &b in &budgets[1..] {
         rayon::set_spare_thread_budget(b);
         let (rep, stats) = run_interference_sharded(&osts, &trace, horizon);
-        for (a, b) in [(&oracle.reads, &rep.reads), (&oracle.writes, &rep.writes)] {
-            assert_eq!(a.completed, b.completed);
-            assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
-        }
-        istats.get_or_insert(stats);
+        assert_eq!(stats, istats, "budget {b}");
+        assert!(same(&rep.reads, &rep0.reads), "budget {b} reads");
+        assert!(same(&rep.writes, &rep0.writes), "budget {b} writes");
     }
-    let istats = istats.expect("the budget list is never empty");
 
     // ---- federation storm, one shard per namespace ----
     let fed_ms: Vec<f64> = budgets
@@ -130,7 +135,7 @@ fn main() {
     let (ishard, fpar) = (by_budget(&shard_ms), by_budget(&fed_ms));
     println!(
         "pdes_scale interference: {} shards, {} events, {} barriers, \
-         single-engine {single_ms:.1}ms, sharded by spare-thread budget {ishard} ms",
+         by spare-thread budget {ishard} ms",
         istats.shards, istats.events, istats.epochs,
     );
     println!(
@@ -141,7 +146,7 @@ fn main() {
 
     let last = budgets.len() - 1;
     let fields = format!(
-        r#"  "note": "timed at spare-thread budgets 0, 1 and cores - 1 (deduplicated); a budget above cores - 1 would only time-share cores. Helper threads come from the rayon shim's persistent pool, so an epoch barrier costs a handoff to a running helper, not a thread spawn. Bit-identity across budgets and against the sequential oracles is asserted by this bench and by crates/simkit/tests/pdes_threads.rs",
+        r#"  "note": "timed at spare-thread budgets 0, 1 and cores - 1 (deduplicated); a budget above cores - 1 would only time-share cores. Helper threads come from the rayon shim's persistent pool, so an epoch barrier costs a handoff to a running helper, not a thread spawn. Bit-identity across budgets (and, for the federation storm, against the sequential oracle) is asserted by this bench and by crates/simkit/tests/pdes_threads.rs",
   "shape": {{"interference_osts": {n_osts}, "interference_clients": {clients}, "trace_secs": {secs}, "federation_namespaces": {fed_ns}, "federation_ops_per_ns": {fed_ops}, "federation_remote_share": 0.2}},
   "spare_thread_budgets": {budgets:?},
   "interference": {{
@@ -149,7 +154,7 @@ fn main() {
     "events": {ievents},
     "epoch_barriers": {iepochs},
     "cross_shard_message_ratio": 0.0,
-    "wall_ms": {{"single_engine": {single_ms:.2}, "sharded_by_budget": {ishard}}},
+    "wall_ms": {{"sharded_by_budget": {ishard}}},
     "events_per_sec_sharded_budget0": {ievents_per_sec:.0}
   }},
   "federation": {{
@@ -162,7 +167,6 @@ fn main() {
     "events_per_sec_budget0": {fevents_per_sec:.0}
   }},
   "speedups": {{
-    "interference_sharded_budget0_vs_single_engine": {imeasured:.2},
     "interference_budget{top}_vs_budget0": {iscale:.2},
     "federation_budget{top}_vs_budget0": {fscale:.2}
   }}"#,
@@ -174,7 +178,6 @@ fn main() {
         fevents = fed.stats.events,
         fepochs = fed.stats.epochs,
         fmsgs = fed.stats.cross_messages,
-        imeasured = single_ms / shard_ms[0],
         iscale = shard_ms[0] / shard_ms[last],
         fscale = fed_ms[0] / fed_ms[last],
     );

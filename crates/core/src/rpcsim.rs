@@ -4,14 +4,17 @@
 //! §II/LL1: "competing workloads can significantly impact application
 //! runtime of simulations or the responsiveness of interactive analysis
 //! workloads" — a latency effect, visible only at request granularity.
-//! Each OST is a FIFO server whose service time comes from the RAID model;
-//! a trace (e.g. analytics alone, or analytics + checkpoint) is replayed
-//! through the queues and per-class latency is recorded.
+//! Each OST is a FIFO server whose service time comes from the RAID model,
+//! run as one shard of the sharded PDES engine; a trace (e.g. analytics
+//! alone, or analytics + checkpoint) is replayed through the queues and
+//! per-class latency is recorded.
+
+use std::collections::VecDeque;
 
 use spider_pfs::ost::Ost;
 use spider_simkit::{
-    Engine, FifoArena, MemFootprint, OnlineStats, PdesConfig, PdesStats, Shard, ShardCtx,
-    ShardedEngine, SimDuration, SimTime,
+    Engine, OnlineStats, PdesConfig, PdesStats, Shard, ShardCtx, ShardedEngine, SimDuration,
+    SimTime,
 };
 use spider_workload::spec::IoRequest;
 
@@ -62,16 +65,17 @@ pub struct InterferenceReport {
     /// Requests still queued at the horizon (overload indicator), derived
     /// as issued minus completed.
     pub unfinished: u64,
-    /// Requests counted directly in the end-state queues and service slots
-    /// when the horizon fired (always equals `unfinished`; kept separate as
-    /// a conservation check, and broken down per class on [`ClassStats`]).
+    /// The same end-state count as `unfinished`, summed from the per-class
+    /// [`ClassStats::truncated`]. The two are equal by construction, so
+    /// comparing them checks nothing; conservation against the trace is
+    /// asserted when the report is built.
     pub truncated: u64,
 }
 
 /// One completion: (done time, trace index, latency seconds). Collected
 /// raw and sorted canonically afterwards so per-class accumulation order —
 /// and therefore every Welford intermediate — is a pure function of the
-/// trace, identical between the single-engine and sharded paths.
+/// trace, identical however the shards were scheduled.
 type Record = (SimTime, u32, f64);
 
 fn service_time(req: &IoRequest, ost: &Ost) -> SimDuration {
@@ -83,21 +87,34 @@ fn service_time(req: &IoRequest, ost: &Ost) -> SimDuration {
     bw.time_for(req.size)
 }
 
-/// Sort completions into canonical `(done, index)` order and fold them
-/// into per-class stats; `leftover` holds the trace indices still queued
-/// or in service at the horizon.
+/// Sort the shards' completions into canonical `(done, index)` order and
+/// fold them into per-class stats; each shard's leftover holds the trace
+/// indices still queued or in service at the horizon.
 fn build_report(
     trace: &[IoRequest],
     n_osts: usize,
-    mut records: Vec<Record>,
-    leftover: &[u32],
+    horizon: SimDuration,
+    outs: Vec<(Vec<Record>, Vec<u32>)>,
 ) -> InterferenceReport {
+    let mut records: Vec<Record> = Vec::new();
+    let mut leftover: Vec<u32> = Vec::new();
+    for (recs, left) in outs {
+        records.extend(recs);
+        leftover.extend(left);
+    }
+    // Conservation: every request that arrived by the (inclusive) horizon
+    // either completed or is still queued or in service.
+    let end = SimTime::ZERO + horizon;
+    debug_assert_eq!(
+        records.len() + leftover.len(),
+        trace.iter().filter(|r| r.at <= end).count(),
+        "rpcsim lost or duplicated requests"
+    );
     records.sort_unstable_by_key(|&(done, idx, _)| (done, idx));
     // Live telemetry replays the canonical completion stream: the poller
     // ticks to each completion time and sees per-OST latency samples in
-    // `(done, index)` order, which both the single-engine and sharded
-    // paths produce identically — alarm logs are therefore byte-stable
-    // across paths and thread counts.
+    // `(done, index)` order, which does not depend on the thread count —
+    // alarm logs are therefore byte-stable across thread budgets.
     if spider_obs::live_enabled() {
         for &(done, idx, lat) in &records {
             spider_obs::live_tick(done.as_nanos());
@@ -115,7 +132,7 @@ fn build_report(
         class.latency.push(lat);
         class.samples.push(lat);
     }
-    for &idx in leftover {
+    for &idx in &leftover {
         let class = if trace[idx as usize].is_read {
             &mut reads
         } else {
@@ -132,78 +149,6 @@ fn build_report(
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Arrival(u32),
-    Complete(u16),
-}
-
-/// Replay `trace` against `osts` until `horizon`. Requests map to OSTs by
-/// client id (file-per-process striping). The trace must be time-sorted.
-pub fn run_interference(
-    osts: &[Ost],
-    trace: &[IoRequest],
-    horizon: SimDuration,
-) -> InterferenceReport {
-    assert!(!osts.is_empty());
-    let n_osts = osts.len();
-    let mut engine: Engine<Ev> = Engine::new();
-    for (i, r) in trace.iter().enumerate() {
-        engine.schedule(r.at, Ev::Arrival(i as u32));
-    }
-
-    // Columnar OST state: all per-OST FIFOs share one arena (a busy flag is
-    // redundant — an OST is busy exactly when its service slot is occupied).
-    let mut queues = FifoArena::new(n_osts);
-    let mut in_service: Vec<Option<u32>> = vec![None; n_osts];
-    let mut records: Vec<Record> = Vec::new();
-
-    let end = SimTime::ZERO + horizon;
-    engine.run(end, |ctx, ev| match ev {
-        Ev::Arrival(idx) => {
-            let req = &trace[idx as usize];
-            let o = (req.client as usize) % n_osts;
-            queues.push_back(o, idx);
-            if in_service[o].is_none() {
-                let next = queues.pop_front(o).expect("just pushed");
-                in_service[o] = Some(next);
-                let d = service_time(&trace[next as usize], &osts[o]);
-                ctx.schedule_in(d, Ev::Complete(o as u16));
-            }
-        }
-        Ev::Complete(o) => {
-            let o = o as usize;
-            let done_idx = in_service[o].take().expect("completion without service");
-            let req = &trace[done_idx as usize];
-            let lat = ctx.now().since(req.at).as_secs_f64();
-            records.push((ctx.now(), done_idx, lat));
-            if let Some(next) = queues.pop_front(o) {
-                in_service[o] = Some(next);
-                let d = service_time(&trace[next as usize], &osts[o]);
-                ctx.schedule_in(d, Ev::Complete(o as u16));
-            }
-        }
-    });
-
-    // Everything still in a service slot or queue when the horizon fired:
-    // walked in OST order, service slot first — the same order the sharded
-    // path's per-shard finish produces.
-    let mut leftover: Vec<u32> = Vec::new();
-    for (o, slot) in in_service.iter().enumerate() {
-        leftover.extend(*slot);
-        leftover.extend(queues.iter(o));
-    }
-
-    if spider_obs::enabled() {
-        spider_obs::counter_add("rpcsim_interference_runs", 1);
-        spider_obs::counter_add("rpcsim_events_fired", engine.processed());
-        spider_obs::queue_high_water_gauge("rpcsim", engine.queue_high_water());
-        spider_obs::mem_gauge("rpcsim_engine", engine.mem_bytes());
-        spider_obs::mem_gauge("rpcsim_fifo", queues.mem_bytes());
-    }
-    build_report(trace, n_osts, records, &leftover)
-}
-
 /// One OST as a PDES shard: the client→OST mapping is static, so arrivals
 /// pre-partition cleanly and the per-OST FIFO dynamics are fully local —
 /// no cross-shard events at all, which makes the legal lookahead the whole
@@ -211,8 +156,7 @@ pub fn run_interference(
 struct OstShard<'a> {
     ost: &'a Ost,
     trace: &'a [IoRequest],
-    /// Single-queue arena: shards run in parallel, so each owns its slab.
-    queue: FifoArena,
+    queue: VecDeque<u32>,
     in_service: Option<u32>,
     records: Vec<Record>,
 }
@@ -223,58 +167,50 @@ enum OstEv {
     Complete,
 }
 
+impl OstShard<'_> {
+    fn start(&mut self, ctx: &mut ShardCtx<'_, '_, OstEv>, idx: u32) {
+        self.in_service = Some(idx);
+        let d = service_time(&self.trace[idx as usize], self.ost);
+        ctx.schedule_in(d, OstEv::Complete);
+    }
+}
+
 impl Shard for OstShard<'_> {
     type Event = OstEv;
     type Out = (Vec<Record>, Vec<u32>);
 
     fn handle(&mut self, ctx: &mut ShardCtx<'_, '_, OstEv>, ev: OstEv) {
         match ev {
-            OstEv::Arrival(idx) => {
-                self.queue.push_back(0, idx);
-                if self.in_service.is_none() {
-                    let next = self.queue.pop_front(0).expect("just pushed");
-                    self.in_service = Some(next);
-                    let d = service_time(&self.trace[next as usize], self.ost);
-                    ctx.schedule_in(d, OstEv::Complete);
-                }
-            }
+            // The queue is empty whenever the server is idle.
+            OstEv::Arrival(idx) if self.in_service.is_none() => self.start(ctx, idx),
+            OstEv::Arrival(idx) => self.queue.push_back(idx),
             OstEv::Complete => {
                 let done_idx = self.in_service.take().expect("completion without service");
                 let req = &self.trace[done_idx as usize];
                 let lat = ctx.now().since(req.at).as_secs_f64();
                 self.records.push((ctx.now(), done_idx, lat));
-                if let Some(next) = self.queue.pop_front(0) {
-                    self.in_service = Some(next);
-                    let d = service_time(&self.trace[next as usize], self.ost);
-                    ctx.schedule_in(d, OstEv::Complete);
+                if let Some(next) = self.queue.pop_front() {
+                    self.start(ctx, next);
                 }
             }
         }
     }
 
     fn finish(self) -> (Vec<Record>, Vec<u32>) {
-        let mut leftover: Vec<u32> = Vec::new();
-        leftover.extend(self.in_service);
-        leftover.extend(self.queue.iter(0));
+        let leftover = self.in_service.into_iter().chain(self.queue).collect();
         (self.records, leftover)
     }
 }
 
-/// [`run_interference`] partitioned one-OST-per-shard on the sharded PDES
-/// engine, epochs running across worker threads. Completions are folded
-/// through the same canonical `(done, index)` sort as the single-engine
-/// path, so the report is **bit-identical** to [`run_interference`]'s —
-/// which stays in the tree as the differential oracle (enforced by
-/// `tests/determinism.rs`). Also returns the engine's run statistics.
-pub fn run_interference_sharded(
-    osts: &[Ost],
-    trace: &[IoRequest],
+/// One shard per OST with every trace arrival pre-loaded onto its OST
+/// (client id modulo the OST count: file-per-process striping), and the
+/// whole horizon as the lookahead.
+fn interference_engine<'a>(
+    osts: &'a [Ost],
+    trace: &'a [IoRequest],
     horizon: SimDuration,
-) -> (InterferenceReport, PdesStats) {
+) -> ShardedEngine<OstShard<'a>> {
     assert!(!osts.is_empty());
-    let n_osts = osts.len();
-    // No cross-shard events: declare the largest lookahead the config
-    // allows so the whole run is one epoch window.
     let lookahead = SimDuration::from_nanos(horizon.as_nanos().max(1));
     let cfg = PdesConfig::new(lookahead, SimTime::ZERO + horizon, 0);
     let shards = osts
@@ -282,31 +218,40 @@ pub fn run_interference_sharded(
         .map(|ost| OstShard {
             ost,
             trace,
-            queue: FifoArena::new(1),
+            queue: VecDeque::new(),
             in_service: None,
             records: Vec::new(),
         })
         .collect();
     let mut engine = ShardedEngine::new(cfg, shards);
     for (i, r) in trace.iter().enumerate() {
-        let o = (r.client as usize) % n_osts;
+        let o = (r.client as usize) % osts.len();
         engine.schedule(o, r.at, OstEv::Arrival(i as u32));
     }
-    let run = engine.run_with_observer(crate::pdesobs::epoch_observer("rpcsim_interference"));
+    engine
+}
+
+/// Replay `trace` against `osts` until `horizon`, one shard per OST on the
+/// sharded PDES engine, epochs running across worker threads. The trace
+/// must be time-sorted. Completions are folded through one canonical
+/// `(done, index)` sort, so the report is bit-identical across thread
+/// budgets and to [`ShardedEngine::run_sequential`] on the same shards.
+/// Also returns the engine's run statistics.
+pub fn run_interference_sharded(
+    osts: &[Ost],
+    trace: &[IoRequest],
+    horizon: SimDuration,
+) -> (InterferenceReport, PdesStats) {
+    let run = interference_engine(osts, trace, horizon)
+        .run_with_observer(crate::pdesobs::epoch_observer("rpcsim_interference"));
     crate::pdesobs::record_run(&run.stats);
     if spider_obs::enabled() {
         spider_obs::counter_add("rpcsim_interference_runs", 1);
         spider_obs::counter_add("rpcsim_events_fired", run.stats.events);
         spider_obs::queue_high_water_gauge("rpcsim", run.stats.queue_high_water);
     }
-    let stats = run.stats;
-    let mut records: Vec<Record> = Vec::new();
-    let mut leftover: Vec<u32> = Vec::new();
-    for (recs, left) in run.outs {
-        records.extend(recs);
-        leftover.extend(left);
-    }
-    (build_report(trace, n_osts, records, &leftover), stats)
+    let report = build_report(trace, osts.len(), horizon, run.outs);
+    (report, run.stats)
 }
 
 /// Result of a metadata create storm against an MDS cluster.
@@ -428,7 +373,7 @@ mod tests {
     fn isolated_analytics_has_low_latency() {
         let osts = osts(8);
         let trace = analytics_trace(8, 1);
-        let rep = run_interference(&osts, &trace, SimDuration::from_secs(400));
+        let rep = run_interference_sharded(&osts, &trace, SimDuration::from_secs(400)).0;
         assert!(rep.reads.completed > 100);
         assert!(
             rep.reads.latency.mean() < 0.25,
@@ -442,9 +387,9 @@ mod tests {
         // LL1's core claim, reproduced at request level.
         let osts = osts(8);
         let analytics = analytics_trace(8, 1);
-        let alone = run_interference(&osts, &analytics, SimDuration::from_secs(400));
+        let alone = run_interference_sharded(&osts, &analytics, SimDuration::from_secs(400)).0;
         let mixed_trace = merge_traces(vec![analytics, checkpoint_trace(8, 2, 1_000)]);
-        let mixed = run_interference(&osts, &mixed_trace, SimDuration::from_secs(400));
+        let mixed = run_interference_sharded(&osts, &mixed_trace, SimDuration::from_secs(400)).0;
         let inflation = mixed.reads.latency.mean() / alone.reads.latency.mean().max(1e-9);
         assert!(
             inflation > 2.0,
@@ -457,7 +402,7 @@ mod tests {
         let osts = osts(4);
         let trace = analytics_trace(4, 3);
         let total = trace.len() as u64;
-        let rep = run_interference(&osts, &trace, SimDuration::from_secs(400));
+        let rep = run_interference_sharded(&osts, &trace, SimDuration::from_secs(400)).0;
         assert_eq!(
             rep.reads.completed + rep.writes.completed + rep.unfinished,
             total
@@ -468,7 +413,7 @@ mod tests {
     fn percentiles_dominate_means() {
         let osts = osts(4);
         let trace = analytics_trace(8, 4);
-        let rep = run_interference(&osts, &trace, SimDuration::from_secs(400));
+        let rep = run_interference_sharded(&osts, &trace, SimDuration::from_secs(400)).0;
         assert!(rep.reads.latency_percentile(0.99) >= rep.reads.latency.mean());
     }
 
@@ -476,8 +421,8 @@ mod tests {
     fn deterministic_replay() {
         let osts = osts(4);
         let trace = analytics_trace(4, 5);
-        let a = run_interference(&osts, &trace, SimDuration::from_secs(200));
-        let b = run_interference(&osts, &trace, SimDuration::from_secs(200));
+        let a = run_interference_sharded(&osts, &trace, SimDuration::from_secs(200)).0;
+        let b = run_interference_sharded(&osts, &trace, SimDuration::from_secs(200)).0;
         assert_eq!(a.reads.completed, b.reads.completed);
         assert_eq!(
             a.reads.latency.mean().to_bits(),
@@ -494,7 +439,7 @@ mod tests {
         let trace = merge_traces(vec![analytics_trace(8, 1), checkpoint_trace(8, 2, 1_000)]);
         let total = trace.len() as u64;
         let horizon = SimDuration::from_secs(150);
-        let rep = run_interference(&osts, &trace, horizon);
+        let rep = run_interference_sharded(&osts, &trace, horizon).0;
         assert!(rep.truncated > 0, "horizon should cut work in flight");
         assert_eq!(
             rep.truncated, rep.unfinished,
@@ -517,15 +462,17 @@ mod tests {
     const TRUNCATED_PIN: u64 = 175;
 
     #[test]
-    fn sharded_interference_matches_the_single_engine_bitwise() {
+    fn sharded_interference_matches_the_sequential_oracle_bitwise() {
         let osts = osts(8);
         let trace = merge_traces(vec![analytics_trace(8, 1), checkpoint_trace(8, 2, 1_000)]);
         let horizon = SimDuration::from_secs(300);
-        let seq = run_interference(&osts, &trace, horizon);
+        let orc = interference_engine(&osts, &trace, horizon).run_sequential();
+        let seq = build_report(&trace, osts.len(), horizon, orc.outs);
         let (shd, stats) = run_interference_sharded(&osts, &trace, horizon);
         assert_eq!(stats.shards, 8);
         assert_eq!(stats.cross_messages, 0, "per-OST dynamics are fully local");
         assert_eq!(stats.epochs, 1, "whole-horizon lookahead: one window");
+        assert_eq!(stats.events, orc.stats.events);
         for (a, b) in [(&seq.reads, &shd.reads), (&seq.writes, &shd.writes)] {
             assert_eq!(a.completed, b.completed);
             assert_eq!(a.bytes, b.bytes);

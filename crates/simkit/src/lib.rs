@@ -28,9 +28,6 @@
 //! - [`mem`]: deterministic memory accounting ([`MemFootprint`]) — container
 //!   capacities, never wall-clock or allocator globals, so byte gauges are
 //!   reproducible run to run.
-//! - [`fifo`]: a columnar multi-queue FIFO arena ([`FifoArena`]) — all of a
-//!   model's per-server queues in one slab with a shared free list,
-//!   `VecDeque`-identical ordering at a fraction of the allocations.
 //! - [`hist`]: linear and logarithmic histograms.
 //! - [`series`]: fixed-interval time series (server-side throughput logs) with
 //!   the signal-processing helpers IOSI needs (smoothing, correlation,
@@ -42,7 +39,6 @@
 
 pub mod dist;
 pub mod engine;
-pub mod fifo;
 pub mod hist;
 pub mod mem;
 pub mod montecarlo;
@@ -55,7 +51,6 @@ pub mod units;
 
 pub use dist::Dist;
 pub use engine::{Engine, EventContext};
-pub use fifo::FifoArena;
 pub use hist::Histogram;
 pub use mem::{slab_bytes, MemFootprint};
 pub use montecarlo::{replicate, Estimate, McConfig, McRun, Merge};

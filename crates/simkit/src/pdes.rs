@@ -314,45 +314,54 @@ impl<S: Shard> ShardedEngine<S> {
             stats.epochs += 1;
             stats.events += delivered;
             stats.cross_messages += messages;
-            let mut qhw = 0usize;
-            for slot in &self.slots {
-                qhw = qhw.max(slot.engine.queue_high_water());
-            }
-            stats.queue_high_water = qhw;
+            stats.queue_high_water = self.queue_high_water();
             observer(&EpochReport {
                 index: stats.epochs - 1,
                 start,
                 end,
                 events: delivered,
                 messages,
-                queue_high_water: qhw,
+                queue_high_water: stats.queue_high_water,
             });
         }
         self.finish(stats)
     }
 
-    /// The epoch barrier's second half: drain every shard's outboxes into
-    /// the destination engines in fixed `(src, dst, send)` order. This is
-    /// the step that erases rayon's scheduling order — whatever order the
-    /// window closures *finished* in, messages are delivered in `src`
-    /// ascending order. Mailboxes are drained **in place**: each inner `Vec`
-    /// keeps its capacity for the next window, so steady-state epochs
-    /// allocate nothing (the outer `Vec<Vec<_>>` is moved out and back to
-    /// satisfy the borrow checker — an O(1) pointer swap). Returns the
+    /// The epoch barrier's second half: deliver every shard's outboxes in
+    /// `src` ascending order. This is the step that erases rayon's
+    /// scheduling order — whatever order the window closures *finished*
+    /// in, messages arrive in fixed `(src, dst, send)` order. Returns the
     /// cross-shard message count.
     fn flush_mailboxes(&mut self) -> u64 {
+        (0..self.slots.len()).map(|src| self.deliver(src)).sum()
+    }
+
+    /// Drain shard `src`'s outboxes into the destination engines, `dst`
+    /// ascending then send order; both run modes deliver through here.
+    /// Mailboxes are drained **in place**: each inner `Vec` keeps its
+    /// capacity, so steady-state delivery allocates nothing (the outer
+    /// `Vec<Vec<_>>` is moved out and back to satisfy the borrow checker —
+    /// an O(1) pointer swap). Returns the message count.
+    fn deliver(&mut self, src: usize) -> u64 {
         let mut messages = 0u64;
-        for src in 0..self.slots.len() {
-            let mut outboxes = std::mem::take(&mut self.slots[src].outbox);
-            for (dst, mail) in outboxes.iter_mut().enumerate() {
-                for (at, ev) in mail.drain(..) {
-                    self.slots[dst].engine.schedule(at, ev);
-                    messages += 1;
-                }
+        let mut outboxes = std::mem::take(&mut self.slots[src].outbox);
+        for (dst, mail) in outboxes.iter_mut().enumerate() {
+            for (at, ev) in mail.drain(..) {
+                self.slots[dst].engine.schedule(at, ev);
+                messages += 1;
             }
-            self.slots[src].outbox = outboxes;
         }
+        self.slots[src].outbox = outboxes;
         messages
+    }
+
+    /// Largest pending-event queue any shard has held so far.
+    fn queue_high_water(&self) -> usize {
+        self.slots
+            .iter()
+            .map(|s| s.engine.queue_high_water())
+            .max()
+            .unwrap_or(0)
     }
 
     /// The differential oracle: execute the identical shard set on one
@@ -401,23 +410,11 @@ impl<S: Shard> ShardedEngine<S> {
             });
             debug_assert!(stepped, "best shard had a pending event before bound");
             stats.events += 1;
-            // Immediate delivery, dst ascending then send order — within
-            // one send instant this matches the barrier flush order. Drained
-            // in place so mailbox capacity survives across events.
-            let mut outboxes = std::mem::take(&mut self.slots[sid].outbox);
-            for (dst, mail) in outboxes.iter_mut().enumerate() {
-                for (at, ev) in mail.drain(..) {
-                    self.slots[dst].engine.schedule(at, ev);
-                    stats.cross_messages += 1;
-                }
-            }
-            self.slots[sid].outbox = outboxes;
+            // Immediate delivery — within one send instant this matches the
+            // barrier's order.
+            stats.cross_messages += self.deliver(sid);
         }
-        let mut qhw = 0usize;
-        for slot in &self.slots {
-            qhw = qhw.max(slot.engine.queue_high_water());
-        }
-        stats.queue_high_water = qhw;
+        stats.queue_high_water = self.queue_high_water();
         self.finish(stats)
     }
 

@@ -10,7 +10,7 @@
 //! cargo run --release --example checkpoint_storm
 //! ```
 
-use spider::core::rpcsim::run_interference;
+use spider::core::rpcsim::run_interference_sharded;
 use spider::pfs::ost::{Ost, OstId};
 use spider::prelude::*;
 use spider::storage::disk::{Disk, DiskId, DiskSpec};
@@ -47,7 +47,7 @@ fn main() {
     let analytics = merge_traces(analytics);
 
     // Baseline: analytics alone.
-    let alone = run_interference(&osts, &analytics, horizon);
+    let alone = run_interference_sharded(&osts, &analytics, horizon).0;
     println!(
         "analytics alone:      mean read latency {:>8.1} ms, p99 {:>8.1} ms ({} reads)",
         alone.reads.latency.mean() * 1e3,
@@ -68,7 +68,7 @@ fn main() {
         })
         .collect();
     let mixed = merge_traces(vec![analytics.clone(), merge_traces(checkpoints)]);
-    let storm = run_interference(&osts, &mixed, horizon);
+    let storm = run_interference_sharded(&osts, &mixed, horizon).0;
     println!(
         "with checkpoint storm: mean read latency {:>7.1} ms, p99 {:>8.1} ms ({} reads)",
         storm.reads.latency.mean() * 1e3,
