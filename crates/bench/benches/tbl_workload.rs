@@ -1,4 +1,5 @@
-//! Bench for E5: workload generation and characterization throughput.
+//! Bench for E5 and E7's background: workload generation and
+//! characterization throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -25,10 +26,25 @@ fn bench(c: &mut Criterion) {
             )
         });
     });
+    // E7's background: only the analytics and visualization streams of one
+    // hour-long application run.
+    g.bench_function("generate_e7_background_streams_1h", |b| {
+        b.iter(|| {
+            let mut rng = SimRng::seed_from_u64(1);
+            black_box(CenterWorkload::olcf_production().generate_streams(
+                SimDuration::from_hours(1),
+                &mut rng,
+                48..76,
+            ))
+        });
+    });
+    // E5 characterizes the per-stream traces without merging them.
+    let wl = CenterWorkload::olcf_production();
     let mut rng = SimRng::seed_from_u64(2);
-    let trace = CenterWorkload::olcf_production().generate(SimDuration::from_mins(10), &mut rng);
-    g.bench_function(format!("characterize_{}_requests", trace.len()), |b| {
-        b.iter(|| black_box(characterize(&trace)));
+    let streams = wl.generate_streams(SimDuration::from_mins(10), &mut rng, 0..wl.total_streams());
+    let requests: usize = streams.iter().map(Vec::len).sum();
+    g.bench_function(format!("characterize_{requests}_requests"), |b| {
+        b.iter(|| black_box(characterize(streams.iter().flatten())));
     });
     g.finish();
 }

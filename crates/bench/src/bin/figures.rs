@@ -4,7 +4,7 @@
 //! figures [--scale paper|small] [--json PATH] [--obs DIR] [IDS...]
 //! ```
 //!
-//! With no ids, all of E1–E15 run. `--json PATH` additionally writes the
+//! With no ids, every experiment runs (E1–E21). `--json PATH` additionally writes the
 //! tables as machine-readable JSON (used to refresh `EXPERIMENTS.md`).
 //!
 //! `--obs DIR` (or the `SPIDER_OBS` env var) enables the `spider-obs`

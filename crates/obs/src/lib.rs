@@ -319,12 +319,22 @@ pub fn registry_snapshot() -> Option<Registry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    /// The full global lifecycle in ONE test: the facade is process-global,
-    /// so concurrent tests must not interleave init/finish. All other obs
-    /// tests use the component structs directly.
+    /// The facade is process-global and `cargo test` runs tests on parallel
+    /// threads, so every test that touches it holds this lock: a helper
+    /// called inside another test's enabled window would record into that
+    /// test's registry.
+    fn global_facade() -> MutexGuard<'static, ()> {
+        static FACADE: Mutex<()> = Mutex::new(());
+        FACADE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The full global lifecycle in ONE test, so init/finish never
+    /// interleave. All other obs tests use the component structs directly.
     #[test]
     fn global_lifecycle_writes_deterministic_sinks() {
+        let _facade = global_facade();
         let dir = std::env::temp_dir().join(format!("spider-obs-test-{}", std::process::id()));
 
         let run = |tag: &str| {
@@ -416,9 +426,7 @@ mod tests {
 
     #[test]
     fn disabled_helpers_are_noops() {
-        // Never init'd in this test (and the lifecycle test always finishes,
-        // so worst case we race an enabled window and the asserts still
-        // hold: these helpers don't panic either way).
+        let _facade = global_facade();
         counter_add("nope", 1);
         gauge_max("nope", 1.0);
         hist_record("nope", 1.0);

@@ -226,13 +226,19 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 /// times with this estimator to verify the paper's Pareto claim (§II): a
 /// genuinely Pareto(alpha) sample yields an estimate near `alpha`, while a
 /// light-tailed (e.g. exponential) sample yields a large, drifting estimate.
+///
+/// Only the top `k + 1` values are ordered: a selection puts the
+/// (k+1)-th largest at `v[k]` and the `k` larger ones before it, which are
+/// then sorted descending. The sum runs over the same values in the same
+/// order as after a full sort, so the estimate is the same bit for bit.
 pub fn hill_tail_index(samples: &[f64], k: usize) -> f64 {
     assert!(k >= 1 && k < samples.len(), "need 1 <= k < n");
     let mut v: Vec<f64> = samples.iter().copied().filter(|x| *x > 0.0).collect();
     assert!(v.len() > k, "not enough positive samples");
-    v.sort_by(|a, b| b.partial_cmp(a).expect("NaN in hill input"));
-    let x_k = v[k]; // (k+1)-th largest
-    let sum: f64 = v[..k].iter().map(|x| (x / x_k).ln()).sum();
+    let desc = |a: &f64, b: &f64| b.partial_cmp(a).expect("NaN in hill input");
+    let (top, &mut x_k, _) = v.select_nth_unstable_by(k, desc); // (k+1)-th largest
+    top.sort_by(desc);
+    let sum: f64 = top.iter().map(|x| (x / x_k).ln()).sum();
     k as f64 / sum
 }
 
@@ -365,6 +371,41 @@ mod tests {
         let xs: Vec<f64> = (0..50_000).map(|_| rng.pareto(1.0, alpha)).collect();
         let est = hill_tail_index(&xs, 2_000);
         assert!((est - alpha).abs() < 0.15, "estimate {est}");
+    }
+
+    /// The Hill estimate over a fully sorted copy, as computed before the
+    /// selection.
+    fn hill_by_full_sort(samples: &[f64], k: usize) -> f64 {
+        let mut v: Vec<f64> = samples.iter().copied().filter(|x| *x > 0.0).collect();
+        v.sort_by(|a, b| b.total_cmp(a));
+        let sum: f64 = v[..k].iter().map(|x| (x / v[k]).ln()).sum();
+        k as f64 / sum
+    }
+
+    /// Most draws come from a few levels (zero and a negative among them,
+    /// which the estimator drops), so order statistics tie often, and
+    /// the rest are distinct, so a change in summation order shows.
+    const LEVELS: [f64; 5] = [0.0, -1.0, 0.5, 1.0, 2.0];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hill_selection_matches_full_sort_bitwise(
+            draws in proptest::collection::vec((0usize..8, 0.25f64..64.0), 2..400),
+        ) {
+            let xs: Vec<f64> = draws
+                .iter()
+                .map(|&(level, x)| LEVELS.get(level).copied().unwrap_or(x))
+                .collect();
+            let m = xs.iter().filter(|x| **x > 0.0).count();
+            proptest::prop_assume!(m >= 2);
+            for k in [1, m / 2, m - 1] {
+                let got = hill_tail_index(&xs, k);
+                let want = hill_by_full_sort(&xs, k);
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "k = {}", k);
+            }
+        }
     }
 
     #[test]

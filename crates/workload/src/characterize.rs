@@ -35,31 +35,38 @@ pub struct Characterization {
 /// Gaps longer than this split busy periods (idle-time extraction).
 const IDLE_THRESHOLD: SimDuration = SimDuration::from_secs(5);
 
-/// Analyze a time-sorted trace.
-pub fn characterize(trace: &[IoRequest]) -> Characterization {
-    assert!(trace.len() >= 2, "need at least two requests");
-    let n = trace.len() as f64;
-    let writes = trace.iter().filter(|r| !r.is_read).count() as f64;
-    let small = trace.iter().filter(|r| r.size <= 16 * 1024).count() as f64;
-    let large = trace
-        .iter()
-        .filter(|r| r.size > 16 * 1024 && r.size % (1 << 20) == 0)
-        .count() as f64;
-
+/// Analyze a trace in one pass.
+///
+/// Only each client's requests need be in time order, so a merged trace and
+/// the unmerged per-stream traces (`streams.iter().flatten()`) give the same
+/// statistics bit for bit. Per-client state is a `Vec` indexed by client
+/// id, so ids are expected to be dense, as the workload composers make them.
+pub fn characterize<'a>(trace: impl IntoIterator<Item = &'a IoRequest>) -> Characterization {
+    let mut requests = 0usize;
+    let (mut writes, mut small, mut large) = (0usize, 0usize, 0usize);
     let mut size_histogram = Histogram::log2(512.0, 16);
-    for r in trace {
-        size_histogram.record(r.size as f64);
-    }
-
     // Per-client inter-arrival and idle samples (mixing clients would
     // conflate source behaviour with scheduling).
     let mut inter: Vec<f64> = Vec::new();
     let mut idle: Vec<f64> = Vec::new();
-    let mut last_by_client: std::collections::BTreeMap<u32, u64> =
-        std::collections::BTreeMap::new();
+    let mut last_by_client: Vec<Option<u64>> = Vec::new();
     for r in trace {
-        if let Some(prev) = last_by_client.insert(r.client, r.at.as_nanos()) {
-            let gap = (r.at.as_nanos() - prev) as f64 / 1e9;
+        requests += 1;
+        writes += usize::from(!r.is_read);
+        if r.size <= 16 * 1024 {
+            small += 1;
+        } else if r.size % (1 << 20) == 0 {
+            large += 1;
+        }
+        size_histogram.record(r.size as f64);
+
+        let client = r.client as usize;
+        if client >= last_by_client.len() {
+            last_by_client.resize(client + 1, None);
+        }
+        let now = r.at.as_nanos();
+        if let Some(prev) = last_by_client[client].replace(now) {
+            let gap = (now - prev) as f64 / 1e9;
             if gap > IDLE_THRESHOLD.as_secs_f64() {
                 idle.push(gap);
             } else if gap > 0.0 {
@@ -67,6 +74,9 @@ pub fn characterize(trace: &[IoRequest]) -> Characterization {
             }
         }
     }
+    assert!(requests >= 2, "need at least two requests");
+    let n = requests as f64;
+    let (writes, small, large) = (writes as f64, small as f64, large as f64);
 
     let inter_arrival_tail = if inter.len() > 100 {
         hill_tail_index(&inter, inter.len() / 20)
@@ -80,7 +90,7 @@ pub fn characterize(trace: &[IoRequest]) -> Characterization {
     };
 
     Characterization {
-        requests: trace.len(),
+        requests,
         write_fraction: writes / n,
         small_fraction: small / n,
         large_aligned_fraction: large / n,
@@ -185,6 +195,41 @@ mod tests {
             (valley as f64) < 0.25 * (below + at_1mib) as f64,
             "valley {valley} vs modes {}",
             below + at_1mib
+        );
+    }
+
+    #[test]
+    fn unmerged_streams_characterize_like_the_merged_trace() {
+        let wl = CenterWorkload::olcf_production();
+        let mut rng = SimRng::seed_from_u64(42);
+        let streams =
+            wl.generate_streams(SimDuration::from_mins(30), &mut rng, 0..wl.total_streams());
+        let unmerged = characterize(streams.iter().flatten());
+        let merged = characterize(&crate::generator::merge_traces(streams));
+        assert_eq!(unmerged.requests, merged.requests);
+        let bits = |c: &Characterization| {
+            [
+                c.write_fraction,
+                c.small_fraction,
+                c.large_aligned_fraction,
+                c.bimodal_coverage,
+                c.inter_arrival_tail,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(&unmerged), bits(&merged));
+        assert!(merged.idle_tail.is_some(), "the idle tail is exercised");
+        assert_eq!(
+            unmerged.idle_tail.map(f64::to_bits),
+            merged.idle_tail.map(f64::to_bits)
+        );
+        assert_eq!(
+            unmerged.size_histogram.total(),
+            merged.size_histogram.total()
+        );
+        assert_eq!(
+            unmerged.size_histogram.counts(),
+            merged.size_histogram.counts()
         );
     }
 

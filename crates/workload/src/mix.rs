@@ -7,6 +7,9 @@
 //! data-centric design must be sized for — including the published 60/40
 //! write/read split.
 
+use std::ops::Range;
+
+use rayon::prelude::*;
 use spider_simkit::{SimDuration, SimRng};
 
 use crate::generator::{generate_trace, merge_traces};
@@ -82,16 +85,42 @@ impl CenterWorkload {
 
     /// Generate the merged, time-sorted request trace over `horizon`.
     pub fn generate(&self, horizon: SimDuration, rng: &mut SimRng) -> Vec<IoRequest> {
-        let mut traces = Vec::new();
+        merge_traces(self.generate_streams(horizon, rng, 0..self.total_streams()))
+    }
+
+    /// Generate the time-sorted trace of each stream in `clients` over
+    /// `horizon`, one `Vec` per client in client order.
+    ///
+    /// Every stream's seed is forked from `rng` in client order, generated
+    /// or not, so `rng` ends in the same state for any `clients` and each
+    /// returned stream is exactly that client's requests in
+    /// [`generate`](Self::generate).
+    pub fn generate_streams(
+        &self,
+        horizon: SimDuration,
+        rng: &mut SimRng,
+        clients: Range<u32>,
+    ) -> Vec<Vec<IoRequest>> {
+        assert!(
+            clients.end <= self.total_streams(),
+            "clients {clients:?} beyond the mix's {} streams",
+            self.total_streams()
+        );
+        let mut jobs = Vec::new();
         let mut client = 0u32;
         for source in &self.sources {
             for _ in 0..source.streams {
-                let mut child = rng.fork(client as u64);
-                traces.push(generate_trace(&source.spec, client, horizon, &mut child));
+                let child = rng.fork(u64::from(client));
+                if clients.contains(&client) {
+                    jobs.push((&source.spec, client, child));
+                }
                 client += 1;
             }
         }
-        merge_traces(traces)
+        // spider-lint: allow(taint-path, reason = "every seed is forked from rng before the parallel section, and the ordered collect puts stream i at index i, so the output is the same at every thread budget")
+        jobs.par_iter_mut()
+            .map(|(spec, client, child)| generate_trace(spec, *client, horizon, child))
+            .collect()
     }
 }
 
@@ -132,6 +161,38 @@ mod tests {
             wl.generate(SimDuration::from_mins(10), &mut rng).len()
         };
         assert_eq!(run(7), run(7));
+    }
+
+    #[test]
+    fn selected_streams_equal_their_part_of_the_merged_trace() {
+        let wl = CenterWorkload::olcf_production();
+        let horizon = SimDuration::from_mins(10);
+        let mut full_rng = SimRng::seed_from_u64(4);
+        let merged = wl.generate(horizon, &mut full_rng);
+        let mut part_rng = SimRng::seed_from_u64(4);
+        let streams = wl.generate_streams(horizon, &mut part_rng, 48..76);
+        assert_eq!(streams.len(), 28);
+        for (stream, client) in streams.iter().zip(48u32..) {
+            let expected: Vec<IoRequest> = merged
+                .iter()
+                .filter(|r| r.client == client)
+                .copied()
+                .collect();
+            assert!(!expected.is_empty(), "client {client} is silent");
+            assert_eq!(*stream, expected, "client {client}");
+        }
+        // Both calls forked all 80 seeds, so the generators agree after.
+        for _ in 0..4 {
+            assert_eq!(full_rng.f64().to_bits(), part_rng.f64().to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the mix")]
+    fn rejects_clients_past_the_last_stream() {
+        let wl = CenterWorkload::olcf_production();
+        let mut rng = SimRng::seed_from_u64(5);
+        wl.generate_streams(SimDuration::from_mins(1), &mut rng, 70..81);
     }
 
     #[test]
