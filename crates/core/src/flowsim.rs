@@ -1,13 +1,15 @@
 //! The steady-state flow-level throughput engine.
 //!
 //! Every client I/O stream crosses the chain *client process → LNET router →
-//! IB leaf → OSS → controller couplet → OST*; each stage is a capacitated
-//! resource and the allocation is max-min fair (`spider-net::maxmin`). This
-//! is the engine behind Figures 3 and 4 and the §V-C upgrade experiment: the
-//! plateau emerges from the controller couplets, the ramp slope from the
-//! per-process rate, and the transfer-size shape from the client RPC model
-//! composed with the RAID full-stripe/RMW model.
+//! OSS link → controller couplet → OST*; the process is a per-flow rate cap,
+//! each later stage a capacitated resource, and the allocation is max-min
+//! fair (`spider-net::maxmin`). This is the engine behind Figures 3 and 4
+//! and the §V-C upgrade experiment: the plateau emerges from the controller
+//! couplets, the ramp slope from the per-process rate, and the
+//! transfer-size shape from the client RPC model composed with the RAID
+//! full-stripe/RMW model.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -58,43 +60,15 @@ impl FlowSolution {
         self.class_of_client.len()
     }
 
-    /// Number of weighted (OST, router) classes.
-    pub fn classes(&self) -> usize {
-        self.class_rate.len()
-    }
-
-    /// Sustained rate of client `i`.
-    pub fn client_rate(&self, i: usize) -> Bandwidth {
-        let c = self.class_of_client[i] as usize;
-        Bandwidth(self.class_rate[c])
-    }
-
-    /// Per-class member rates, in class order.
-    pub fn class_rates(&self) -> &[f64] {
-        &self.class_rate
-    }
-
-    /// Class index of each client (shared map, cheap to clone).
-    pub fn class_map(&self) -> &Arc<Vec<u32>> {
-        &self.class_of_client
-    }
-
-    /// Expand to an owned per-client vector (`clients()` elements). Prefer
-    /// [`Self::expand_into`] (or staying at class level) in loops.
+    /// Expand to an owned per-client vector (`clients()` elements).
     pub fn per_client(&self) -> Vec<Bandwidth> {
-        let mut out = Vec::with_capacity(self.clients());
-        self.expand_into(&mut out);
-        out
-    }
-
-    /// Expand into `out` (cleared first, capacity retained) — the
-    /// allocation-free path for callers that expand repeatedly.
-    pub fn expand_into(&self, out: &mut Vec<Bandwidth>) {
-        out.clear();
-        out.extend(self.class_of_client.iter().map(|&c| {
-            let rate = self.class_rate[c as usize];
-            Bandwidth(rate)
-        }));
+        self.class_of_client
+            .iter()
+            .map(|&c| {
+                let rate = self.class_rate[c as usize];
+                Bandwidth(rate)
+            })
+            .collect()
     }
 }
 
@@ -108,7 +82,7 @@ fn ost_of_client(i: u32, n_osts: usize) -> OstId {
 /// Router serving client `i` whose destination SSU is `ssu`: fine-grained
 /// routing picks a router of the destination group (group index == SSU mod
 /// groups), spreading clients round-robin within the group's precomputed
-/// membership table. Shared by `solve` and `solve_concurrent`.
+/// membership table.
 fn router_of_client(center: &Center, ssu: usize, i: u32) -> usize {
     let group = ssu % center.routers.groups.max(1) as usize;
     let members = center.routers_of_group(group);
@@ -119,166 +93,176 @@ fn router_of_client(center: &Center, ssu: usize, i: u32) -> usize {
     }
 }
 
-/// Collapse per-client flows into weighted classes. All clients hitting the
-/// same (OST, router) pair cross *identical* resources with the *same* cap,
-/// and max-min fairness gives identical members identical rates — so the
-/// solver only needs one weighted flow per class (~n_osts classes instead of
-/// up to 18,688 client flows at Titan scale). `class_of_client[i]` maps each
-/// client back to its class for rate expansion.
-struct FlowClasses {
-    classes: Vec<FlowSpec>,
-    class_of_client: Vec<u32>,
+/// Panic on a test no namespace skeleton can serve: an unknown namespace,
+/// or one with no OSTs to spread its clients over.
+fn check_test(center: &Center, t: &FlowTest) {
+    assert!(t.fs < center.namespaces(), "unknown namespace");
+    assert!(
+        center.filesystems[t.fs].ost_count() > 0,
+        "namespace {} has no OSTs",
+        t.fs
+    );
 }
 
-impl FlowClasses {
-    /// `key_of` names client `i`'s (OST, router) pair; `spec_of` builds the
-    /// path spec for a pair the first time it appears. Splitting the two
-    /// keeps the per-client loop allocation-free — at 10^6 clients only the
-    /// ~10^2 class-founding clients ever build a `FlowSpec`.
+/// One namespace's resource skeleton: the solver handles of its OSTs, OSS
+/// links and controller couplets.
+struct NsSkeleton {
+    ost_res: Vec<ResourceId>,
+    oss_res: Vec<ResourceId>,
+    ssu_to_res: BTreeMap<usize, ResourceId>,
+}
+
+impl NsSkeleton {
+    /// Register namespace `fs_idx`'s OSTs, OSS links and couplets, in that
+    /// order: registration order fixes the resource ids, and the solver
+    /// breaks saturation ties by id. Each OST is priced at its device rate
+    /// for `rpc_bytes` RPCs in the given direction, derated by OSS software.
     fn build(
-        clients: u32,
-        mut key_of: impl FnMut(u32) -> (u32, usize),
-        mut spec_of: impl FnMut(u32, usize) -> FlowSpec,
+        problem: &mut MaxMinProblem,
+        center: &Center,
+        fs_idx: usize,
+        write: bool,
+        rpc_bytes: u64,
     ) -> Self {
+        let fs = &center.filesystems[fs_idx];
+        let ost_res = fs
+            .osts
+            .iter()
+            .map(|ost| {
+                let oss = fs.oss_of(ost.id);
+                let dev = if write {
+                    ost.write_bandwidth(rpc_bytes, true) * oss.write_efficiency()
+                } else {
+                    ost.read_bandwidth(rpc_bytes, true) * oss.read_efficiency()
+                };
+                problem.add_resource(dev.as_bytes_per_sec())
+            })
+            .collect();
+        let oss_res = fs
+            .oss
+            .iter()
+            .map(|o| problem.add_resource(o.network_cap().as_bytes_per_sec()))
+            .collect();
+        let mut ssu_to_res = BTreeMap::new();
+        for ost_idx in 0..fs.ost_count() {
+            let ssu = center.ssu_index(fs_idx, OstId(ost_idx as u32));
+            ssu_to_res.entry(ssu).or_insert_with(|| {
+                problem.add_resource(center.controllers[ssu].throughput_cap().as_bytes_per_sec())
+            });
+        }
+        NsSkeleton {
+            ost_res,
+            oss_res,
+            ssu_to_res,
+        }
+    }
+}
+
+/// Register the LNET router plant, which every namespace shares; it follows
+/// the namespace skeletons.
+fn router_plant(problem: &mut MaxMinProblem, center: &Center) -> Vec<ResourceId> {
+    center
+        .routers
+        .routers
+        .iter()
+        .map(|r| problem.add_resource(r.capacity.as_bytes_per_sec()))
+        .collect()
+}
+
+/// One test's weighted-class decomposition. All clients hitting the same
+/// (OST, router) pair cross *identical* resources with the *same* cap, and
+/// max-min fairness gives identical members identical rates — so the
+/// solver only needs one weighted flow per class (~n_osts classes instead
+/// of up to 18,688 client flows at Titan scale). The client→class map is
+/// `Arc`-shared with every [`FlowSolution`] handed out for this shape, so
+/// repeated solves at 10^6 clients reuse one 4 MB map instead of copying it.
+struct ClassSet {
+    classes: Vec<FlowSpec>,
+    class_of_client: Arc<Vec<u32>>,
+}
+
+impl ClassSet {
+    /// Collapse `t`'s clients onto the skeleton `ns` of namespace `t.fs`
+    /// and the router plant. The per-client loop is allocation-free: at
+    /// 10^6 clients only the ~10^2 class-founding clients build a
+    /// `FlowSpec`.
+    fn build(center: &Center, t: &FlowTest, ns: &NsSkeleton, router_res: &[ResourceId]) -> Self {
+        let fs = &center.filesystems[t.fs];
+        let n_osts = fs.ost_count();
+        let per_process = center
+            .config
+            .client
+            .process_rate(t.transfer_size, t.optimal_placement)
+            .as_bytes_per_sec();
         // BTreeMap keeps the key->class map free of process-seeded
         // iteration order; class indices themselves stay insertion-ordered
         // (first client on a path names its class) either way.
-        let mut key_to_class: std::collections::BTreeMap<(u32, usize), u32> =
-            std::collections::BTreeMap::new();
+        let mut key_to_class: BTreeMap<(u32, usize), u32> = BTreeMap::new();
         let mut classes: Vec<FlowSpec> = Vec::new();
-        let mut class_of_client = Vec::with_capacity(clients as usize);
-        for i in 0..clients {
-            let (ost, router) = key_of(i);
-            let idx = match key_to_class.entry((ost, router)) {
-                std::collections::btree_map::Entry::Occupied(e) => {
+        let mut class_of_client = Vec::with_capacity(t.clients as usize);
+        for i in 0..t.clients {
+            let ost = ost_of_client(i, n_osts);
+            let ssu = center.ssu_index(t.fs, ost);
+            let router = router_of_client(center, ssu, i);
+            let idx = match key_to_class.entry((ost.0, router)) {
+                Entry::Occupied(e) => {
                     let idx = *e.get();
                     classes[idx as usize].weight += 1.0;
                     idx
                 }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    classes.push(spec_of(ost, router));
+                Entry::Vacant(e) => {
+                    classes.push(
+                        FlowSpec::new(vec![
+                            router_res[router],
+                            ns.oss_res[fs.oss_index_of(ost)],
+                            ns.ssu_to_res[&ssu],
+                            ns.ost_res[ost.0 as usize],
+                        ])
+                        .with_cap(per_process),
+                    );
                     *e.insert(classes.len() as u32 - 1)
                 }
             };
             class_of_client.push(idx);
         }
-        let fc = FlowClasses {
-            classes,
-            class_of_client,
-        };
         if spider_obs::enabled() {
-            spider_obs::counter_add("flowsim_clients", clients as u64);
-            spider_obs::counter_add("flowsim_classes", fc.classes.len() as u64);
-            if !fc.classes.is_empty() {
+            spider_obs::counter_add("flowsim_clients", t.clients as u64);
+            spider_obs::counter_add("flowsim_classes", classes.len() as u64);
+            if !classes.is_empty() {
                 // Collapse ratio: member flows folded into each solver class.
                 spider_obs::hist_record(
                     "flowsim_collapse_ratio",
-                    clients as f64 / fc.classes.len() as f64,
+                    t.clients as f64 / classes.len() as f64,
                 );
             }
         }
-        fc
+        ClassSet {
+            classes,
+            class_of_client: Arc::new(class_of_client),
+        }
     }
 }
 
-/// The one-test problem build behind [`solve`]: the full resource chain for
-/// `test.fs` plus the weighted class decomposition of the clients.
-fn build_problem(center: &Center, test: &FlowTest) -> (MaxMinProblem, FlowClasses, usize) {
-    assert!(test.fs < center.namespaces(), "unknown namespace");
+/// Solve a flow test against the center: one stateless max-min solve over
+/// the test's namespace skeleton, with every OST priced at the test's own
+/// direction and RPC size, plus the router plant.
+pub fn solve(center: &Center, test: &FlowTest) -> FlowSolution {
+    check_test(center, test);
     assert!(test.clients > 0 && test.transfer_size > 0);
-    let fs = &center.filesystems[test.fs];
-    let n_osts = fs.ost_count();
-    assert!(n_osts > 0, "namespace {} has no OSTs", test.fs);
-    assert!(center.fabric.leaves > 0, "IB fabric has no leaf switches");
-    let client_cfg = &center.config.client;
-
     // RPC size actually hitting the OST: transfers above the RPC size are
     // split into RPC-size chunks; smaller transfers ship as-is (and pay the
     // partial-stripe penalty at the RAID layer).
-    let rpc_bytes = test.transfer_size.min(client_cfg.rpc_size);
-
+    let rpc_bytes = test.transfer_size.min(center.config.client.rpc_size);
     let mut problem = MaxMinProblem::new();
-
-    // OST resources: device rate at the RPC size, derated by OSS software.
-    let ost_res: Vec<ResourceId> = fs
-        .osts
-        .iter()
-        .map(|ost| {
-            let oss = fs.oss_of(ost.id);
-            let dev = if test.write {
-                ost.write_bandwidth(rpc_bytes, true) * oss.write_efficiency()
-            } else {
-                ost.read_bandwidth(rpc_bytes, true) * oss.read_efficiency()
-            };
-            problem.add_resource(dev.as_bytes_per_sec())
-        })
-        .collect();
-
-    // OSS network links.
-    let oss_res: Vec<ResourceId> = fs
-        .oss
-        .iter()
-        .map(|o| problem.add_resource(o.network_cap().as_bytes_per_sec()))
-        .collect();
-
-    // Controller couplets of the SSUs backing this namespace.
-    let mut ssu_to_res: std::collections::BTreeMap<usize, ResourceId> =
-        std::collections::BTreeMap::new();
-    for ost_idx in 0..n_osts {
-        let ssu = center.ssu_index(test.fs, OstId(ost_idx as u32));
-        ssu_to_res.entry(ssu).or_insert_with(|| {
-            problem.add_resource(center.controllers[ssu].throughput_cap().as_bytes_per_sec())
-        });
-    }
-
-    // LNET routers (all groups serving this namespace's SSUs) and IB leaves.
-    let router_res: Vec<ResourceId> = center
-        .routers
-        .routers
-        .iter()
-        .map(|r| problem.add_resource(r.capacity.as_bytes_per_sec()))
-        .collect();
-    let leaf_res: Vec<ResourceId> = (0..center.fabric.leaves)
-        .map(|_| problem.add_resource(center.fabric.leaf_capacity.as_bytes_per_sec()))
-        .collect();
-
-    // Weighted flow classes: (OST, router) determines the whole path.
-    let per_process = client_cfg
-        .process_rate(test.transfer_size, test.optimal_placement)
-        .as_bytes_per_sec();
-    let fc = FlowClasses::build(
-        test.clients,
-        |i| {
-            let ost = ost_of_client(i, n_osts);
-            let ssu = center.ssu_index(test.fs, ost);
-            (ost.0, router_of_client(center, ssu, i))
-        },
-        |ost, router_idx| {
-            let ost = OstId(ost);
-            let ssu = center.ssu_index(test.fs, ost);
-            let leaf = center.routers.routers[router_idx].ib_leaf.0 as usize % leaf_res.len();
-            FlowSpec::new(vec![
-                router_res[router_idx],
-                leaf_res[leaf],
-                oss_res[fs.oss_index_of(ost)],
-                ssu_to_res[&ssu],
-                ost_res[ost.0 as usize],
-            ])
-            .with_cap(per_process)
-        },
-    );
-    (problem, fc, n_osts)
-}
-
-/// Solve a flow test against the center.
-pub fn solve(center: &Center, test: &FlowTest) -> FlowSolution {
-    let (problem, fc, n_osts) = build_problem(center, test);
+    let ns = NsSkeleton::build(&mut problem, center, test.fs, test.write, rpc_bytes);
+    let router_res = router_plant(&mut problem, center);
+    let set = ClassSet::build(center, test, &ns, &router_res);
     spider_obs::counter_add("flowsim_solves", 1);
-    let rates = problem.solve(&fc.classes);
+    let rates = problem.solve(&set.classes);
     let solution = FlowSolution {
-        aggregate: Bandwidth(MaxMinProblem::weighted_total(&fc.classes, &rates)),
+        aggregate: Bandwidth(MaxMinProblem::weighted_total(&set.classes, &rates)),
         class_rate: rates,
-        class_of_client: Arc::new(fc.class_of_client),
+        class_of_client: set.class_of_client,
     };
     // Live feed: the per-OST allocation this solve produced, stamped at the
     // poller's current sim-time (the solve itself is instantaneous in
@@ -288,6 +272,7 @@ pub fn solve(center: &Center, test: &FlowTest) -> FlowSolution {
     // The fold walks clients in index order adding each one's class rate,
     // the same operand sequence the eager per-client path produced.
     if spider_obs::live_enabled() {
+        let n_osts = ns.ost_res.len();
         let mut per_ost = vec![0.0f64; n_osts];
         for (i, &c) in solution.class_of_client.iter().enumerate() {
             per_ost[ost_of_client(i as u32, n_osts).0 as usize] += solution.class_rate[c as usize];
@@ -322,22 +307,6 @@ pub fn solve_concurrent(center: &Center, tests: &[FlowTest]) -> Vec<FlowSolution
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TestId(u64);
 
-/// Per-namespace resource skeleton: the solver handles of every capacitated
-/// stage, built once per session and shared by all tests.
-struct NsSkeleton {
-    ost_res_w: Vec<ResourceId>,
-    oss_res: Vec<ResourceId>,
-    ssu_to_res: BTreeMap<usize, ResourceId>,
-}
-
-/// A cached weighted-class decomposition for one test shape. The client map
-/// is `Arc`-shared with every [`FlowSolution`] handed out for this shape, so
-/// repeated solves at 10^6 clients reuse one 4 MB map instead of copying it.
-struct ClassSet {
-    classes: Vec<FlowSpec>,
-    class_of_client: Arc<Vec<u32>>,
-}
-
 /// Key identifying a test shape: everything that feeds the class build.
 type ClassKey = (usize, u32, u64, bool, bool);
 
@@ -370,63 +339,20 @@ pub struct FlowSession<'a> {
     /// Active tests: id -> (class-set index, per-class solver flow ids).
     active: BTreeMap<u64, (usize, Vec<FlowId>)>,
     next_test: u64,
-    /// Scratch for [`Self::per_client_of`]: per-class rates and the expanded
-    /// per-client vector. Reused across calls — capacity never shrinks, so
-    /// steady-state expansion allocates nothing.
-    rate_scratch: Vec<f64>,
-    expand_scratch: Vec<Bandwidth>,
 }
 
 impl<'a> FlowSession<'a> {
-    /// Build the resource graph for every namespace plus the shared router
-    /// plant, and start an empty session over it.
+    /// Build the skeleton of every namespace plus the shared router plant,
+    /// and start an empty session over it. Every OST is priced at its
+    /// 1 MiB (RPC-sized) sequential write rate; per-flow transfer-size
+    /// effects ride on the flow caps.
     pub fn new(center: &'a Center) -> Self {
-        let client_cfg = &center.config.client;
+        let rpc_size = center.config.client.rpc_size;
         let mut problem = MaxMinProblem::new();
         let ns = (0..center.namespaces())
-            .map(|fs_idx| {
-                let fs = &center.filesystems[fs_idx];
-                // Shared OST resources use the 1 MiB (RPC-sized) sequential
-                // rate; per-flow transfer-size effects ride on the flow caps.
-                let ost_res_w = fs
-                    .osts
-                    .iter()
-                    .map(|ost| {
-                        let oss = fs.oss_of(ost.id);
-                        problem.add_resource(
-                            (ost.write_bandwidth(client_cfg.rpc_size, true)
-                                * oss.write_efficiency())
-                            .as_bytes_per_sec(),
-                        )
-                    })
-                    .collect();
-                let oss_res = fs
-                    .oss
-                    .iter()
-                    .map(|o| problem.add_resource(o.network_cap().as_bytes_per_sec()))
-                    .collect();
-                let mut ssu_to_res = BTreeMap::new();
-                for ost_idx in 0..fs.ost_count() {
-                    let ssu = center.ssu_index(fs_idx, OstId(ost_idx as u32));
-                    ssu_to_res.entry(ssu).or_insert_with(|| {
-                        problem.add_resource(
-                            center.controllers[ssu].throughput_cap().as_bytes_per_sec(),
-                        )
-                    });
-                }
-                NsSkeleton {
-                    ost_res_w,
-                    oss_res,
-                    ssu_to_res,
-                }
-            })
+            .map(|fs| NsSkeleton::build(&mut problem, center, fs, true, rpc_size))
             .collect();
-        let router_res = center
-            .routers
-            .routers
-            .iter()
-            .map(|r| problem.add_resource(r.capacity.as_bytes_per_sec()))
-            .collect();
+        let router_res = router_plant(&mut problem, center);
         FlowSession {
             center,
             solver: SolveSession::new(problem),
@@ -436,8 +362,6 @@ impl<'a> FlowSession<'a> {
             class_cache: BTreeMap::new(),
             active: BTreeMap::new(),
             next_test: 0,
-            rate_scratch: Vec::new(),
-            expand_scratch: Vec::new(),
         }
     }
 
@@ -450,38 +374,8 @@ impl<'a> FlowSession<'a> {
             return idx;
         }
         spider_obs::counter_add("flowsim_class_cache_misses", 1);
-        let center = self.center;
-        let fs = &center.filesystems[t.fs];
-        let res = &self.ns[t.fs];
-        let per_process = center
-            .config
-            .client
-            .process_rate(t.transfer_size, t.optimal_placement)
-            .as_bytes_per_sec();
-        let router_res = &self.router_res;
-        let fc = FlowClasses::build(
-            t.clients,
-            |i| {
-                let ost = ost_of_client(i, fs.ost_count());
-                let ssu = center.ssu_index(t.fs, ost);
-                (ost.0, router_of_client(center, ssu, i))
-            },
-            |ost, router_idx| {
-                let ost = OstId(ost);
-                let ssu = center.ssu_index(t.fs, ost);
-                FlowSpec::new(vec![
-                    router_res[router_idx],
-                    res.oss_res[fs.oss_index_of(ost)],
-                    res.ssu_to_res[&ssu],
-                    res.ost_res_w[ost.0 as usize],
-                ])
-                .with_cap(per_process)
-            },
-        );
-        self.class_sets.push(ClassSet {
-            classes: fc.classes,
-            class_of_client: Arc::new(fc.class_of_client),
-        });
+        let set = ClassSet::build(self.center, t, &self.ns[t.fs], &self.router_res);
+        self.class_sets.push(set);
         let idx = self.class_sets.len() - 1;
         self.class_cache.insert(key, idx);
         idx
@@ -490,12 +384,7 @@ impl<'a> FlowSession<'a> {
     /// Activate a test; its flows join the shared allocation at the next
     /// [`Self::solve`].
     pub fn add_test(&mut self, t: &FlowTest) -> TestId {
-        assert!(t.fs < self.center.namespaces(), "unknown namespace");
-        assert!(
-            self.center.filesystems[t.fs].ost_count() > 0,
-            "namespace {} has no OSTs",
-            t.fs
-        );
+        check_test(self.center, t);
         let set = self.class_set_of(t);
         let ids = self.solver.add_flows(&self.class_sets[set].classes);
         let id = TestId(self.next_test);
@@ -563,36 +452,6 @@ impl<'a> FlowSession<'a> {
         }
     }
 
-    /// Per-client rates of an active test in the last [`Self::solve`],
-    /// expanded into session-owned scratch buffers. Once the buffers have
-    /// grown to the largest test's shape, repeated calls allocate nothing
-    /// (pinned by a regression test on [`Self::scratch_capacity`]).
-    pub fn per_client_of(&mut self, id: TestId) -> &[Bandwidth] {
-        let (set, ids) = &self.active[&id.0];
-        let set = &self.class_sets[*set];
-        let solver = &self.solver;
-        self.rate_scratch.clear();
-        self.rate_scratch.extend(
-            ids.iter()
-                .map(|&fid| solver.rate_of(fid).expect("test solved after last delta")),
-        );
-        let rates = &self.rate_scratch;
-        self.expand_scratch.clear();
-        self.expand_scratch
-            .extend(set.class_of_client.iter().map(|&c| {
-                let rate = rates[c as usize];
-                Bandwidth(rate)
-            }));
-        &self.expand_scratch
-    }
-
-    /// Capacities of the expansion scratch buffers (per-class, per-client).
-    /// Regression hook: stable across repeated [`Self::per_client_of`] calls
-    /// once warmed.
-    pub fn scratch_capacity(&self) -> (usize, usize) {
-        (self.rate_scratch.capacity(), self.expand_scratch.capacity())
-    }
-
     /// Counters of the underlying incremental solver (cache hits, rounds
     /// saved, …).
     pub fn solver_stats(&self) -> &SessionStats {
@@ -630,7 +489,7 @@ impl spider_simkit::MemFootprint for FlowSession<'_> {
             .ns
             .iter()
             .map(|s| {
-                slab_bytes::<ResourceId>(s.ost_res_w.capacity())
+                slab_bytes::<ResourceId>(s.ost_res.capacity())
                     + slab_bytes::<ResourceId>(s.oss_res.capacity())
                     + s.ssu_to_res.len() as u64 * std::mem::size_of::<(usize, ResourceId)>() as u64
             })
@@ -659,8 +518,6 @@ impl spider_simkit::MemFootprint for FlowSession<'_> {
             + class_sets
             + active
             + slab_bytes::<ResourceId>(self.router_res.capacity())
-            + slab_bytes::<f64>(self.rate_scratch.capacity())
-            + slab_bytes::<Bandwidth>(self.expand_scratch.capacity())
     }
 }
 
@@ -1014,94 +871,12 @@ mod tests {
     }
 
     #[test]
-    fn lazy_accessors_agree_with_expansion() {
-        let c = small();
-        let sol = solve(
-            &c,
-            &FlowTest {
-                fs: 0,
-                clients: 1_234,
-                transfer_size: MIB,
-                write: true,
-                optimal_placement: false,
-            },
-        );
-        assert_eq!(sol.clients(), 1_234);
-        assert!(sol.classes() <= sol.clients());
-        let eager = sol.per_client();
-        for (i, b) in eager.iter().enumerate() {
-            assert_eq!(b.0.to_bits(), sol.client_rate(i).0.to_bits());
-        }
-        // expand_into reuses the buffer and matches the owned expansion.
-        let mut buf = Vec::new();
-        sol.expand_into(&mut buf);
-        assert_eq!(buf.len(), eager.len());
-        let cap = buf.capacity();
-        sol.expand_into(&mut buf);
-        assert_eq!(buf.capacity(), cap, "re-expansion must not reallocate");
-    }
-
-    #[test]
-    fn session_expansion_scratch_does_not_grow() {
-        let c = small();
-        let t = FlowTest {
-            fs: 0,
-            clients: 800,
-            transfer_size: MIB,
-            write: true,
-            optimal_placement: false,
-        };
-        let mut s = FlowSession::new(&c);
-        let id = s.add_test(&t);
-        s.solve();
-        let first: Vec<Bandwidth> = s.per_client_of(id).to_vec();
-        assert_eq!(first.len(), 800);
-        let warmed = s.scratch_capacity();
-        // Repeated expansion — across fresh solves too — must reuse the
-        // scratch buffers, not allocate fresh vectors per call.
-        for _ in 0..10 {
-            s.solve();
-            let again = s.per_client_of(id);
-            assert_eq!(again.len(), 800);
-            assert_eq!(
-                s.scratch_capacity(),
-                warmed,
-                "scratch buffers grew across repeated solves"
-            );
-        }
-        // And the scratch path agrees with the lazy solution bitwise.
-        let sol = s.solution_of(id);
-        let expanded = s.per_client_of(id);
-        for (i, b) in expanded.iter().enumerate() {
-            assert_eq!(b.0.to_bits(), sol.client_rate(i).0.to_bits());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "no OSTs")]
     fn empty_namespace_panics_cleanly() {
         // Regression: used to reach `i % n_osts` and die with a raw
         // divide-by-zero instead of a diagnosable assert.
         let mut c = small();
         c.filesystems[0].osts.clear();
-        let _ = solve(
-            &c,
-            &FlowTest {
-                fs: 0,
-                clients: 4,
-                transfer_size: MIB,
-                write: true,
-                optimal_placement: false,
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "no leaf switches")]
-    fn leafless_fabric_panics_cleanly() {
-        // Regression: used to reach `% leaf_res.len()` with zero leaves.
-        let mut c = small();
-        c.fabric.leaves = 0;
         let _ = solve(
             &c,
             &FlowTest {

@@ -98,26 +98,6 @@ fn test_kind_relaxes_all_but_always_on() {
 }
 
 #[test]
-fn pattern_fixtures_are_clean() {
-    for file in [
-        "session_patterns.rs",
-        "montecarlo_patterns.rs",
-        "pdes_patterns.rs",
-        "monitor_patterns.rs",
-        "scale_patterns.rs",
-        "component_patterns.rs",
-    ] {
-        let report = lint_workspace(&fixture_root(), &[file.to_owned()]).unwrap();
-        assert_eq!(report.files_scanned, 1, "{file}");
-        assert!(
-            report.diagnostics.is_empty(),
-            "{file}: {:#?}",
-            report.diagnostics
-        );
-    }
-}
-
-#[test]
 fn escape_covers_statement_first_line() {
     // Regression: a finding on line 12 of a chained call whose statement
     // opens on line 8 is covered by the escape on line 7 — and that escape
@@ -137,11 +117,11 @@ fn escape_covers_statement_first_line() {
 #[test]
 fn json_report_is_well_formed() {
     let report = lint_workspace(&fixture_root(), &[]).unwrap();
-    assert_eq!(report.files_scanned, 11);
+    assert_eq!(report.files_scanned, 5);
     assert_eq!(report.violations(), 18);
     assert_eq!(report.allowed(), 3);
     let json = report.to_json();
-    assert!(json.starts_with("{\"version\":1,\"summary\":{\"files_scanned\":11"));
+    assert!(json.starts_with("{\"version\":1,\"summary\":{\"files_scanned\":5"));
     assert!(json.contains("\"violations\":18,\"allowed\":3"));
     // Deep rules only fire under --deep (deep_suite.rs covers them).
     for rule in spider_lint::RULES

@@ -1,12 +1,12 @@
 //! Progressive-filling max-min fair bandwidth allocation.
 //!
-//! The end-to-end throughput engine: every I/O stream is a *flow* across a
-//! list of capacitated *resources* (client NIC, torus links, LNET router,
-//! IB leaf, OSS, controller couplet, RAID group). Water-filling raises all
-//! flows together; when a resource saturates, the flows crossing it freeze
-//! at their fair share and the rest keep growing. The result is the unique
-//! max-min fair allocation, a standard steady-state model for TCP-like
-//! bandwidth sharing in capacitated networks.
+//! The end-to-end throughput engine: every I/O stream is a *flow* with an
+//! optional per-process rate cap across a list of capacitated *resources*
+//! (LNET router, OSS link, controller couplet, OST). Water-filling raises
+//! all flows together; when a resource saturates, the flows crossing it
+//! freeze at their fair share and the rest keep growing. The result is the
+//! unique max-min fair allocation, a standard steady-state model for
+//! TCP-like bandwidth sharing in capacitated networks.
 //!
 //! # Weighted flow classes
 //!
@@ -684,11 +684,6 @@ impl MaxMinProblem {
             }
         }
         rates
-    }
-
-    /// Total per-member rate over a set of flows in a solved allocation.
-    pub fn total(rates: &[f64]) -> f64 {
-        rates.iter().sum()
     }
 
     /// Aggregate rate honoring class weights: `Σ weight × rate`.
