@@ -1,9 +1,7 @@
 //! Bench for E1 / Figure 2: the router-placement + FGR congestion study,
 //! plus the FGR-vs-baseline assignment ablation at production scale.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::e01_router_placement;
 use spider_net::fgr::{assign, AssignmentPolicy};
@@ -11,13 +9,11 @@ use spider_net::gemini::TitanGeometry;
 use spider_net::lnet::{ModulePlacement, RouterGroupId, RouterSet};
 use spider_simkit::SimRng;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig2_router_placement");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e1_small", |b| {
-        b.iter(|| black_box(e01_router_placement::run(Scale::Small)));
+const BENCH: &str = "fig2_router_placement";
+
+fn main() {
+    case(BENCH, "experiment_e1_small", || {
+        e01_router_placement::run(Scale::Small)
     });
 
     // Ablation: FGR vs naive assignment cost at full Titan scale.
@@ -33,13 +29,9 @@ fn bench(c: &mut Criterion) {
         })
         .collect();
     for policy in [AssignmentPolicy::Fgr, AssignmentPolicy::RoundRobin] {
-        g.bench_function(format!("assign_{policy:?}_4k_clients"), |b| {
-            let mut r = SimRng::seed_from_u64(2);
-            b.iter(|| black_box(assign(policy, &geometry, &routers, &clients, &mut r)));
+        let mut r = SimRng::seed_from_u64(2);
+        case(BENCH, &format!("assign_{policy:?}_4k_clients"), || {
+            assign(policy, &geometry, &routers, &clients, &mut r)
         });
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,56 +1,33 @@
 //! Bench for E2 / Figure 3: the IOR transfer-size sweep.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::center::Center;
 use spider_core::config::{CenterConfig, Scale};
 use spider_core::experiments::e02_transfer_size;
 use spider_core::flowsim::{solve, FlowTest};
 use spider_simkit::MIB;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig3_transfer_size");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e2_small", |b| {
-        b.iter(|| black_box(e02_transfer_size::run(Scale::Small)));
+const BENCH: &str = "fig3_transfer_size";
+
+fn main() {
+    case(BENCH, "experiment_e2_small", || {
+        e02_transfer_size::run(Scale::Small)
     });
 
     // Single flow solve at both scales: the per-point cost of the sweep.
+    let test = |clients| FlowTest {
+        fs: 0,
+        clients,
+        transfer_size: MIB,
+        write: true,
+        optimal_placement: false,
+    };
     let small = Center::build(CenterConfig::small());
-    g.bench_function("flow_solve_small_64_clients", |b| {
-        b.iter(|| {
-            black_box(solve(
-                &small,
-                &FlowTest {
-                    fs: 0,
-                    clients: 64,
-                    transfer_size: MIB,
-                    write: true,
-                    optimal_placement: false,
-                },
-            ))
-        });
+    case(BENCH, "flow_solve_small_64_clients", || {
+        solve(&small, &test(64))
     });
     let paper = Center::build(CenterConfig::spider2());
-    g.bench_function("flow_solve_paper_2000_clients", |b| {
-        b.iter(|| {
-            black_box(solve(
-                &paper,
-                &FlowTest {
-                    fs: 0,
-                    clients: 2_000,
-                    transfer_size: MIB,
-                    write: true,
-                    optimal_placement: false,
-                },
-            ))
-        });
+    case(BENCH, "flow_solve_paper_2000_clients", || {
+        solve(&paper, &test(2_000))
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

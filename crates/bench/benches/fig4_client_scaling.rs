@@ -1,40 +1,28 @@
 //! Bench for E3 / Figure 4: the IOR client-count sweep, including the
 //! full 13,000-client paper-scale solve.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::center::Center;
 use spider_core::config::{CenterConfig, Scale};
 use spider_core::experiments::e03_client_scaling;
 use spider_core::flowsim::{solve, FlowTest};
 use spider_simkit::MIB;
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig4_client_scaling");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e3_small", |b| {
-        b.iter(|| black_box(e03_client_scaling::run(Scale::Small)));
+const BENCH: &str = "fig4_client_scaling";
+
+fn main() {
+    case(BENCH, "experiment_e3_small", || {
+        e03_client_scaling::run(Scale::Small)
     });
     let paper = Center::build(CenterConfig::spider2());
-    g.bench_function("flow_solve_paper_13000_clients", |b| {
-        b.iter(|| {
-            black_box(solve(
-                &paper,
-                &FlowTest {
-                    fs: 0,
-                    clients: 13_000,
-                    transfer_size: MIB,
-                    write: true,
-                    optimal_placement: false,
-                },
-            ))
-        });
+    let test = FlowTest {
+        fs: 0,
+        clients: 13_000,
+        transfer_size: MIB,
+        write: true,
+        optimal_placement: false,
+    };
+    case(BENCH, "flow_solve_paper_13000_clients", || {
+        solve(&paper, &test)
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

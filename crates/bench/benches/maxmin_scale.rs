@@ -18,13 +18,15 @@
 //!   weighted classes (one per OST) and the class solve is another order
 //!   faster. This composition — classes × event-driven — is what the
 //!   experiment sweeps actually run.
+//!
+//! [`spider_bench::record`] decides the shape and where `BENCH_maxmin.json`
+//! goes. The smoke shape keeps the resources and shrinks the traffic to two
+//! flows per OST, because the full-shape reference solve takes seconds.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::{self, case};
 use spider_net::maxmin::{FlowSpec, MaxMinProblem, ResourceId};
 
-const N_FLOWS: usize = 20_000;
+const BENCH: &str = "maxmin_scale";
 const N_RES: usize = 3_000;
 const N_OSTS: usize = 2_016;
 
@@ -47,17 +49,17 @@ fn path_of_ost(res: &[ResourceId], ost: usize) -> Vec<ResourceId> {
     ]
 }
 
-fn distinct_cap_flows(res: &[ResourceId]) -> Vec<FlowSpec> {
-    // Caps small enough that no resource saturates (the busiest resource
-    // carries ~555 flows at a mean cap of 0.06 → usage ~33 of ≥80): all
-    // 20,000 flows freeze one by one at their distinct caps.
-    (0..N_FLOWS)
+fn distinct_cap_flows(res: &[ResourceId], n: usize) -> Vec<FlowSpec> {
+    // Caps small enough that no resource saturates (at 20,000 flows the
+    // busiest resource carries ~555 flows at a mean cap of 0.06 → usage ~33
+    // of ≥80): every flow freezes one by one at its distinct cap.
+    (0..n)
         .map(|i| FlowSpec::new(path_of_ost(res, i)).with_cap(0.02 + i as f64 * 4e-6))
         .collect()
 }
 
-fn uniform_cap_flows(res: &[ResourceId]) -> Vec<FlowSpec> {
-    (0..N_FLOWS)
+fn uniform_cap_flows(res: &[ResourceId], n: usize) -> Vec<FlowSpec> {
+    (0..n)
         .map(|i| FlowSpec::new(path_of_ost(res, i % N_OSTS)).with_cap(5.0))
         .collect()
 }
@@ -82,43 +84,53 @@ fn collapsed(flows: &[FlowSpec]) -> Vec<FlowSpec> {
     out
 }
 
-fn bench_maxmin_scale(c: &mut Criterion) {
-    // SPIDER_OBS=<dir> captures solver counters for the whole bench run
-    // (used to produce BENCH_obs.json); unset, the obs layer stays off and
-    // the solve path pays a single relaxed atomic load.
+fn main() {
     spider_obs::init_from_env();
-    let mut g = c.benchmark_group("maxmin_scale");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(5));
-    g.sample_size(10);
-
+    let n_flows = if record::smoke() { 2 * N_OSTS } else { 20_000 };
     let (p, res) = resources();
 
-    let distinct = distinct_cap_flows(&res);
-    g.bench_function("distinct_caps_event_driven", |b| {
-        b.iter(|| black_box(p.solve(&distinct)));
-    });
-    g.bench_function("distinct_caps_reference", |b| {
-        b.iter(|| black_box(p.solve_reference(&distinct)));
+    let distinct = distinct_cap_flows(&res, n_flows);
+    let distinct_event = case(BENCH, "distinct_caps_event_driven", || p.solve(&distinct));
+    let distinct_ref = case(BENCH, "distinct_caps_reference", || {
+        p.solve_reference(&distinct)
     });
 
-    let uniform = uniform_cap_flows(&res);
+    let uniform = uniform_cap_flows(&res, n_flows);
     let classes = collapsed(&uniform);
     assert_eq!(classes.len(), N_OSTS);
-    g.bench_function("uniform_cap_event_driven", |b| {
-        b.iter(|| black_box(p.solve(&uniform)));
+    let uniform_event = case(BENCH, "uniform_cap_event_driven", || p.solve(&uniform));
+    let uniform_ref = case(BENCH, "uniform_cap_reference", || {
+        p.solve_reference(&uniform)
     });
-    g.bench_function("uniform_cap_reference", |b| {
-        b.iter(|| black_box(p.solve_reference(&uniform)));
-    });
-    g.bench_function("uniform_cap_weighted_classes", |b| {
-        b.iter(|| black_box(p.solve(&classes)));
-    });
-    g.finish();
+    let uniform_classes = case(BENCH, "uniform_cap_weighted_classes", || p.solve(&classes));
+
+    let fields = format!(
+        r#"  "scenarios": {{
+    "distinct_caps": "Figure 4 ramp regime: distinct per-process caps bind below every resource's saturation level, so the reference loop freezes one flow per round (quadratic); the event-driven solver pays O(path x log) per freeze",
+    "uniform_cap": "Figure 4 plateau regime: one shared per-process cap, path a function of the destination OST; collapses to one weighted class per OST, the shape flowsim hands the solver"
+  }},
+  "shape": {{"flows": {n_flows}, "resources": {N_RES}, "osts": {N_OSTS}, "path_len": 4, "weighted_classes": {n_classes}}},
+  "solver_ms": {{
+    "distinct_caps_event_driven": {distinct_event:.3},
+    "distinct_caps_reference": {distinct_ref:.3},
+    "uniform_cap_event_driven": {uniform_event:.3},
+    "uniform_cap_reference": {uniform_ref:.3},
+    "uniform_cap_weighted_classes": {uniform_classes:.3}
+  }},
+  "speedups": {{
+    "distinct_caps_event_vs_reference": {s1:.1},
+    "uniform_cap_event_vs_reference": {s2:.1},
+    "uniform_cap_classes_vs_per_flow_reference": {s3:.1},
+    "uniform_cap_classes_vs_per_flow_event": {s4:.1}
+  }}"#,
+        n_classes = classes.len(),
+        s1 = distinct_ref / distinct_event,
+        s2 = uniform_ref / uniform_event,
+        s3 = uniform_ref / uniform_classes,
+        s4 = uniform_event / uniform_classes,
+    );
+    record::write(BENCH, "BENCH_maxmin.json", &fields);
     if let Some(files) = spider_obs::finish() {
         eprintln!("obs: wrote {}", files.dir.display());
     }
 }
-
-criterion_group!(benches, bench_maxmin_scale);
-criterion_main!(benches);

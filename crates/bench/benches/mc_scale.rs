@@ -1,6 +1,6 @@
 //! Monte Carlo reliability scaling: per-replication cost of the
 //! exposure-window fast path vs the event-driven oracle, and `replicate`
-//! throughput sequential vs parallel.
+//! throughput at each spare-thread budget.
 //!
 //! Two separate speedups compose:
 //!
@@ -8,28 +8,24 @@
 //!    "exposure window closes quietly" case analytically, so one Paper-scale
 //!    fleet-year costs a fraction of the oracle's event-queue walk.
 //! 2. **Across replications**: `replicate` fans counter-based replication
-//!    streams over rayon with a fixed-order reduction — bit-identical
-//!    whatever the thread count, so parallel scaling is free of
-//!    determinism tradeoffs. The rayon-shim thread budget is forced to 0
-//!    (sequential) and 7 (8-way) so both shapes are measured even on a
-//!    single-core container; on one core the 8-way number only measures
-//!    scheduling overhead, see BENCH_mc.json.
+//!    streams over rayon with a fixed-order reduction, so its result is
+//!    bit-identical whatever the thread count. This bench asserts that at
+//!    every budget it times.
 //!
-//! `BENCH_mc.json` records a full run. The smoke shape
-//! ([`spider_bench::record`] decides it) shrinks the fleet and replication
-//! counts so the binary stays fast in CI and test runs.
+//! [`spider_bench::record`] decides the shape, the spare-thread budgets and
+//! where `BENCH_mc.json` goes. The smoke shape shrinks the fleet and the
+//! replication count.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
-use spider_bench::record;
+use spider_bench::record::{self, by_budget, case};
 use spider_simkit::montecarlo::{replicate, McConfig};
 use spider_simkit::SimRng;
 use spider_storage::reliability::{
     run_reliability, run_reliability_fast, ReliabilityConfig, SplittingConfig,
 };
 
-fn bench_mc_scale(c: &mut Criterion) {
+const BENCH: &str = "mc_scale";
+
+fn main() {
     spider_obs::init_from_env();
     let (groups, reps) = if record::smoke() {
         (200u32, 64u64)
@@ -42,71 +38,75 @@ fn bench_mc_scale(c: &mut Criterion) {
     };
     let split = SplittingConfig::new(64);
 
-    let mut g = c.benchmark_group("mc_scale");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(10));
-    g.sample_size(10);
-
     // Per-replication cost: oracle event walk vs exposure-window fast path
     // (with and without splitting) on the same configuration and seed.
-    g.bench_function("one_rep_oracle", |b| {
-        b.iter(|| black_box(run_reliability(&cfg, &mut SimRng::seed_from_u64(1))));
+    let oracle_ms = case(BENCH, "one_rep_oracle", || {
+        run_reliability(&cfg, &mut SimRng::seed_from_u64(1))
     });
-    g.bench_function("one_rep_fast", |b| {
-        b.iter(|| {
-            black_box(run_reliability_fast(
-                &cfg,
-                &SplittingConfig::off(),
-                &mut SimRng::seed_from_u64(1),
-            ))
-        });
+    let fast_ms = case(BENCH, "one_rep_fast", || {
+        run_reliability_fast(&cfg, &SplittingConfig::off(), &mut SimRng::seed_from_u64(1))
     });
-    g.bench_function("one_rep_fast_split64", |b| {
-        b.iter(|| {
-            black_box(run_reliability_fast(
-                &cfg,
-                &split,
-                &mut SimRng::seed_from_u64(1),
-            ))
-        });
+    let split_ms = case(BENCH, "one_rep_fast_split64", || {
+        run_reliability_fast(&cfg, &split, &mut SimRng::seed_from_u64(1))
     });
 
-    // Replication fan-out: the same study, sequential vs 8-way budget.
+    // Replication fan-out at each spare-thread budget. Every budget must
+    // reproduce budget 0's weighted totals bit for bit.
     let mc = McConfig::new(0xBEEF, reps);
     let study = |_: u64, rng: &mut SimRng| {
         let rep = run_reliability_fast(&cfg, &split, rng);
         (rep.data_loss_events, rep.disk_failures)
     };
-    rayon::set_spare_thread_budget(0);
-    g.bench_function("replicate_sequential", |b| {
-        b.iter(|| black_box(replicate(&mc, study)));
-    });
-    rayon::set_spare_thread_budget(7);
-    g.bench_function("replicate_8way_budget", |b| {
-        b.iter(|| black_box(replicate(&mc, study)));
-    });
-    // Restore the machine-derived budget for anything running after us.
-    let cores = record::cores();
-    rayon::set_spare_thread_budget(cores.saturating_sub(1));
-    g.finish();
-
-    // Determinism spot-check outside the timed loops: sequential and 8-way
-    // runs of the same config must agree exactly.
-    rayon::set_spare_thread_budget(0);
-    let seq = replicate(&mc, study);
-    rayon::set_spare_thread_budget(7);
-    let par = replicate(&mc, study);
-    rayon::set_spare_thread_budget(cores.saturating_sub(1));
-    assert_eq!(seq.value.0.to_bits(), par.value.0.to_bits());
-    assert_eq!(seq.value.1.to_bits(), par.value.1.to_bits());
+    let budgets = record::budgets();
+    let mut first: Option<(f64, f64)> = None;
+    let replicate_ms: Vec<f64> = budgets
+        .iter()
+        .map(|&b| {
+            rayon::set_spare_thread_budget(b);
+            let ms = case(BENCH, &format!("replicate_budget{b}"), || {
+                replicate(&mc, study)
+            });
+            let v = replicate(&mc, study).value;
+            let v0 = *first.get_or_insert(v);
+            assert_eq!(v.0.to_bits(), v0.0.to_bits(), "budget {b} losses");
+            assert_eq!(v.1.to_bits(), v0.1.to_bits(), "budget {b} failures");
+            ms
+        })
+        .collect();
+    rayon::set_spare_thread_budget(record::cores() - 1);
+    let (losses, failures) = first.expect("the budget list is never empty");
     println!(
-        "mc_scale: {} groups, {} reps: weighted losses {:.4}, failures {:.0} (bit-identical seq vs 8-way)",
-        groups, reps, seq.value.0, seq.value.1
+        "mc_scale: {groups} groups, {reps} reps: weighted losses {losses:.4}, failures {failures:.0} \
+         (bit-identical at budgets {budgets:?})"
     );
+
+    let last = budgets.len() - 1;
+    let fields = format!(
+        r#"  "scenario": "Spider II fleet-year reliability (E16 classic-rebuild shape): RAID-6 8+2 groups over one AFR year. The oracle materializes every failure, replacement and rebuild as engine events; the fast path draws one uniform per group and simulates cascade state only when a second failure lands inside an open exposure window. Fast-vs-oracle agreement is pinned by the differential tests in crates/storage/src/reliability.rs; this bench asserts replicate's weighted totals bit-identical at every spare-thread budget",
+  "shape": {{"groups": {groups}, "raid": "8+2", "afr": {afr}, "horizon_days": {days}, "replications": {reps}, "batch": {batch}, "splitting_factor": {factor}}},
+  "spare_thread_budgets": {budgets:?},
+  "ms_per_replication": {{
+    "oracle_event_driven": {oracle_ms:.3},
+    "fast_exposure_window": {fast_ms:.3},
+    "fast_exposure_window_split64": {split_ms:.3}
+  }},
+  "replicate_ms_by_budget": {by},
+  "replicate_totals": {{"weighted_losses": {losses:.4}, "failures": {failures:.0}}},
+  "speedups": {{
+    "per_replication_fast_vs_oracle": {per_rep:.1},
+    "replicate_budget{top}_vs_budget0": {par:.2}
+  }}"#,
+        afr = cfg.afr,
+        days = cfg.horizon.as_secs_f64() / 86_400.0,
+        batch = mc.batch,
+        factor = split.factor,
+        by = by_budget(&replicate_ms),
+        top = budgets[last],
+        per_rep = oracle_ms / fast_ms,
+        par = replicate_ms[0] / replicate_ms[last],
+    );
+    record::write(BENCH, "BENCH_mc.json", &fields);
     if let Some(files) = spider_obs::finish() {
         eprintln!("obs: wrote {}", files.dir.display());
     }
 }
-
-criterion_group!(benches, bench_mc_scale);
-criterion_main!(benches);

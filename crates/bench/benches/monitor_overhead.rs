@@ -4,8 +4,7 @@
 //! Three states of the same `flowsim` solve (the product path that now
 //! carries a live feed branch):
 //!
-//! 1. **obs off** — the branch is one relaxed atomic load, the
-//!    `BENCH_obs.json` baseline situation;
+//! 1. **obs off** — the branch is one relaxed atomic load;
 //! 2. **obs on, live off** — counters flush per solve, the live branch
 //!    still short-circuits on its own atomic;
 //! 3. **obs on, live on** — every solve publishes per-OST allocations
@@ -117,8 +116,8 @@ fn main() {
     );
 
     let fields = format!(
-        r#"  "note": "compare states within this file, and the obs-off/obs-on pair against BENCH_obs.json's verdict on the same contract",
-  "question": "does the live telemetry layer cost anything when disabled, and how much when enabled?",
+        r#"  "note": "compare the three states within this file: the same flow solve with obs off, with obs on and live monitoring off, and with both on",
+  "question": "what does one flow solve cost with obs off, with obs on but live monitoring off, and with both on?",
   "shape": {{"center": "small", "clients": {clients}, "solves_per_iter": {batch}}},
   "flow_solve_ms": {{
     "obs_off": {off_ms:.3},
@@ -133,7 +132,7 @@ fn main() {
     "ns_per_sample": {ns_per_sample:.0}
   }},
   "alarm_log_bytes_state3": {alarm_bytes},
-  "verdict": "live-off is within run-to-run noise of obs-off (the live branch is one relaxed atomic load behind the existing obs short-circuit, matching the BENCH_obs.json contract); live-on pays one mutexed sample per OST per solve plus windowed detector evaluation per poll boundary, which is the operations-console price and stays off the solver path unless explicitly enabled""#,
+  "verdict": "obs-on/live-off sits within run-to-run noise of obs-off: with obs off the solver pays one relaxed atomic load per solve, with obs on its counters accumulate in a stack-local struct flushed once per solve, and the live branch short-circuits on its own relaxed atomic. Live-on pays one mutexed sample per OST per solve plus windowed detector evaluation per poll boundary, the operations-console price, and stays off the solver path unless explicitly enabled""#,
     );
     record::write("monitor_overhead", "BENCH_monitor.json", &fields);
     std::fs::remove_dir_all(&dir).ok();

@@ -2,40 +2,29 @@
 //! namespace, and the stripe mapper — the components every experiment
 //! stands on, plus the max-min-vs-proportional ablation from DESIGN.md.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_net::maxmin::{FlowSpec, MaxMinProblem};
 use spider_pfs::layout::StripeLayout;
+use spider_pfs::namespace::{FileMeta, Namespace};
 use spider_pfs::ost::OstId;
 use spider_simkit::{Engine, SimDuration, SimRng, SimTime};
 
-fn bench_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("substrate_engine");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.bench_function("des_100k_events", |b| {
-        b.iter(|| {
-            let mut eng: Engine<u32> = Engine::new();
-            eng.schedule(SimTime::ZERO, 0);
-            let mut n = 0u64;
-            eng.run_to_completion(|ctx, ev| {
-                n += 1;
-                if ev < 100_000 {
-                    ctx.schedule_in(SimDuration::from_micros(10), ev + 1);
-                }
-            });
-            black_box(n)
-        });
-    });
-    g.finish();
-}
+const BENCH: &str = "substrate";
 
-fn bench_maxmin(c: &mut Criterion) {
-    let mut g = c.benchmark_group("substrate_maxmin");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
+fn main() {
+    case(BENCH, "des_100k_events", || {
+        let mut eng: Engine<u32> = Engine::new();
+        eng.schedule(SimTime::ZERO, 0);
+        let mut n = 0u64;
+        eng.run_to_completion(|ctx, ev| {
+            n += 1;
+            if ev < 100_000 {
+                ctx.schedule_in(SimDuration::from_micros(10), ev + 1);
+            }
+        });
+        n
+    });
+
     // Titan-scale problem: 18,688 flows over the full resource chain.
     let mut p = MaxMinProblem::new();
     let res: Vec<_> = (0..3_000)
@@ -53,89 +42,57 @@ fn bench_maxmin(c: &mut Criterion) {
             .with_cap(5.0)
         })
         .collect();
-    g.bench_function("maxmin_18688_flows_5_resources", |b| {
-        b.iter(|| black_box(p.solve(&flows)));
-    });
+    case(BENCH, "maxmin_18688_flows_5_resources", || p.solve(&flows));
     // Ablation: proportional share (single pass, no fairness iteration).
-    g.bench_function("proportional_18688_flows", |b| {
-        b.iter(|| {
-            let mut usage = vec![0.0f64; 3_000];
-            for f in &flows {
-                for r in &f.resources {
-                    usage[r.0] += 1.0;
-                }
+    case(BENCH, "proportional_18688_flows", || {
+        let mut usage = vec![0.0f64; 3_000];
+        for f in &flows {
+            for r in &f.resources {
+                usage[r.0] += 1.0;
             }
-            let rates: Vec<f64> = flows
-                .iter()
-                .map(|f| {
-                    f.resources
-                        .iter()
-                        .map(|r| p.capacity(*r) / usage[r.0])
-                        .fold(f.cap.unwrap_or(f64::INFINITY), f64::min)
-                })
-                .collect();
-            black_box(rates)
-        });
+        }
+        flows
+            .iter()
+            .map(|f| {
+                f.resources
+                    .iter()
+                    .map(|r| p.capacity(*r) / usage[r.0])
+                    .fold(f.cap.unwrap_or(f64::INFINITY), f64::min)
+            })
+            .collect::<Vec<f64>>()
     });
-    g.finish();
-}
 
-fn bench_namespace(c: &mut Criterion) {
-    let mut g = c.benchmark_group("substrate_namespace");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("create_100k_files", |b| {
-        b.iter(|| {
-            let mut ns = spider_pfs::namespace::Namespace::new();
-            let dir = ns.mkdir_p("/d").unwrap();
-            for f in 0..100_000u32 {
-                ns.create_file(
-                    dir,
-                    &format!("f{f}"),
-                    spider_pfs::namespace::FileMeta {
-                        size: 4096,
-                        atime: SimTime::ZERO,
-                        mtime: SimTime::ZERO,
-                        ctime: SimTime::ZERO,
-                        stripe: StripeLayout::new(vec![OstId(f % 64)]),
-                        project: 0,
-                    },
-                )
-                .unwrap();
-            }
-            black_box(ns.file_count())
-        });
+    case(BENCH, "create_100k_files", || {
+        let mut ns = Namespace::new();
+        let dir = ns.mkdir_p("/d").unwrap();
+        for f in 0..100_000u32 {
+            ns.create_file(
+                dir,
+                &format!("f{f}"),
+                FileMeta {
+                    size: 4096,
+                    atime: SimTime::ZERO,
+                    mtime: SimTime::ZERO,
+                    ctime: SimTime::ZERO,
+                    stripe: StripeLayout::new(vec![OstId(f % 64)]),
+                    project: 0,
+                },
+            )
+            .unwrap();
+        }
+        ns.file_count()
     });
-    g.finish();
-}
 
-fn bench_stripe(c: &mut Criterion) {
-    let mut g = c.benchmark_group("substrate_stripe");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
     let layout = StripeLayout::new((0..8).map(OstId).collect());
     let mut rng = SimRng::seed_from_u64(1);
     let extents: Vec<(u64, u64)> = (0..1_000)
         .map(|_| (rng.range_u64(0, 1 << 34), rng.range_u64(1, 64 << 20)))
         .collect();
-    g.bench_function("bytes_per_ost_1k_extents", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for &(off, len) in &extents {
-                acc += layout.bytes_per_ost(off, len)[0];
-            }
-            black_box(acc)
-        });
+    case(BENCH, "bytes_per_ost_1k_extents", || {
+        let mut acc = 0u64;
+        for &(off, len) in &extents {
+            acc += layout.bytes_per_ost(off, len)[0];
+        }
+        acc
     });
-    g.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_engine,
-    bench_maxmin,
-    bench_namespace,
-    bench_stripe
-);
-criterion_main!(benches);

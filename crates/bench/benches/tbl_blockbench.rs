@@ -1,31 +1,23 @@
 //! Bench for E15: the acquisition benchmark suite (fair-lio sweep and the
 //! obdfilter survey) over one SSU.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::e15_blockbench;
 use spider_simkit::SimRng;
 use spider_storage::blockbench::BlockSweep;
 use spider_storage::ssu::{Ssu, SsuId, SsuSpec};
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tbl_blockbench");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e15_small", |b| {
-        b.iter(|| black_box(e15_blockbench::run(Scale::Small)));
+const BENCH: &str = "tbl_blockbench";
+
+fn main() {
+    case(BENCH, "experiment_e15_small", || {
+        e15_blockbench::run(Scale::Small)
     });
     // The full fair-lio cartesian product over a full 56-group SSU.
     let mut rng = SimRng::seed_from_u64(1);
     let ssu = Ssu::sample(SsuId(0), &SsuSpec::spider2(), 0, &mut rng);
-    g.bench_function("fairlio_sweep_full_ssu_168_points", |b| {
-        b.iter(|| black_box(BlockSweep::acquisition().run_ssu(&ssu)));
+    case(BENCH, "fairlio_sweep_full_ssu_168_points", || {
+        BlockSweep::acquisition().run_ssu(&ssu)
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,14 +1,14 @@
 //! Bench for E4: the slow-disk culling campaign, plus the threshold
 //! ablation (5% vs 7.5% vs none) called out in DESIGN.md.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::e04_culling;
 use spider_simkit::SimRng;
 use spider_storage::fleet::{FleetSpec, StorageFleet};
 use spider_tools::culling::{run_culling_campaign, CullingConfig};
+
+const BENCH: &str = "tbl_culling";
 
 fn small_fleet(seed: u64) -> StorageFleet {
     let mut spec = FleetSpec::spider2();
@@ -17,30 +17,20 @@ fn small_fleet(seed: u64) -> StorageFleet {
     StorageFleet::sample(spec, &mut SimRng::seed_from_u64(seed))
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tbl_culling");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e4_small", |b| {
-        b.iter(|| black_box(e04_culling::run(Scale::Small)));
+fn main() {
+    case(BENCH, "experiment_e4_small", || {
+        e04_culling::run(Scale::Small)
     });
     for (name, tol) in [("5pct", 0.05), ("7_5pct", 0.075), ("none", 1.0)] {
-        g.bench_function(format!("campaign_560_disks_tol_{name}"), |b| {
-            b.iter(|| {
-                let mut fleet = small_fleet(7);
-                let cfg = CullingConfig {
-                    intra_ssu_tolerance: tol,
-                    fleet_tolerance: tol,
-                    ..CullingConfig::default()
-                };
-                let mut rng = SimRng::seed_from_u64(8);
-                black_box(run_culling_campaign(&mut fleet, &cfg, &mut rng))
-            });
+        case(BENCH, &format!("campaign_560_disks_tol_{name}"), || {
+            let mut fleet = small_fleet(7);
+            let cfg = CullingConfig {
+                intra_ssu_tolerance: tol,
+                fleet_tolerance: tol,
+                ..CullingConfig::default()
+            };
+            let mut rng = SimRng::seed_from_u64(8);
+            run_culling_campaign(&mut fleet, &cfg, &mut rng)
         });
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,9 +1,7 @@
 //! Bench for the extension experiments: E16 (reliability), E17
 //! (I/O-aware scheduling), E18 (release testing + create storm).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::{e16_reliability, e17_scheduling, e18_release_testing};
 use spider_core::rpcsim::run_create_storm;
@@ -11,33 +9,25 @@ use spider_pfs::mds::MdsCluster;
 use spider_simkit::SimRng;
 use spider_storage::reliability::{run_reliability, ReliabilityConfig};
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tbl_extensions");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e16_small", |b| {
-        b.iter(|| black_box(e16_reliability::run(Scale::Small)));
+const BENCH: &str = "tbl_extensions";
+
+fn main() {
+    case(BENCH, "experiment_e16_small", || {
+        e16_reliability::run(Scale::Small)
     });
-    g.bench_function("experiment_e17_small", |b| {
-        b.iter(|| black_box(e17_scheduling::run(Scale::Small)));
+    case(BENCH, "experiment_e17_small", || {
+        e17_scheduling::run(Scale::Small)
     });
-    g.bench_function("experiment_e18", |b| {
-        b.iter(|| black_box(e18_release_testing::run(Scale::Small)));
+    case(BENCH, "experiment_e18", || {
+        e18_release_testing::run(Scale::Small)
     });
     // One year of the full 2,016-group fleet's failures.
-    g.bench_function("reliability_year_full_fleet", |b| {
-        b.iter(|| {
-            let mut rng = SimRng::seed_from_u64(1);
-            black_box(run_reliability(&ReliabilityConfig::spider2(), &mut rng))
-        });
+    case(BENCH, "reliability_year_full_fleet", || {
+        let mut rng = SimRng::seed_from_u64(1);
+        run_reliability(&ReliabilityConfig::spider2(), &mut rng)
     });
     // The Titan-wide create storm.
-    g.bench_function("create_storm_18688_clients", |b| {
-        b.iter(|| black_box(run_create_storm(&MdsCluster::single(), 18_688)));
+    case(BENCH, "create_storm_18688_clients", || {
+        run_create_storm(&MdsCluster::single(), 18_688)
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

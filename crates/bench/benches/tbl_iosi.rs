@@ -1,12 +1,12 @@
 //! Bench for E7: IOSI signature extraction over server-side logs.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::e07_iosi;
 use spider_simkit::{SimDuration, SimRng, SimTime, TimeSeries};
 use spider_tools::iosi::{extract_signature, IosiConfig};
+
+const BENCH: &str = "tbl_iosi";
 
 fn synth_runs(n_runs: usize, bins: usize) -> Vec<TimeSeries> {
     let mut rng = SimRng::seed_from_u64(3);
@@ -25,20 +25,10 @@ fn synth_runs(n_runs: usize, bins: usize) -> Vec<TimeSeries> {
         .collect()
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tbl_iosi");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e7_small", |b| {
-        b.iter(|| black_box(e07_iosi::run(Scale::Small)));
-    });
+fn main() {
+    case(BENCH, "experiment_e7_small", || e07_iosi::run(Scale::Small));
     let runs = synth_runs(4, 3_600);
-    g.bench_function("extract_signature_4_runs_3600_bins", |b| {
-        b.iter(|| black_box(extract_signature(&runs, &IosiConfig::default())));
+    case(BENCH, "extract_signature_4_runs_3600_bins", || {
+        extract_signature(&runs, &IosiConfig::default())
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

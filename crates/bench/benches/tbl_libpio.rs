@@ -1,20 +1,16 @@
 //! Bench for E6: libPIO placement — the suggestion path itself and the
 //! end-to-end experiment.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::e06_libpio;
 use spider_tools::libpio::{Libpio, PlacementRequest};
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tbl_libpio");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e6_small", |b| {
-        b.iter(|| black_box(e06_libpio::run(Scale::Small)));
+const BENCH: &str = "tbl_libpio";
+
+fn main() {
+    case(BENCH, "experiment_e6_small", || {
+        e06_libpio::run(Scale::Small)
     });
     // Spider II-sized suggestion: 2,016 OSTs, 288 OSS.
     let mut lib = Libpio::new(2_016, 288, 440);
@@ -25,11 +21,5 @@ fn bench(c: &mut Criterion) {
         n_osts: 8,
         router_options: (0..12).collect(),
     };
-    g.bench_function("suggest_8_of_2016_osts", |b| {
-        b.iter(|| black_box(lib.suggest(&req)));
-    });
-    g.finish();
+    case(BENCH, "suggest_8_of_2016_osts", || lib.suggest(&req));
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,15 +1,15 @@
 //! Bench for E8: namespace strategy, fullness and purge — plus the
 //! stripe-count stat-cost ablation from DESIGN.md (Lustre best practices).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::e08_namespaces;
 use spider_pfs::layout::StripeLayout;
 use spider_pfs::namespace::{FileMeta, Namespace};
 use spider_pfs::ost::OstId;
 use spider_simkit::SimTime;
+
+const BENCH: &str = "tbl_namespaces";
 
 fn populated(stripe_count: u32, files: usize) -> Namespace {
     let mut ns = Namespace::new();
@@ -44,23 +44,17 @@ fn stat_storm_cost(ns: &Namespace) -> u64 {
     ops
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tbl_namespaces");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e8_small", |b| {
-        b.iter(|| black_box(e08_namespaces::run(Scale::Small)));
+fn main() {
+    case(BENCH, "experiment_e8_small", || {
+        e08_namespaces::run(Scale::Small)
     });
     // Ablation: stat cost by stripe count (the §VII best practice).
     for stripes in [1u32, 4, 16] {
         let ns = populated(stripes, 20_000);
-        g.bench_function(format!("stat_storm_20k_files_stripe{stripes}"), |b| {
-            b.iter(|| black_box(stat_storm_cost(&ns)));
-        });
+        case(
+            BENCH,
+            &format!("stat_storm_20k_files_stripe{stripes}"),
+            || stat_storm_cost(&ns),
+        );
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

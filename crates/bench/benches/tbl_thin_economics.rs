@@ -1,24 +1,12 @@
 //! Bench for E13 (thin file system QA) and E14 (center economics).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::{e13_thin_fs, e14_economics};
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tbl_thin_economics");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e13", |b| {
-        b.iter(|| black_box(e13_thin_fs::run(Scale::Small)));
-    });
-    g.bench_function("experiment_e14", |b| {
-        b.iter(|| black_box(e14_economics::run(Scale::Small)));
-    });
-    g.finish();
-}
+const BENCH: &str = "tbl_thin_economics";
 
-criterion_group!(benches, bench);
-criterion_main!(benches);
+fn main() {
+    case(BENCH, "experiment_e13", || e13_thin_fs::run(Scale::Small));
+    case(BENCH, "experiment_e14", || e14_economics::run(Scale::Small));
+}

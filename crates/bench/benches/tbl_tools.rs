@@ -1,9 +1,7 @@
 //! Bench for E12: scalable tools — the real serial-vs-parallel speedup of
 //! the LL19 argument, measured on this machine's cores.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::e12_tools;
 use spider_pfs::layout::StripeLayout;
@@ -12,6 +10,8 @@ use spider_pfs::ost::OstId;
 use spider_simkit::SimTime;
 use spider_tools::lustredu::DuDatabase;
 use spider_tools::ptools::{dwalk, walk_serial};
+
+const BENCH: &str = "tbl_tools";
 
 fn big_tree(dirs: usize, files_per_dir: usize) -> Namespace {
     let mut ns = Namespace::new();
@@ -36,26 +36,16 @@ fn big_tree(dirs: usize, files_per_dir: usize) -> Namespace {
     ns
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tbl_tools");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e12_small", |b| {
-        b.iter(|| black_box(e12_tools::run(Scale::Small)));
+fn main() {
+    case(BENCH, "experiment_e12_small", || {
+        e12_tools::run(Scale::Small)
     });
     let ns = big_tree(128, 1_000); // 128k files
-    g.bench_function("walk_serial_128k_files", |b| {
-        b.iter(|| black_box(walk_serial(&ns, ns.root())));
+    case(BENCH, "walk_serial_128k_files", || {
+        walk_serial(&ns, ns.root())
     });
-    g.bench_function("dwalk_parallel_128k_files", |b| {
-        b.iter(|| black_box(dwalk(&ns, ns.root())));
+    case(BENCH, "dwalk_parallel_128k_files", || dwalk(&ns, ns.root()));
+    case(BENCH, "lustredu_build_128k_files", || {
+        DuDatabase::build(&ns, SimTime::ZERO)
     });
-    g.bench_function("lustredu_build_128k_files", |b| {
-        b.iter(|| black_box(DuDatabase::build(&ns, SimTime::ZERO)));
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,27 +1,19 @@
 //! Bench for E9 (controller upgrade) and E10 (sizing rules).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
+use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::{e09_upgrade, e10_sizing};
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tbl_upgrade_sizing");
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(2));
-    g.sample_size(10);
-    g.bench_function("experiment_e9_small", |b| {
-        b.iter(|| black_box(e09_upgrade::run(Scale::Small)));
-    });
-    g.bench_function("experiment_e9_paper", |b| {
-        b.iter(|| black_box(e09_upgrade::run(Scale::Paper)));
-    });
-    g.bench_function("experiment_e10_small", |b| {
-        b.iter(|| black_box(e10_sizing::run(Scale::Small)));
-    });
-    g.finish();
-}
+const BENCH: &str = "tbl_upgrade_sizing";
 
-criterion_group!(benches, bench);
-criterion_main!(benches);
+fn main() {
+    case(BENCH, "experiment_e9_small", || {
+        e09_upgrade::run(Scale::Small)
+    });
+    case(BENCH, "experiment_e9_paper", || {
+        e09_upgrade::run(Scale::Paper)
+    });
+    case(BENCH, "experiment_e10_small", || {
+        e10_sizing::run(Scale::Small)
+    });
+}

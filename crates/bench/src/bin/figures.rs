@@ -17,6 +17,7 @@ use std::io::Write;
 
 use spider_bench::{run_all, run_experiment};
 use spider_core::config::Scale;
+use spider_core::experiments::registry;
 
 fn main() {
     let mut scale = Scale::Paper;
@@ -95,7 +96,9 @@ fn main() {
         ids.iter()
             .map(|id| {
                 let tables = run_experiment(id, scale).unwrap_or_else(|| {
-                    eprintln!("unknown experiment '{id}' (use E1..E15)");
+                    let known = registry();
+                    let (first, last) = (known[0].id, known[known.len() - 1].id);
+                    eprintln!("unknown experiment '{id}' (use {first}..{last})");
                     std::process::exit(2);
                 });
                 (id.to_uppercase(), String::new(), tables)

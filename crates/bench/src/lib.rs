@@ -3,14 +3,14 @@
 //! The reproduction harness:
 //!
 //! - the [`figures`](../src/bin/figures.rs) binary regenerates **every**
-//!   table and figure of the paper's evaluation (experiments E1–E15 from
-//!   `spider-core::experiments`) and optionally dumps them as JSON;
-//! - the Criterion benches under `benches/` time each experiment and the
+//!   table and figure of the paper's evaluation (every experiment in the
+//!   `spider-core::experiments` registry) and optionally dumps them as JSON;
+//! - the benches under `benches/` time each experiment and the
 //!   load-bearing substrate components (DES engine, max-min solver,
 //!   namespace, parallel tools), including the ablations called out in
 //!   `DESIGN.md`;
-//! - [`record`] is the one record path of the benches that write a
-//!   committed `BENCH_*.json`.
+//! - [`record`] is their one harness: the mode switch, the timer and the
+//!   record path of the benches that write a committed `BENCH_*.json`.
 //!
 //! Run `cargo run -p spider-bench --release --bin figures` for the full
 //! paper-scale reproduction, or `-- --scale small` for a quick pass.
@@ -28,7 +28,8 @@ fn run_timed(e: &spider_core::experiments::ExperimentEntry, scale: Scale) -> Vec
     (e.run)(scale)
 }
 
-/// Run one experiment by id ("E1".."E15"). Returns `None` for unknown ids.
+/// Run one experiment by its registry id ("E1", "e5", …; case-insensitive).
+/// Returns `None` for unknown ids.
 pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Table>> {
     registry()
         .into_iter()

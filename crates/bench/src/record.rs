@@ -1,4 +1,4 @@
-//! The one record path of the benches that write a `BENCH_*.json`.
+//! The one harness of the bench targets.
 //!
 //! This module is the only code that knows how a bench binary was invoked:
 //!
@@ -8,12 +8,14 @@
 //! | `--smoke` (± `--bench`) | smoke  | `target/bench-smoke/<file>`    |
 //! | `--bench` alone         | full   | `<file>` at the workspace root |
 //!
-//! `cargo test` runs bench targets with neither flag, and `cargo bench`
-//! always passes `--bench`, so `cargo bench … -- --smoke` lands in the
-//! second row: a smoke run cannot overwrite a committed record. Every
-//! record opens with one header (`command`, `git_rev`, `cores`, `smoke`)
-//! ahead of the bench's own fields. The module also owns the best-of-N
-//! wall timer and the spare-thread budgets the parallel benches sweep.
+//! Plain `cargo test` does not run bench targets; `cargo test --benches`
+//! runs each once with neither flag. `cargo bench` always passes
+//! `--bench`, so `cargo bench … -- --smoke` lands in the second row: a
+//! smoke run cannot overwrite a committed record. Every record opens with
+//! one header (`command`, `git_rev`, `cores`, `smoke`) ahead of the bench's
+//! own fields. The module also owns the best-of-N wall timer, the one-line
+//! report of a timed case and the spare-thread budgets the parallel benches
+//! sweep.
 
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -106,6 +108,15 @@ pub fn time_ms<R>(iters: u32, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// Time the case `name` of `bench` with [`time_ms`] (one pass at smoke
+/// shape, best of ten at full shape) and print it as one
+/// `<bench>/<name>: <ms> ms` line. Returns the time in milliseconds.
+pub fn case<R>(bench: &str, name: &str, f: impl FnMut() -> R) -> f64 {
+    let ms = time_ms(if smoke() { 1 } else { 10 }, f);
+    println!("{bench}/{name}: {ms:.3} ms");
+    ms
+}
+
 /// The record text: the header, then the bench's own `fields`.
 fn render(bench: &str, mode: Mode, fields: &str) -> String {
     let smoke = mode != Mode::Full;
@@ -175,5 +186,41 @@ mod tests {
             let x = v.get("x").and_then(|x| x.get("0"));
             assert_eq!(x, Some(&JsonValue::Num(1.5)));
         }
+    }
+
+    #[test]
+    fn every_committed_record_comes_from_a_full_bench_run() {
+        let root = workspace_root();
+        let mut records = 0;
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(root.join(&name)).unwrap();
+            let v = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let command = v.get("command").and_then(JsonValue::as_str);
+            let bench = command
+                .and_then(|c| c.strip_prefix("cargo bench -p spider-bench --bench "))
+                .and_then(|c| c.strip_suffix(" -- --bench"))
+                .unwrap_or_else(|| panic!("{name}: command {command:?} is not a full bench run"));
+            let source = root.join(format!("crates/bench/benches/{bench}.rs"));
+            assert!(source.is_file(), "{name}: no bench target {bench}");
+            assert!(
+                v.get("git_rev").and_then(JsonValue::as_str).is_some(),
+                "{name}: git_rev"
+            );
+            assert!(
+                v.get("cores").and_then(JsonValue::as_f64).is_some(),
+                "{name}: cores"
+            );
+            assert_eq!(
+                v.get("smoke"),
+                Some(&JsonValue::Bool(false)),
+                "{name}: smoke"
+            );
+            records += 1;
+        }
+        assert!(records > 0, "no BENCH_*.json at {}", root.display());
     }
 }

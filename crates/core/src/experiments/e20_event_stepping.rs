@@ -31,8 +31,8 @@ use crate::report::Table;
 use crate::timestep::{run_timestep, run_timestep_sharded, Job, SteppingMode, TimestepConfig};
 
 /// The checkpoint storm: `waves` waves, `jobs_per_wave` identical jobs each,
-/// one wave every `period`.
-fn storm(waves: u64, jobs_per_wave: u32, period: SimDuration) -> Vec<Job> {
+/// one wave every `period`. The `timestep_scale` bench times this shape.
+pub fn storm(waves: u64, jobs_per_wave: u32, period: SimDuration) -> Vec<Job> {
     let mut jobs = Vec::new();
     for w in 0..waves {
         for k in 0..jobs_per_wave {

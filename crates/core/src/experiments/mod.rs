@@ -80,7 +80,7 @@ pub mod trace {
 
 /// An experiment's identity and runner.
 pub struct ExperimentEntry {
-    /// Id ("E1".."E15").
+    /// Id: "E" and the experiment number ("E1", "E2", …).
     pub id: &'static str,
     /// What in the paper it reproduces.
     pub paper_ref: &'static str,
