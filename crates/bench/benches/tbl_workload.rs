@@ -5,7 +5,7 @@ use spider_bench::record::case;
 use spider_core::config::Scale;
 use spider_core::experiments::e05_workload;
 use spider_simkit::{SimDuration, SimRng};
-use spider_workload::characterize::characterize;
+use spider_workload::characterize::Tally;
 use spider_workload::mix::CenterWorkload;
 
 const BENCH: &str = "tbl_workload";
@@ -26,14 +26,24 @@ fn main() {
             SimDuration::from_hours(1),
             &mut rng,
             48..76,
+            |t| t,
         )
     });
-    // E5 characterizes the per-stream traces without merging them.
-    let wl = CenterWorkload::olcf_production();
-    let mut rng = SimRng::seed_from_u64(2);
-    let streams = wl.generate_streams(SimDuration::from_mins(10), &mut rng, 0..wl.total_streams());
-    let requests: usize = streams.iter().map(Vec::len).sum();
-    case(BENCH, &format!("characterize_{requests}_requests"), || {
-        characterize(streams.iter().flatten())
+    // E5's path: every stream tallied as it is generated, the tallies
+    // merged in client order and finished.
+    case(BENCH, "generate_and_tally_production_mix_10min", || {
+        let wl = CenterWorkload::olcf_production();
+        let mut rng = SimRng::seed_from_u64(2);
+        let tallies = wl.generate_streams(
+            SimDuration::from_mins(10),
+            &mut rng,
+            0..wl.total_streams(),
+            |stream| stream.iter().collect::<Tally>(),
+        );
+        let mut tally = Tally::default();
+        for t in tallies {
+            tally.merge(t);
+        }
+        tally.finish()
     });
 }

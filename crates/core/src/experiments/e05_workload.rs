@@ -6,7 +6,7 @@
 //! (multiples of 1 MB)", and Pareto-tailed inter-arrival/idle times.
 
 use spider_simkit::{SimDuration, SimRng};
-use spider_workload::characterize::characterize;
+use spider_workload::characterize::Tally;
 use spider_workload::mix::CenterWorkload;
 
 use crate::config::Scale;
@@ -20,10 +20,19 @@ pub fn run(scale: Scale) -> Vec<Table> {
     };
     let mut rng = SimRng::seed_from_u64(0xE5);
     // Characterization needs each client's requests in time order only,
-    // which every stream already is, so the streams are never merged.
+    // which every stream already is, so each stream is tallied as it is
+    // generated and dropped; the streams are never merged or held at once.
+    // Merging the tallies in client order keeps the gap samples in the
+    // order of one pass over the streams, so both Hill fits keep their bits.
     let wl = CenterWorkload::olcf_production();
-    let streams = wl.generate_streams(horizon, &mut rng, 0..wl.total_streams());
-    let c = characterize(streams.iter().flatten());
+    let tallies = wl.generate_streams(horizon, &mut rng, 0..wl.total_streams(), |stream| {
+        stream.iter().collect::<Tally>()
+    });
+    let mut tally = Tally::default();
+    for t in tallies {
+        tally.merge(t);
+    }
+    let c = tally.finish();
 
     let mut table = Table::new(
         "E5: production mix characterization vs the paper's published values",

@@ -19,6 +19,8 @@ use crate::report::Table;
 /// One run's server log: the app plus uncorrelated background noise.
 fn one_run(app: &S3dConfig, interval: SimDuration, seed: u64) -> TimeSeries {
     let mut rng = SimRng::seed_from_u64(seed);
+    // The app trace comes in generation order, not time order; binning
+    // sums whole byte counts, which are exact in any order.
     let app_trace = app.trace(&mut rng);
     let mut log = trace_to_series(&app_trace, interval);
     // Background: the analytics/visualization portion of the production
@@ -28,7 +30,8 @@ fn one_run(app: &S3dConfig, interval: SimDuration, seed: u64) -> TimeSeries {
     // this server-side log slice, so only these streams are generated.
     // Each bin sums integer byte counts far below 2^53, so binning stream
     // by stream gives the same bits as binning the merged trace.
-    let bg = CenterWorkload::olcf_production().generate_streams(app.runtime, &mut rng, 48..76);
+    let bg =
+        CenterWorkload::olcf_production().generate_streams(app.runtime, &mut rng, 48..76, |t| t);
     let mut bg_log = TimeSeries::new(interval);
     for r in bg.iter().flatten() {
         bg_log.add(r.at, r.size as f64);

@@ -20,6 +20,7 @@ fn recover(app: &S3dConfig, interval: SimDuration, seed: u64) -> Option<IoSignat
     let runs: Vec<TimeSeries> = (0..3)
         .map(|i| {
             let mut rng = SimRng::seed_from_u64(seed + i);
+            // Binning the unsorted app trace is exact (whole byte counts).
             let mut log = trace_to_series(&app.trace(&mut rng), interval);
             // Light uncorrelated noise.
             for bin in 0..(app.runtime.as_nanos() / interval.as_nanos()) {

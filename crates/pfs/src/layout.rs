@@ -47,22 +47,40 @@ impl StripeLayout {
 
     /// How many bytes of a `[offset, offset+len)` extent land on each OST of
     /// the layout. Returned parallel to `self.osts`.
+    ///
+    /// O(stripe count), not O(chunks): chunk `c` lives on OST `c % n`, so
+    /// the whole chunks between the first and last touched chunk are
+    /// `mid / n` full cycles plus `mid % n` leftover chunks. All integer
+    /// arithmetic, so the split is exactly a chunk-by-chunk walk's.
     pub fn bytes_per_ost(&self, offset: u64, len: u64) -> Vec<u64> {
         let n = self.osts.len() as u64;
+        let s = self.stripe_size;
         let mut out = vec![0u64; self.osts.len()];
         if len == 0 {
             return out;
         }
-        // Whole chunks between the first and last touched chunk.
-        let first_chunk = offset / self.stripe_size;
-        let last_chunk = (offset + len - 1) / self.stripe_size;
-        for chunk in first_chunk..=last_chunk {
-            let chunk_start = chunk * self.stripe_size;
-            let chunk_end = chunk_start + self.stripe_size;
-            let lo = offset.max(chunk_start);
-            let hi = (offset + len).min(chunk_end);
-            out[(chunk % n) as usize] += hi - lo;
+        let end = offset + len;
+        let first_chunk = offset / s;
+        let last_chunk = (end - 1) / s;
+        let ost = |chunk: u64| (chunk % n) as usize;
+        if first_chunk == last_chunk {
+            out[ost(first_chunk)] = len;
+            return out;
         }
+        // The partial (or whole) first and last chunks.
+        out[ost(first_chunk)] += (first_chunk + 1) * s - offset;
+        out[ost(last_chunk)] += end - last_chunk * s;
+        // The whole chunks between them: `q` cycles over every OST, then
+        // `r` more starting at the OST after the first chunk's.
+        let mid = last_chunk - first_chunk - 1;
+        let (q, r) = (mid / n, mid % n);
+        for b in &mut out {
+            *b += q * s;
+        }
+        for k in 0..r {
+            out[ost(first_chunk + 1 + k)] += s;
+        }
+        debug_assert_eq!(out.iter().sum::<u64>(), len, "stripe split loses bytes");
         out
     }
 
@@ -111,6 +129,35 @@ mod tests {
         assert_eq!(per[0], 512 << 10);
         assert_eq!(per[1], 1 << 20);
         assert_eq!(per.iter().sum::<u64>(), 3 << 19);
+    }
+
+    #[test]
+    fn bytes_per_ost_extent_ending_on_a_chunk_boundary() {
+        let l = layout(3);
+        // [0.5, 5.0) MiB: chunk0 0.5 MiB on OST0, chunks 1..=4 whole, the
+        // last (chunk4) ends exactly on its boundary on OST1.
+        let per = l.bytes_per_ost(512 << 10, (5 << 20) - (512 << 10));
+        assert_eq!(per, vec![(512 << 10) + (1 << 20), 2 << 20, 1 << 20]);
+    }
+
+    #[test]
+    fn bytes_per_ost_one_chunk_extent() {
+        let l = layout(4);
+        // Exactly chunk 6, which wraps to OST2.
+        assert_eq!(l.bytes_per_ost(6 << 20, 1 << 20), vec![0, 0, 1 << 20, 0]);
+        // A sliver inside chunk 5 (OST1).
+        assert_eq!(l.bytes_per_ost((5 << 20) + 7, 100), vec![0, 100, 0, 0]);
+    }
+
+    #[test]
+    fn bytes_per_ost_exactly_n_chunks_from_an_unaligned_offset() {
+        let l = layout(4);
+        // Four chunks' worth from 0.25 MiB into chunk 2: the first and last
+        // partial chunks share OST2, every other OST gets one whole chunk.
+        let per = l.bytes_per_ost((2 << 20) + (256 << 10), 4 << 20);
+        assert_eq!(per, vec![1 << 20, 1 << 20, 1 << 20, 1 << 20]);
+        // Aligned: one whole chunk on each OST.
+        assert_eq!(l.bytes_per_ost(3 << 20, 4 << 20), vec![1 << 20; 4]);
     }
 
     #[test]

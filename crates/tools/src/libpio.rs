@@ -125,23 +125,31 @@ impl Libpio {
     /// over distinct OSSes when possible) and the least-loaded candidate
     /// router.
     pub fn suggest(&self, req: &PlacementRequest) -> (Vec<usize>, Option<usize>) {
-        let n = req.n_osts.clamp(1, self.ost_load.len());
-        // Rank all OSTs by score; tie-break by index for determinism.
-        let mut ranked: Vec<usize> = (0..self.ost_load.len()).collect();
-        ranked.sort_by(|&a, &b| {
-            self.ost_score(a)
-                .total_cmp(&self.ost_score(b))
-                .then(a.cmp(&b))
-        });
+        let n_total = self.ost_load.len();
+        let n = req.n_osts.clamp(1, n_total);
+        let score: Vec<f64> = (0..n_total).map(|o| self.ost_score(o)).collect();
+        // Rank OSTs by score; tie-break by index for determinism. Both
+        // passes below read only the best 2n ranks: the first takes at most
+        // 2n candidates, and the second needs n - picked more, which the
+        // 2n - picked unpicked ones among the best 2n always hold. So only
+        // those are selected and sorted.
+        let by_score = |a: &usize, b: &usize| score[*a].total_cmp(&score[*b]).then(a.cmp(b));
+        let mut ranked: Vec<usize> = (0..n_total).collect();
+        let keep = (2 * n).min(n_total);
+        if keep < n_total {
+            ranked.select_nth_unstable_by(keep, by_score);
+            ranked.truncate(keep);
+        }
+        ranked.sort_unstable_by(by_score);
         // First pass: prefer distinct OSSes, but never at the price of a
         // badly-loaded pick — a candidate qualifies only while its score is
         // within 1.5x of the n-th best (spreading should not override a
         // real load difference).
-        let threshold = self.ost_score(ranked[n - 1]) * 1.5 + 1e-9;
+        let threshold = score[ranked[n - 1]] * 1.5 + 1e-9;
         let mut picked = Vec::with_capacity(n);
         let mut used_oss = std::collections::BTreeSet::new();
-        for &o in ranked.iter().take(2 * n) {
-            if picked.len() == n || self.ost_score(o) > threshold {
+        for &o in &ranked {
+            if picked.len() == n || score[o] > threshold {
                 break;
             }
             if used_oss.insert(self.oss_of(o)) {

@@ -9,6 +9,37 @@ use spider_tools::libpio::{Libpio, PlacementRequest};
 use spider_tools::planner::{CapacityPlan, Project};
 use spider_tools::scheduler::{dephasing_gain, schedule_offsets, SchedulerConfig};
 
+/// libPIO's OST picks by a full sort of every OST, the ranking
+/// `Libpio::suggest` used before it ranked only the best `2n`. Scores are
+/// rebuilt from the load snapshot with the library's OSS weight of 0.5.
+fn full_sort_suggest(lib: &Libpio, req: &PlacementRequest) -> Vec<usize> {
+    let loads = lib.snapshot();
+    let score = |o: usize| loads.ost[o] + 0.5 * loads.oss[lib.oss_of(o)];
+    let n = req.n_osts.clamp(1, loads.ost.len());
+    let mut ranked: Vec<usize> = (0..loads.ost.len()).collect();
+    ranked.sort_by(|&a, &b| score(a).total_cmp(&score(b)).then(a.cmp(&b)));
+    let threshold = score(ranked[n - 1]) * 1.5 + 1e-9;
+    let mut picked = Vec::with_capacity(n);
+    let mut used_oss = std::collections::BTreeSet::new();
+    for &o in ranked.iter().take(2 * n) {
+        if picked.len() == n || score(o) > threshold {
+            break;
+        }
+        if used_oss.insert(lib.oss_of(o)) {
+            picked.push(o);
+        }
+    }
+    for &o in &ranked {
+        if picked.len() == n {
+            break;
+        }
+        if !picked.contains(&o) {
+            picked.push(o);
+        }
+    }
+    picked
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -31,28 +62,36 @@ proptest! {
     }
 
     /// libPIO suggestions are always valid: distinct, in-range, requested
-    /// count (clamped).
+    /// count (clamped). They are also exactly the picks of a full sort of
+    /// every OST, including under score ties (loads from a few repeated
+    /// values) and when `2n >= N` keeps every OST.
     #[test]
     fn libpio_suggestions_valid(
         n_osts in 1usize..64,
         n_oss in 1usize..8,
         req in 1usize..80,
         loads in prop::collection::vec((0usize..64, 0.0f64..1e6), 0..30),
+        tied in prop::collection::vec(
+            (0usize..64, prop::sample::select(vec![1.0f64, 10.0, 100.0, 1e6])),
+            0..60,
+        ),
     ) {
         let mut lib = Libpio::new(n_osts, n_oss, 2);
-        for (o, l) in loads {
+        for (o, l) in loads.into_iter().chain(tied) {
             lib.record_ost_io(o % n_osts, l);
         }
-        let (picked, _) = lib.suggest(&PlacementRequest {
+        let request = PlacementRequest {
             n_osts: req,
             router_options: vec![0, 1],
-        });
+        };
+        let (picked, _) = lib.suggest(&request);
         prop_assert_eq!(picked.len(), req.min(n_osts));
         let mut sorted = picked.clone();
         sorted.sort_unstable();
         sorted.dedup();
         prop_assert_eq!(sorted.len(), picked.len(), "distinct");
         prop_assert!(picked.iter().all(|&o| o < n_osts));
+        prop_assert_eq!(picked, full_sort_suggest(&lib, &request));
     }
 
     /// Capacity plans assign every project and conserve totals.

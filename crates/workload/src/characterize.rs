@@ -5,6 +5,12 @@
 //! Pareto-tailed inter-arrival and idle time distributions. This analyzer
 //! recomputes those statistics from any request trace, so generated
 //! workloads can be validated against the published characterization (E5).
+//!
+//! The analysis is a fold: a [`Tally`] takes requests one at a time, tallies
+//! of disjoint client sets merge, and [`Tally::finish`] fits the tails. So a
+//! trace never has to be held at once: E5 tallies each stream as it is
+//! generated, drops it, and merges the per-stream tallies in client order.
+//! [`characterize`] is the same fold over one request iterator.
 
 use spider_simkit::{hill_tail_index, Histogram, SimDuration};
 
@@ -35,70 +41,139 @@ pub struct Characterization {
 /// Gaps longer than this split busy periods (idle-time extraction).
 const IDLE_THRESHOLD: SimDuration = SimDuration::from_secs(5);
 
-/// Analyze a trace in one pass.
+/// The running counts and gap samples behind a [`Characterization`].
 ///
-/// Only each client's requests need be in time order, so a merged trace and
-/// the unmerged per-stream traces (`streams.iter().flatten()`) give the same
-/// statistics bit for bit. Per-client state is a `Vec` indexed by client
-/// id, so ids are expected to be dense, as the workload composers make them.
-pub fn characterize<'a>(trace: impl IntoIterator<Item = &'a IoRequest>) -> Characterization {
-    let mut requests = 0usize;
-    let (mut writes, mut small, mut large) = (0usize, 0usize, 0usize);
-    let mut size_histogram = Histogram::log2(512.0, 16);
+/// Only each client's requests need be pushed in time order, so a merged
+/// trace and its per-client streams tally alike. Per-client state is a
+/// `Vec` indexed by client id, so ids are expected to be dense, as the
+/// workload composers make them.
+#[derive(Debug, Clone)]
+pub struct Tally {
+    requests: usize,
+    writes: usize,
+    small: usize,
+    large: usize,
+    size_histogram: Histogram,
     // Per-client inter-arrival and idle samples (mixing clients would
     // conflate source behaviour with scheduling).
-    let mut inter: Vec<f64> = Vec::new();
-    let mut idle: Vec<f64> = Vec::new();
-    let mut last_by_client: Vec<Option<u64>> = Vec::new();
-    for r in trace {
-        requests += 1;
-        writes += usize::from(!r.is_read);
-        if r.size <= 16 * 1024 {
-            small += 1;
-        } else if r.size % (1 << 20) == 0 {
-            large += 1;
+    inter: Vec<f64>,
+    idle: Vec<f64>,
+    last_by_client: Vec<Option<u64>>,
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally {
+            requests: 0,
+            writes: 0,
+            small: 0,
+            large: 0,
+            size_histogram: Histogram::log2(512.0, 16),
+            inter: Vec::new(),
+            idle: Vec::new(),
+            last_by_client: Vec::new(),
         }
-        size_histogram.record(r.size as f64);
+    }
+}
+
+impl Tally {
+    /// Count one request; its gap from the client's previous request joins
+    /// the inter-arrival or idle samples.
+    pub fn push(&mut self, r: &IoRequest) {
+        self.requests += 1;
+        self.writes += usize::from(!r.is_read);
+        if r.size <= 16 * 1024 {
+            self.small += 1;
+        } else if r.size.is_multiple_of(1 << 20) {
+            self.large += 1;
+        }
+        self.size_histogram.record(r.size as f64);
 
         let client = r.client as usize;
-        if client >= last_by_client.len() {
-            last_by_client.resize(client + 1, None);
+        if client >= self.last_by_client.len() {
+            self.last_by_client.resize(client + 1, None);
         }
         let now = r.at.as_nanos();
-        if let Some(prev) = last_by_client[client].replace(now) {
+        if let Some(prev) = self.last_by_client[client].replace(now) {
             let gap = (now - prev) as f64 / 1e9;
             if gap > IDLE_THRESHOLD.as_secs_f64() {
-                idle.push(gap);
+                self.idle.push(gap);
             } else if gap > 0.0 {
-                inter.push(gap);
+                self.inter.push(gap);
             }
         }
     }
-    assert!(requests >= 2, "need at least two requests");
-    let n = requests as f64;
-    let (writes, small, large) = (writes as f64, small as f64, large as f64);
 
-    let inter_arrival_tail = if inter.len() > 100 {
-        hill_tail_index(&inter, inter.len() / 20)
-    } else {
-        f64::INFINITY
-    };
-    let idle_tail = if idle.len() > 100 {
-        Some(hill_tail_index(&idle, idle.len() / 10))
-    } else {
-        None
-    };
-
-    Characterization {
-        requests,
-        write_fraction: writes / n,
-        small_fraction: small / n,
-        large_aligned_fraction: large / n,
-        bimodal_coverage: (small + large) / n,
-        inter_arrival_tail,
-        idle_tail,
-        size_histogram,
+    /// Fold in the tally of a disjoint set of clients. Its gap samples go
+    /// after this tally's, so merging per-client tallies in client order
+    /// gives exactly the samples of pushing their requests in that order.
+    pub fn merge(&mut self, other: Tally) {
+        self.requests += other.requests;
+        self.writes += other.writes;
+        self.small += other.small;
+        self.large += other.large;
+        self.size_histogram.merge(&other.size_histogram);
+        self.inter.extend_from_slice(&other.inter);
+        self.idle.extend_from_slice(&other.idle);
+        if other.last_by_client.len() > self.last_by_client.len() {
+            self.last_by_client.resize(other.last_by_client.len(), None);
+        }
+        for (mine, theirs) in self.last_by_client.iter_mut().zip(other.last_by_client) {
+            if theirs.is_some() {
+                debug_assert!(mine.is_none(), "merged tallies share a client");
+                *mine = theirs;
+            }
+        }
     }
+
+    /// The statistics, with both Hill tails fitted over the gap samples.
+    pub fn finish(self) -> Characterization {
+        assert!(self.requests >= 2, "need at least two requests");
+        let n = self.requests as f64;
+        let (writes, small, large) = (self.writes as f64, self.small as f64, self.large as f64);
+
+        let inter_arrival_tail = if self.inter.len() > 100 {
+            hill_tail_index(&self.inter, self.inter.len() / 20)
+        } else {
+            f64::INFINITY
+        };
+        let idle_tail = if self.idle.len() > 100 {
+            Some(hill_tail_index(&self.idle, self.idle.len() / 10))
+        } else {
+            None
+        };
+
+        Characterization {
+            requests: self.requests,
+            write_fraction: writes / n,
+            small_fraction: small / n,
+            large_aligned_fraction: large / n,
+            bimodal_coverage: (small + large) / n,
+            inter_arrival_tail,
+            idle_tail,
+            size_histogram: self.size_histogram,
+        }
+    }
+}
+
+/// A tally of every request, pushed in iteration order.
+impl<'a> FromIterator<&'a IoRequest> for Tally {
+    fn from_iter<I: IntoIterator<Item = &'a IoRequest>>(trace: I) -> Self {
+        let mut tally = Tally::default();
+        for r in trace {
+            tally.push(r);
+        }
+        tally
+    }
+}
+
+/// Analyze a trace in one pass: a [`Tally`] of every request, finished.
+///
+/// Only each client's requests need be in time order, so a merged trace and
+/// the unmerged per-stream traces (`streams.iter().flatten()`) give the same
+/// statistics bit for bit.
+pub fn characterize<'a>(trace: impl IntoIterator<Item = &'a IoRequest>) -> Characterization {
+    trace.into_iter().collect::<Tally>().finish()
 }
 
 #[cfg(test)]
@@ -201,12 +276,22 @@ mod tests {
     #[test]
     fn unmerged_streams_characterize_like_the_merged_trace() {
         let wl = CenterWorkload::olcf_production();
+        let horizon = SimDuration::from_mins(30);
         let mut rng = SimRng::seed_from_u64(42);
-        let streams =
-            wl.generate_streams(SimDuration::from_mins(30), &mut rng, 0..wl.total_streams());
+        let streams = wl.generate_streams(horizon, &mut rng, 0..wl.total_streams(), |t| t);
+        // E5's path: tally each stream as it is generated, then merge the
+        // tallies in client order.
+        let mut tally_rng = SimRng::seed_from_u64(42);
+        let tallies = wl.generate_streams(horizon, &mut tally_rng, 0..wl.total_streams(), |t| {
+            t.iter().collect::<Tally>()
+        });
+        let mut tally = Tally::default();
+        for t in tallies {
+            tally.merge(t);
+        }
+        let tallied = tally.finish();
         let unmerged = characterize(streams.iter().flatten());
         let merged = characterize(&crate::generator::merge_traces(streams));
-        assert_eq!(unmerged.requests, merged.requests);
         let bits = |c: &Characterization| {
             [
                 c.write_fraction,
@@ -217,20 +302,17 @@ mod tests {
             ]
             .map(f64::to_bits)
         };
-        assert_eq!(bits(&unmerged), bits(&merged));
         assert!(merged.idle_tail.is_some(), "the idle tail is exercised");
-        assert_eq!(
-            unmerged.idle_tail.map(f64::to_bits),
-            merged.idle_tail.map(f64::to_bits)
-        );
-        assert_eq!(
-            unmerged.size_histogram.total(),
-            merged.size_histogram.total()
-        );
-        assert_eq!(
-            unmerged.size_histogram.counts(),
-            merged.size_histogram.counts()
-        );
+        for c in [&unmerged, &tallied] {
+            assert_eq!(c.requests, merged.requests);
+            assert_eq!(bits(c), bits(&merged));
+            assert_eq!(
+                c.idle_tail.map(f64::to_bits),
+                merged.idle_tail.map(f64::to_bits)
+            );
+            assert_eq!(c.size_histogram.total(), merged.size_histogram.total());
+            assert_eq!(c.size_histogram.counts(), merged.size_histogram.counts());
+        }
     }
 
     #[test]

@@ -85,22 +85,25 @@ impl CenterWorkload {
 
     /// Generate the merged, time-sorted request trace over `horizon`.
     pub fn generate(&self, horizon: SimDuration, rng: &mut SimRng) -> Vec<IoRequest> {
-        merge_traces(self.generate_streams(horizon, rng, 0..self.total_streams()))
+        merge_traces(self.generate_streams(horizon, rng, 0..self.total_streams(), |t| t))
     }
 
     /// Generate the time-sorted trace of each stream in `clients` over
-    /// `horizon`, one `Vec` per client in client order.
+    /// `horizon` and hand it to `f`, returning `f`'s results in client
+    /// order. `|t| t` keeps the traces; a consumer that reduces its stream
+    /// (E5 tallies each one) never holds more than one trace per thread.
     ///
     /// Every stream's seed is forked from `rng` in client order, generated
     /// or not, so `rng` ends in the same state for any `clients` and each
-    /// returned stream is exactly that client's requests in
+    /// stream is exactly that client's requests in
     /// [`generate`](Self::generate).
-    pub fn generate_streams(
+    pub fn generate_streams<T: Send>(
         &self,
         horizon: SimDuration,
         rng: &mut SimRng,
         clients: Range<u32>,
-    ) -> Vec<Vec<IoRequest>> {
+        f: impl Fn(Vec<IoRequest>) -> T + Sync,
+    ) -> Vec<T> {
         assert!(
             clients.end <= self.total_streams(),
             "clients {clients:?} beyond the mix's {} streams",
@@ -117,9 +120,9 @@ impl CenterWorkload {
                 client += 1;
             }
         }
-        // spider-lint: allow(taint-path, reason = "every seed is forked from rng before the parallel section, and the ordered collect puts stream i at index i, so the output is the same at every thread budget")
+        // spider-lint: allow(taint-path, reason = "every seed is forked from rng before the parallel section, each stream is consumed by f alone, and the ordered collect puts stream i's result at index i, so the output is the same at every thread budget")
         jobs.par_iter_mut()
-            .map(|(spec, client, child)| generate_trace(spec, *client, horizon, child))
+            .map(|(spec, client, child)| f(generate_trace(spec, *client, horizon, child)))
             .collect()
     }
 }
@@ -170,7 +173,7 @@ mod tests {
         let mut full_rng = SimRng::seed_from_u64(4);
         let merged = wl.generate(horizon, &mut full_rng);
         let mut part_rng = SimRng::seed_from_u64(4);
-        let streams = wl.generate_streams(horizon, &mut part_rng, 48..76);
+        let streams = wl.generate_streams(horizon, &mut part_rng, 48..76, |t| t);
         assert_eq!(streams.len(), 28);
         for (stream, client) in streams.iter().zip(48u32..) {
             let expected: Vec<IoRequest> = merged
@@ -192,7 +195,7 @@ mod tests {
     fn rejects_clients_past_the_last_stream() {
         let wl = CenterWorkload::olcf_production();
         let mut rng = SimRng::seed_from_u64(5);
-        wl.generate_streams(SimDuration::from_mins(1), &mut rng, 70..81);
+        wl.generate_streams(SimDuration::from_mins(1), &mut rng, 70..81, |t| t);
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! I/O intensive and periodically outputs the state of the simulation to
 //! the scratch file system" in file-per-process POSIX mode. OLCF integrated
 //! libPIO with S3D in ~30 lines and measured up to 24% more POSIX I/O
-//! bandwidth in production. This model generates that checkpoint pattern for
-//! experiment E6.
+//! bandwidth in production. This model generates that checkpoint pattern;
+//! E7 and E17 run it as the periodic application whose signature IOSI
+//! recovers.
+//!
+//! The trace comes in generation order, not time order (see
+//! [`S3dConfig::trace`]): E7 and E17 only bin it into per-interval byte
+//! sums, so sorting its millions of requests would buy nothing.
 
 use spider_simkit::{SimDuration, SimRng, SimTime};
 
@@ -71,6 +76,11 @@ impl S3dConfig {
     /// Generate the request trace: at each output step every rank emits its
     /// `bytes_per_rank` as `write_size` POSIX writes, with per-rank jitter
     /// (ranks do not start in lockstep).
+    ///
+    /// The trace is ordered by output step, then rank, with each rank's
+    /// writes in time order; it is not sorted by time across ranks. Binning
+    /// it ([`trace_to_series`](crate::generator::trace_to_series)) sums
+    /// whole byte counts far below 2^53, which are exact in any order.
     pub fn trace(&self, rng: &mut SimRng) -> Vec<IoRequest> {
         let mut out = Vec::new();
         for ckpt in self.checkpoint_times() {
@@ -93,7 +103,6 @@ impl S3dConfig {
                 }
             }
         }
-        out.sort_by_key(|r| (r.at, r.client));
         out
     }
 
@@ -109,6 +118,7 @@ impl S3dConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::trace_to_series;
 
     #[test]
     fn checkpoint_schedule() {
@@ -141,6 +151,37 @@ mod tests {
             total,
             cfg.checkpoint_bytes() * cfg.checkpoint_times().len() as u64
         );
+    }
+
+    #[test]
+    fn trace_orders_each_ranks_writes_and_bins_like_a_sorted_trace() {
+        let cfg = S3dConfig::small(32);
+        let mut rng = SimRng::seed_from_u64(7);
+        let trace = cfg.trace(&mut rng);
+        let per_step = trace.len() / cfg.checkpoint_times().len();
+        for (step, ckpt) in trace.chunks(per_step).zip(cfg.checkpoint_times()) {
+            // Every rank, rank by rank, each rank's writes in time order.
+            assert_eq!(step[0].client, 0);
+            assert_eq!(step[per_step - 1].client, cfg.ranks - 1);
+            assert!(step.iter().all(|r| r.at >= ckpt));
+            assert!(step
+                .windows(2)
+                .all(|w| (w[0].client, w[0].at) < (w[1].client, w[1].at)));
+        }
+        // Ranks start with independent jitter, so the trace is not
+        // time-sorted; binning it must not care.
+        assert!(trace.windows(2).any(|w| w[0].at > w[1].at));
+        let mut sorted = trace.clone();
+        sorted.sort_by_key(|r| (r.at, r.client));
+        let interval = SimDuration::from_secs(10);
+        let bits = |t: &[IoRequest]| -> Vec<u64> {
+            trace_to_series(t, interval)
+                .bins()
+                .iter()
+                .map(|b| b.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&trace), bits(&sorted));
     }
 
     #[test]

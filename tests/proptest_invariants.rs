@@ -144,15 +144,20 @@ proptest! {
         prop_assert!(t.distance(ca, cb) <= bound as u32);
     }
 
-    /// Stripe extent mapping conserves bytes and never touches OSTs outside
-    /// the layout.
+    /// Stripe extent mapping conserves bytes, never touches OSTs outside
+    /// the layout, and puts on every OST exactly what a chunk-by-chunk walk
+    /// of the extent puts there.
     #[test]
     fn stripe_mapping_conserves_bytes(
         n_osts in 1u32..16,
-        stripe_size in prop::sample::select(vec![64u64 << 10, 1 << 20, 4 << 20]),
+        stripe_size in prop::sample::select(vec![4u64 << 10, 64 << 10, 1 << 20, 4 << 20]),
         offset in 0u64..(1 << 34),
+        max_len in prop::sample::select(vec![16u64 << 10, 4 << 20, 64 << 20, 1 << 28]),
         len in 0u64..(1 << 28),
     ) {
+        // Short extents (inside one chunk, or a few cycles) as well as
+        // long ones spanning thousands of cycles.
+        let len = len % (max_len + 1);
         let layout = StripeLayout::new((0..n_osts).map(OstId).collect())
             .with_stripe_size(stripe_size);
         let per = layout.bytes_per_ost(offset, len);
@@ -162,6 +167,17 @@ proptest! {
         for &b in &per {
             prop_assert!(b <= len);
         }
+        // Reference: walk the extent one chunk at a time.
+        let end = offset + len;
+        let mut walk = vec![0u64; n_osts as usize];
+        let mut at = offset;
+        while at < end {
+            let chunk = at / stripe_size;
+            let next = ((chunk + 1) * stripe_size).min(end);
+            walk[(chunk % u64::from(n_osts)) as usize] += next - at;
+            at = next;
+        }
+        prop_assert_eq!(per, walk);
     }
 
     /// Namespace accounting stays consistent under arbitrary create/unlink
