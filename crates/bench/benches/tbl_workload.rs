@@ -30,20 +30,18 @@ fn main() {
         )
     });
     // E5's path: every stream tallied as it is generated, the tallies
-    // merged in client order and finished.
+    // collected in client order and finished.
     case(BENCH, "generate_and_tally_production_mix_10min", || {
         let wl = CenterWorkload::olcf_production();
         let mut rng = SimRng::seed_from_u64(2);
-        let tallies = wl.generate_streams(
+        wl.generate_streams(
             SimDuration::from_mins(10),
             &mut rng,
             0..wl.total_streams(),
             |stream| stream.iter().collect::<Tally>(),
-        );
-        let mut tally = Tally::default();
-        for t in tallies {
-            tally.merge(t);
-        }
-        tally.finish()
+        )
+        .into_iter()
+        .collect::<Tally>()
+        .finish()
     });
 }

@@ -22,17 +22,16 @@ pub fn run(scale: Scale) -> Vec<Table> {
     // Characterization needs each client's requests in time order only,
     // which every stream already is, so each stream is tallied as it is
     // generated and dropped; the streams are never merged or held at once.
-    // Merging the tallies in client order keeps the gap samples in the
+    // Collecting the tallies in client order keeps the gap samples in the
     // order of one pass over the streams, so both Hill fits keep their bits.
     let wl = CenterWorkload::olcf_production();
-    let tallies = wl.generate_streams(horizon, &mut rng, 0..wl.total_streams(), |stream| {
-        stream.iter().collect::<Tally>()
-    });
-    let mut tally = Tally::default();
-    for t in tallies {
-        tally.merge(t);
-    }
-    let c = tally.finish();
+    let c = wl
+        .generate_streams(horizon, &mut rng, 0..wl.total_streams(), |stream| {
+            stream.iter().collect::<Tally>()
+        })
+        .into_iter()
+        .collect::<Tally>()
+        .finish();
 
     let mut table = Table::new(
         "E5: production mix characterization vs the paper's published values",

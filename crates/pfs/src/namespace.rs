@@ -6,6 +6,7 @@
 //! traversal needs only `&Namespace` — the parallel tools in `spider-tools`
 //! walk it from many threads at once.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -232,12 +233,25 @@ impl Namespace {
         }
     }
 
+    /// Bind `name` in `parent`, with one search of the parent's children,
+    /// to the id [`alloc`](Self::alloc) gives the next inode: the top of the
+    /// free list, or else the next new slot. Fails if the name is taken.
+    fn bind_next(&mut self, parent: InodeId, name: &str) -> Result<InodeId, NsError> {
+        let next = self.free.last().copied();
+        let id = InodeId(next.unwrap_or(self.inodes.len() as u32));
+        match self.children_mut(parent)?.entry(name.to_owned()) {
+            Entry::Occupied(_) => Err(NsError::Exists),
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+                Ok(id)
+            }
+        }
+    }
+
     /// Create a subdirectory.
     pub fn mkdir(&mut self, parent: InodeId, name: &str) -> Result<InodeId, NsError> {
-        if self.children(parent)?.contains_key(name) {
-            return Err(NsError::Exists);
-        }
-        let id = self.alloc(Inode {
+        let id = self.bind_next(parent, name)?;
+        let allocated = self.alloc(Inode {
             id: InodeId(0),
             parent,
             name: name.to_owned(),
@@ -245,7 +259,7 @@ impl Namespace {
                 children: BTreeMap::new(),
             },
         });
-        self.children_mut(parent)?.insert(name.to_owned(), id);
+        debug_assert_eq!(allocated, id, "alloc gave another id than bound");
         self.dirs += 1;
         Ok(id)
     }
@@ -270,18 +284,16 @@ impl Namespace {
         name: &str,
         meta: FileMeta,
     ) -> Result<InodeId, NsError> {
-        if self.children(parent)?.contains_key(name) {
-            return Err(NsError::Exists);
-        }
+        let id = self.bind_next(parent, name)?;
         self.bytes += meta.size;
         self.files += 1;
-        let id = self.alloc(Inode {
+        let allocated = self.alloc(Inode {
             id: InodeId(0),
             parent,
             name: name.to_owned(),
             kind: InodeKind::File(meta),
         });
-        self.children_mut(parent)?.insert(name.to_owned(), id);
+        debug_assert_eq!(allocated, id, "alloc gave another id than bound");
         Ok(id)
     }
 
@@ -447,8 +459,26 @@ mod tests {
         ns.mkdir(ns.root(), "x").unwrap();
         assert_eq!(ns.mkdir(ns.root(), "x"), Err(NsError::Exists));
         let d = ns.lookup("/x").unwrap();
-        ns.create_file(d, "f", meta(10, 0)).unwrap();
+        let f = ns.create_file(d, "f", meta(10, 0)).unwrap();
+        let counts = |ns: &Namespace| (ns.file_count(), ns.dir_count(), ns.total_bytes());
+        let before = counts(&ns);
         assert_eq!(ns.create_file(d, "f", meta(10, 0)), Err(NsError::Exists));
+        assert_eq!(ns.mkdir(d, "f"), Err(NsError::Exists));
+        assert_eq!(ns.mkdir(ns.root(), "x"), Err(NsError::Exists));
+        assert_eq!(counts(&ns), before);
+        // A rejected name takes no id: the next create gets the id the
+        // rejected one would have had, a new slot here and a freed one
+        // after an unlink.
+        let next = ns.create_file(d, "g", meta(1, 0)).unwrap();
+        assert_eq!(next.0, f.0 + 1);
+        assert_eq!(counts(&ns), (before.0 + 1, before.1, before.2 + 1));
+        ns.unlink(f).unwrap();
+        let before = counts(&ns);
+        assert_eq!(ns.create_file(d, "g", meta(10, 0)), Err(NsError::Exists));
+        assert_eq!(ns.mkdir(d, "g"), Err(NsError::Exists));
+        assert_eq!(counts(&ns), before);
+        assert_eq!(ns.mkdir(d, "sub"), Ok(f));
+        assert_eq!(counts(&ns), (before.0, before.1 + 1, before.2));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod stats;
 pub mod time;
 pub mod units;
 
-pub use dist::Dist;
+pub use dist::{BoundedPareto, Discrete, Dist};
 pub use engine::{Engine, EventContext};
 pub use hist::Histogram;
 pub use mem::{slab_bytes, MemFootprint};

@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::dist::BoundedPareto;
 use crate::SimDuration;
 
 /// Deterministic RNG with domain-specific samplers.
@@ -135,13 +136,12 @@ impl SimRng {
     /// Pareto truncated at `cap` by resampling the CDF (inverse-CDF on the
     /// conditional distribution), keeping the heavy tail but bounding extreme
     /// idle periods so simulations terminate.
+    ///
+    /// One draw of [`BoundedPareto::new`]`(x_min, alpha, cap)`, which checks
+    /// the parameters; a caller drawing many values from one distribution
+    /// builds the [`BoundedPareto`] once instead.
     pub fn bounded_pareto(&mut self, x_min: f64, alpha: f64, cap: f64) -> f64 {
-        assert!(cap > x_min, "cap must exceed x_min");
-        let l = x_min.powf(alpha);
-        let h = cap.powf(alpha);
-        let u = self.f64();
-        // Inverse CDF of the bounded Pareto.
-        (-(u * h - u * l - h) / (h * l)).powf(-1.0 / alpha)
+        BoundedPareto::new(x_min, alpha, cap).sample(self)
     }
 
     /// Zipf-distributed rank in `[0, n)` with exponent `s` via rejection

@@ -1,5 +1,7 @@
 //! Streaming statistics, percentiles, and tail-index estimation.
 
+use std::cmp::Reverse;
+
 /// Streaming mean/variance/min/max via Welford's algorithm.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
@@ -227,17 +229,20 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 /// genuinely Pareto(alpha) sample yields an estimate near `alpha`, while a
 /// light-tailed (e.g. exponential) sample yields a large, drifting estimate.
 ///
-/// Only the top `k + 1` values are ordered: a selection puts the
-/// (k+1)-th largest at `v[k]` and the `k` larger ones before it, which are
-/// then sorted descending. The sum runs over the same values in the same
-/// order as after a full sort, so the estimate is the same bit for bit.
-pub fn hill_tail_index(samples: &[f64], k: usize) -> f64 {
+/// The estimator takes the samples by value and works in place: it drops
+/// the values that are not positive (NaN among them), then orders only the
+/// top `k + 1`. A selection puts the (k+1)-th largest at `v[k]` and the `k`
+/// larger ones before it, which are then sorted descending. Positive floats
+/// order as their bit patterns do, and equal values have equal bits, so the
+/// sum runs over the same values in the same order as after a full sort and
+/// the estimate is the same bit for bit.
+pub fn hill_tail_index(mut samples: Vec<f64>, k: usize) -> f64 {
     assert!(k >= 1 && k < samples.len(), "need 1 <= k < n");
-    let mut v: Vec<f64> = samples.iter().copied().filter(|x| *x > 0.0).collect();
-    assert!(v.len() > k, "not enough positive samples");
-    let desc = |a: &f64, b: &f64| b.partial_cmp(a).expect("NaN in hill input");
-    let (top, &mut x_k, _) = v.select_nth_unstable_by(k, desc); // (k+1)-th largest
-    top.sort_by(desc);
+    samples.retain(|x| *x > 0.0);
+    assert!(samples.len() > k, "not enough positive samples");
+    let desc = |x: &f64| Reverse(x.to_bits());
+    let (top, &mut x_k, _) = samples.select_nth_unstable_by_key(k, desc); // (k+1)-th largest
+    top.sort_unstable_by_key(desc);
     let sum: f64 = top.iter().map(|x| (x / x_k).ln()).sum();
     k as f64 / sum
 }
@@ -369,7 +374,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(99);
         let alpha = 1.5;
         let xs: Vec<f64> = (0..50_000).map(|_| rng.pareto(1.0, alpha)).collect();
-        let est = hill_tail_index(&xs, 2_000);
+        let est = hill_tail_index(xs, 2_000);
         assert!((est - alpha).abs() < 0.15, "estimate {est}");
     }
 
@@ -382,17 +387,18 @@ mod tests {
         k as f64 / sum
     }
 
-    /// Most draws come from a few levels (zero and a negative among them,
-    /// which the estimator drops), so order statistics tie often, and
-    /// the rest are distinct, so a change in summation order shows.
-    const LEVELS: [f64; 5] = [0.0, -1.0, 0.5, 1.0, 2.0];
+    /// Most draws come from a few levels (zero, a negative and NaN among
+    /// them, which the estimator drops, and +inf, which it keeps), so order
+    /// statistics tie often, and the rest are distinct, so a change in
+    /// summation order shows.
+    const LEVELS: [f64; 7] = [0.0, -1.0, 0.5, 1.0, 2.0, f64::INFINITY, f64::NAN];
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
         #[test]
         fn hill_selection_matches_full_sort_bitwise(
-            draws in proptest::collection::vec((0usize..8, 0.25f64..64.0), 2..400),
+            draws in proptest::collection::vec((0usize..10, 0.25f64..64.0), 2..400),
         ) {
             let xs: Vec<f64> = draws
                 .iter()
@@ -401,7 +407,7 @@ mod tests {
             let m = xs.iter().filter(|x| **x > 0.0).count();
             proptest::prop_assume!(m >= 2);
             for k in [1, m / 2, m - 1] {
-                let got = hill_tail_index(&xs, k);
+                let got = hill_tail_index(xs.clone(), k);
                 let want = hill_by_full_sort(&xs, k);
                 proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "k = {}", k);
             }
@@ -412,7 +418,7 @@ mod tests {
     fn hill_distinguishes_light_tails() {
         let mut rng = SimRng::seed_from_u64(100);
         let xs: Vec<f64> = (0..50_000).map(|_| rng.exp(1.0)).collect();
-        let est = hill_tail_index(&xs, 2_000);
+        let est = hill_tail_index(xs, 2_000);
         // Exponential has "infinite" tail index; estimate should be well
         // above any plausible Pareto fit.
         assert!(est > 3.0, "estimate {est}");

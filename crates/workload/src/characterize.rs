@@ -7,10 +7,14 @@
 //! workloads can be validated against the published characterization (E5).
 //!
 //! The analysis is a fold: a [`Tally`] takes requests one at a time, tallies
-//! of disjoint client sets merge, and [`Tally::finish`] fits the tails. So a
-//! trace never has to be held at once: E5 tallies each stream as it is
-//! generated, drops it, and merges the per-stream tallies in client order.
-//! [`characterize`] is the same fold over one request iterator.
+//! of disjoint client sets collect into one, and [`Tally::finish`] fits the
+//! tails. So a trace never has to be held at once: E5 tallies each stream as
+//! it is generated, drops it, and collects the per-stream tallies in client
+//! order. [`characterize`] is the same fold over one request iterator.
+//!
+//! A tally costs each request a few counter updates: the size bin comes from
+//! the size's bit length, not a float logarithm, and the gap samples are
+//! moved, never copied, from the per-stream tallies into the Hill fits.
 
 use spider_simkit::{hill_tail_index, Histogram, SimDuration};
 
@@ -41,39 +45,42 @@ pub struct Characterization {
 /// Gaps longer than this split busy periods (idle-time extraction).
 const IDLE_THRESHOLD: SimDuration = SimDuration::from_secs(5);
 
+/// Lower edge of the first size bin, in bytes.
+const SIZE_BIN_FIRST: u64 = 512;
+
+/// Log2 size bins: bin `i` holds sizes in `[512 * 2^i, 512 * 2^(i+1))`, the
+/// first also the sizes below 512 B and the last everything from 16 MiB up.
+const SIZE_BINS: usize = 16;
+
+/// The bin of `Histogram::log2(512.0, 16)` that records `size as f64`,
+/// from the bit length of `size / 512`. For a size below 2^53, `size / 512`
+/// is exact as a float and lies at least 2^-9 below the next power of two,
+/// so the float logarithm floors to the same bin; above 16 MiB both clamp to
+/// the last bin.
+fn size_bin(size: u64) -> usize {
+    (size / SIZE_BIN_FIRST)
+        .checked_ilog2()
+        .map_or(0, |b| (b as usize).min(SIZE_BINS - 1))
+}
+
 /// The running counts and gap samples behind a [`Characterization`].
 ///
 /// Only each client's requests need be pushed in time order, so a merged
 /// trace and its per-client streams tally alike. Per-client state is a
 /// `Vec` indexed by client id, so ids are expected to be dense, as the
 /// workload composers make them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Tally {
     requests: usize,
     writes: usize,
     small: usize,
     large: usize,
-    size_histogram: Histogram,
+    size_bins: [u64; SIZE_BINS],
     // Per-client inter-arrival and idle samples (mixing clients would
     // conflate source behaviour with scheduling).
     inter: Vec<f64>,
     idle: Vec<f64>,
     last_by_client: Vec<Option<u64>>,
-}
-
-impl Default for Tally {
-    fn default() -> Self {
-        Tally {
-            requests: 0,
-            writes: 0,
-            small: 0,
-            large: 0,
-            size_histogram: Histogram::log2(512.0, 16),
-            inter: Vec::new(),
-            idle: Vec::new(),
-            last_by_client: Vec::new(),
-        }
-    }
 }
 
 impl Tally {
@@ -87,7 +94,7 @@ impl Tally {
         } else if r.size.is_multiple_of(1 << 20) {
             self.large += 1;
         }
-        self.size_histogram.record(r.size as f64);
+        self.size_bins[size_bin(r.size)] += 1;
 
         let client = r.client as usize;
         if client >= self.last_by_client.len() {
@@ -104,44 +111,30 @@ impl Tally {
         }
     }
 
-    /// Fold in the tally of a disjoint set of clients. Its gap samples go
-    /// after this tally's, so merging per-client tallies in client order
-    /// gives exactly the samples of pushing their requests in that order.
-    pub fn merge(&mut self, other: Tally) {
-        self.requests += other.requests;
-        self.writes += other.writes;
-        self.small += other.small;
-        self.large += other.large;
-        self.size_histogram.merge(&other.size_histogram);
-        self.inter.extend_from_slice(&other.inter);
-        self.idle.extend_from_slice(&other.idle);
-        if other.last_by_client.len() > self.last_by_client.len() {
-            self.last_by_client.resize(other.last_by_client.len(), None);
-        }
-        for (mine, theirs) in self.last_by_client.iter_mut().zip(other.last_by_client) {
-            if theirs.is_some() {
-                debug_assert!(mine.is_none(), "merged tallies share a client");
-                *mine = theirs;
-            }
-        }
-    }
-
-    /// The statistics, with both Hill tails fitted over the gap samples.
+    /// The statistics, with both Hill tails fitted over the gap samples,
+    /// which move into the fits.
     pub fn finish(self) -> Characterization {
         assert!(self.requests >= 2, "need at least two requests");
         let n = self.requests as f64;
         let (writes, small, large) = (self.writes as f64, self.small as f64, self.large as f64);
 
         let inter_arrival_tail = if self.inter.len() > 100 {
-            hill_tail_index(&self.inter, self.inter.len() / 20)
+            let k = self.inter.len() / 20;
+            hill_tail_index(self.inter, k)
         } else {
             f64::INFINITY
         };
         let idle_tail = if self.idle.len() > 100 {
-            Some(hill_tail_index(&self.idle, self.idle.len() / 10))
+            let k = self.idle.len() / 10;
+            Some(hill_tail_index(self.idle, k))
         } else {
             None
         };
+        let mut size_histogram = Histogram::log2(SIZE_BIN_FIRST as f64, SIZE_BINS);
+        for (i, &count) in self.size_bins.iter().enumerate() {
+            let lo = size_histogram.bin_lo(i);
+            size_histogram.record_n(lo, count);
+        }
 
         Characterization {
             requests: self.requests,
@@ -151,7 +144,7 @@ impl Tally {
             bimodal_coverage: (small + large) / n,
             inter_arrival_tail,
             idle_tail,
-            size_histogram: self.size_histogram,
+            size_histogram,
         }
     }
 }
@@ -164,6 +157,42 @@ impl<'a> FromIterator<&'a IoRequest> for Tally {
             tally.push(r);
         }
         tally
+    }
+}
+
+/// Tallies of disjoint client sets, combined in iteration order. Each
+/// part's gap samples go after those of the parts before it, so per-client
+/// tallies collected in client order hold exactly the samples of pushing
+/// their requests in that order. The gap vectors are sized once from the
+/// parts' lengths.
+impl FromIterator<Tally> for Tally {
+    fn from_iter<I: IntoIterator<Item = Tally>>(parts: I) -> Self {
+        let parts: Vec<Tally> = parts.into_iter().collect();
+        let clients = parts.iter().map(|t| t.last_by_client.len()).max();
+        let mut all = Tally {
+            inter: Vec::with_capacity(parts.iter().map(|t| t.inter.len()).sum()),
+            idle: Vec::with_capacity(parts.iter().map(|t| t.idle.len()).sum()),
+            last_by_client: vec![None; clients.unwrap_or(0)],
+            ..Tally::default()
+        };
+        for mut part in parts {
+            all.requests += part.requests;
+            all.writes += part.writes;
+            all.small += part.small;
+            all.large += part.large;
+            for (mine, theirs) in all.size_bins.iter_mut().zip(part.size_bins) {
+                *mine += theirs;
+            }
+            all.inter.append(&mut part.inter);
+            all.idle.append(&mut part.idle);
+            for (mine, theirs) in all.last_by_client.iter_mut().zip(part.last_by_client) {
+                if theirs.is_some() {
+                    debug_assert!(mine.is_none(), "collected tallies share a client");
+                    *mine = theirs;
+                }
+            }
+        }
+        all
     }
 }
 
@@ -279,17 +308,16 @@ mod tests {
         let horizon = SimDuration::from_mins(30);
         let mut rng = SimRng::seed_from_u64(42);
         let streams = wl.generate_streams(horizon, &mut rng, 0..wl.total_streams(), |t| t);
-        // E5's path: tally each stream as it is generated, then merge the
+        // E5's path: tally each stream as it is generated, then collect the
         // tallies in client order.
         let mut tally_rng = SimRng::seed_from_u64(42);
-        let tallies = wl.generate_streams(horizon, &mut tally_rng, 0..wl.total_streams(), |t| {
-            t.iter().collect::<Tally>()
-        });
-        let mut tally = Tally::default();
-        for t in tallies {
-            tally.merge(t);
-        }
-        let tallied = tally.finish();
+        let tallied = wl
+            .generate_streams(horizon, &mut tally_rng, 0..wl.total_streams(), |t| {
+                t.iter().collect::<Tally>()
+            })
+            .into_iter()
+            .collect::<Tally>()
+            .finish();
         let unmerged = characterize(streams.iter().flatten());
         let merged = characterize(&crate::generator::merge_traces(streams));
         let bits = |c: &Characterization| {
@@ -313,6 +341,39 @@ mod tests {
             assert_eq!(c.size_histogram.total(), merged.size_histogram.total());
             assert_eq!(c.size_histogram.counts(), merged.size_histogram.counts());
         }
+    }
+
+    #[test]
+    fn integer_size_bins_match_the_float_histogram() {
+        // Every size below 2^22, each bin edge 512 * 2^k and its neighbours
+        // up to 2^63, and the largest size: after each, the tally's integer
+        // bins equal the counts of the float histogram fed the same sizes.
+        let mut h = Histogram::log2(512.0, 16);
+        let mut tally = Tally::default();
+        let mut check = |size: u64| {
+            h.record(size as f64);
+            tally.push(&IoRequest {
+                at: spider_simkit::SimTime::ZERO,
+                size,
+                is_read: false,
+                random: false,
+                client: 0,
+            });
+            assert_eq!(&tally.size_bins[..], h.counts(), "size {size}");
+        };
+        for size in 0..1 << 22 {
+            check(size);
+        }
+        for k in 0..=54 {
+            let edge = 512u64 << k;
+            check(edge - 1);
+            check(edge);
+            check(edge + 1);
+        }
+        check(u64::MAX);
+        let c = tally.finish();
+        assert_eq!(c.size_histogram.counts(), h.counts());
+        assert_eq!(c.size_histogram.total(), h.total());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Workload stream specifications and request records.
 
-use spider_simkit::{Dist, SimDuration, SimTime};
+use spider_simkit::{BoundedPareto, Dist, SimDuration, SimTime};
 
 /// One I/O request as seen server-side.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,16 +61,8 @@ impl StreamSpec {
             random_fraction: 0.05,
             // Almost all N x 1 MiB; some small header writes.
             sizes: Dist::paper_request_sizes(0.15, 8),
-            inter_arrival: Dist::Pareto {
-                x_min: 0.0005,
-                alpha: 1.4,
-                cap: 2.0,
-            },
-            idle: Dist::Pareto {
-                x_min: 60.0,
-                alpha: 1.2,
-                cap: 7_200.0,
-            },
+            inter_arrival: Dist::Pareto(BoundedPareto::new(0.0005, 1.4, 2.0)),
+            idle: Dist::Pareto(BoundedPareto::new(60.0, 1.2, 7_200.0)),
             burst_len: Dist::Exponential { mean: 4_000.0 },
         }
     }
@@ -82,16 +74,8 @@ impl StreamSpec {
             read_fraction: 0.92,
             random_fraction: 0.70,
             sizes: Dist::paper_request_sizes(0.60, 4),
-            inter_arrival: Dist::Pareto {
-                x_min: 0.002,
-                alpha: 1.3,
-                cap: 10.0,
-            },
-            idle: Dist::Pareto {
-                x_min: 5.0,
-                alpha: 1.1,
-                cap: 1_800.0,
-            },
+            inter_arrival: Dist::Pareto(BoundedPareto::new(0.002, 1.3, 10.0)),
+            idle: Dist::Pareto(BoundedPareto::new(5.0, 1.1, 1_800.0)),
             burst_len: Dist::Exponential { mean: 400.0 },
         }
     }
@@ -106,16 +90,8 @@ impl StreamSpec {
                 lo: 256.0,
                 hi: 16.0 * 1024.0,
             },
-            inter_arrival: Dist::Pareto {
-                x_min: 0.01,
-                alpha: 1.5,
-                cap: 30.0,
-            },
-            idle: Dist::Pareto {
-                x_min: 1.0,
-                alpha: 1.2,
-                cap: 600.0,
-            },
+            inter_arrival: Dist::Pareto(BoundedPareto::new(0.01, 1.5, 30.0)),
+            idle: Dist::Pareto(BoundedPareto::new(1.0, 1.2, 600.0)),
             burst_len: Dist::Exponential { mean: 50.0 },
         }
     }
@@ -128,11 +104,7 @@ impl StreamSpec {
             random_fraction: 0.0,
             sizes: Dist::Constant(4.0 * 1024.0 * 1024.0),
             inter_arrival: Dist::Exponential { mean: 0.004 },
-            idle: Dist::Pareto {
-                x_min: 30.0,
-                alpha: 1.3,
-                cap: 3_600.0,
-            },
+            idle: Dist::Pareto(BoundedPareto::new(30.0, 1.3, 3_600.0)),
             burst_len: Dist::Exponential { mean: 10_000.0 },
         }
     }

@@ -32,23 +32,22 @@ fn streams_at_budget(spare: usize) -> (Vec<Vec<IoRequest>>, u64) {
 }
 
 /// E5's fused path: each stream tallied as it is generated, the tallies
-/// merged in client order. Returns the statistics' bits, the histogram and
-/// the generator's next draw.
+/// collected in client order. Returns the statistics' bits, the histogram
+/// and the generator's next draw.
 fn tally_at_budget(spare: usize) -> (Vec<u64>, Vec<u64>, u64) {
     rayon::set_spare_thread_budget(spare);
     let wl = CenterWorkload::olcf_production();
     let mut rng = SimRng::seed_from_u64(0xE5);
-    let tallies = wl.generate_streams(
-        SimDuration::from_mins(30),
-        &mut rng,
-        0..wl.total_streams(),
-        |t| t.iter().collect::<Tally>(),
-    );
-    let mut tally = Tally::default();
-    for t in tallies {
-        tally.merge(t);
-    }
-    let c: Characterization = tally.finish();
+    let c: Characterization = wl
+        .generate_streams(
+            SimDuration::from_mins(30),
+            &mut rng,
+            0..wl.total_streams(),
+            |t| t.iter().collect::<Tally>(),
+        )
+        .into_iter()
+        .collect::<Tally>()
+        .finish();
     let idle = c.idle_tail.expect("the idle tail is exercised");
     let bits = vec![
         c.requests as u64,
