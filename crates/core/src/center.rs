@@ -126,11 +126,6 @@ impl Center {
         self.router_groups.get(group).map_or(&[], |v| v.as_slice())
     }
 
-    /// Controller couplet behind an OST of namespace `fs`.
-    pub fn controller_of(&self, fs: usize, ost: OstId) -> &ControllerPair {
-        &self.controllers[self.ssu_index(fs, ost)]
-    }
-
     /// Total usable capacity across namespaces.
     pub fn capacity(&self) -> u64 {
         self.filesystems

@@ -9,7 +9,6 @@
 //! transfer-size shape from the client RPC model composed with the RAID
 //! full-stripe/RMW model.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -77,20 +76,6 @@ impl FlowSolution {
 fn ost_of_client(i: u32, n_osts: usize) -> OstId {
     debug_assert!(n_osts > 0);
     OstId(i % n_osts as u32)
-}
-
-/// Router serving client `i` whose destination SSU is `ssu`: fine-grained
-/// routing picks a router of the destination group (group index == SSU mod
-/// groups), spreading clients round-robin within the group's precomputed
-/// membership table.
-fn router_of_client(center: &Center, ssu: usize, i: u32) -> usize {
-    let group = ssu % center.routers.groups.max(1) as usize;
-    let members = center.routers_of_group(group);
-    if members.is_empty() {
-        i as usize % center.routers.len().max(1)
-    } else {
-        members[i as usize % members.len()]
-    }
 }
 
 /// Panic on a test no namespace skeleton can serve: an unknown namespace,
@@ -186,6 +171,16 @@ impl ClassSet {
     /// and the router plant. The per-client loop is allocation-free: at
     /// 10^6 clients only the ~10^2 class-founding clients build a
     /// `FlowSpec`.
+    ///
+    /// Client `i` writes to OST `i % n_osts` (file-per-process round-robin,
+    /// the MDS allocator at scale) through router slot `i % m` of that
+    /// OST's fine-grained routing group: the group of the OST's SSU (SSU
+    /// mod groups), `m` its router count, slot `s` its `s`-th router. A
+    /// group with no routers spreads its clients over the whole plant
+    /// instead (`m` the plant's router count, slot `s` router `s`). Slots
+    /// map one-to-one onto routers within a group, so a dense (OST, slot)
+    /// table names each (OST, router) class; the first client on a path
+    /// founds its class, so class indices stay insertion-ordered.
     fn build(center: &Center, t: &FlowTest, ns: &NsSkeleton, router_res: &[ResourceId]) -> Self {
         let fs = &center.filesystems[t.fs];
         let n_osts = fs.ost_count();
@@ -194,36 +189,52 @@ impl ClassSet {
             .client
             .process_rate(t.transfer_size, t.optimal_placement)
             .as_bytes_per_sec();
-        // BTreeMap keeps the key->class map free of process-seeded
-        // iteration order; class indices themselves stay insertion-ordered
-        // (first client on a path names its class) either way.
-        let mut key_to_class: BTreeMap<(u32, usize), u32> = BTreeMap::new();
+        let plant = center.routers.len().max(1);
+        let groups = center.routers.groups.max(1) as usize;
+        // Per OST: its SSU, its group's routers, its slot count and the
+        // table cell of its slot 0.
+        let mut cells = 0;
+        let routes: Vec<(usize, &[usize], usize, usize)> = (0..n_osts)
+            .map(|o| {
+                let ssu = center.ssu_index(t.fs, OstId(o as u32));
+                let members = center.routers_of_group(ssu % groups);
+                let slots = if members.is_empty() {
+                    plant
+                } else {
+                    members.len()
+                };
+                cells += slots;
+                (ssu, members, slots, cells - slots)
+            })
+            .collect();
+        let mut class_at = vec![u32::MAX; cells];
         let mut classes: Vec<FlowSpec> = Vec::new();
         let mut class_of_client = Vec::with_capacity(t.clients as usize);
         for i in 0..t.clients {
             let ost = ost_of_client(i, n_osts);
-            let ssu = center.ssu_index(t.fs, ost);
-            let router = router_of_client(center, ssu, i);
-            let idx = match key_to_class.entry((ost.0, router)) {
-                Entry::Occupied(e) => {
-                    let idx = *e.get();
-                    classes[idx as usize].weight += 1.0;
-                    idx
-                }
-                Entry::Vacant(e) => {
-                    classes.push(
-                        FlowSpec::new(vec![
-                            router_res[router],
-                            ns.oss_res[fs.oss_index_of(ost)],
-                            ns.ssu_to_res[&ssu],
-                            ns.ost_res[ost.0 as usize],
-                        ])
-                        .with_cap(per_process),
-                    );
-                    *e.insert(classes.len() as u32 - 1)
-                }
-            };
-            class_of_client.push(idx);
+            let (ssu, members, slots, base) = routes[ost.0 as usize];
+            let slot = i as usize % slots;
+            let cell = &mut class_at[base + slot];
+            if *cell == u32::MAX {
+                let router = if members.is_empty() {
+                    slot
+                } else {
+                    members[slot]
+                };
+                *cell = classes.len() as u32;
+                classes.push(
+                    FlowSpec::new(vec![
+                        router_res[router],
+                        ns.oss_res[fs.oss_index_of(ost)],
+                        ns.ssu_to_res[&ssu],
+                        ns.ost_res[ost.0 as usize],
+                    ])
+                    .with_cap(per_process),
+                );
+            } else {
+                classes[*cell as usize].weight += 1.0;
+            }
+            class_of_client.push(*cell);
         }
         if spider_obs::enabled() {
             spider_obs::counter_add("flowsim_clients", t.clients as u64);
@@ -412,39 +423,31 @@ impl<'a> FlowSession<'a> {
         self.solver.solve();
     }
 
+    /// A test's class set and its per-class rates in the last
+    /// [`Self::solve`]. The test's flows were added as one batch, so the
+    /// rates are one slice of the solve's output.
+    fn rates_of(&self, id: TestId) -> (&ClassSet, &[f64]) {
+        let (set, ids) = &self.active[&id.0];
+        let rates = self
+            .solver
+            .rates_of_batch(ids)
+            .expect("test solved after last delta");
+        (&self.class_sets[*set], rates)
+    }
+
     /// Aggregate rate of an active test in the last [`Self::solve`]:
     /// `Σ class-weight × per-member rate`, without expanding to clients.
     pub fn aggregate_of(&self, id: TestId) -> Bandwidth {
-        let (set, ids) = &self.active[&id.0];
-        let classes = &self.class_sets[*set].classes;
-        let total = classes
-            .iter()
-            .zip(ids)
-            .map(|(c, &fid)| {
-                c.weight
-                    * self
-                        .solver
-                        .rate_of(fid)
-                        .expect("test solved after last delta")
-            })
-            .sum();
-        Bandwidth(total)
+        let (set, rates) = self.rates_of(id);
+        Bandwidth(MaxMinProblem::weighted_total(&set.classes, rates))
     }
 
     /// Class-level solution of an active test in the last [`Self::solve`].
     /// No per-client vector is materialized — the returned solution shares
     /// the cached client→class map and expands on demand.
     pub fn solution_of(&self, id: TestId) -> FlowSolution {
-        let (set, ids) = &self.active[&id.0];
-        let set = &self.class_sets[*set];
-        let rates: Vec<f64> = ids
-            .iter()
-            .map(|&fid| {
-                self.solver
-                    .rate_of(fid)
-                    .expect("test solved after last delta")
-            })
-            .collect();
+        let (set, rates) = self.rates_of(id);
+        let rates = rates.to_vec();
         FlowSolution {
             aggregate: Bandwidth(MaxMinProblem::weighted_total(&set.classes, &rates)),
             class_rate: rates,

@@ -176,22 +176,22 @@ impl SolveStats {
 ///
 /// This is the representation the solver core ([`MaxMinProblem::solve_view`])
 /// actually runs on. [`MaxMinProblem::solve`] flattens its `&[FlowSpec]`
-/// argument into a transient [`FlowColumns`]; the incremental
-/// [`crate::session::SolveSession`] keeps the columns resident across calls
-/// and re-selects the live subset. Both paths execute the *same* float
-/// operations, which is what makes session results bit-identical to
-/// from-scratch solves.
+/// argument into a transient [`FlowColumns`] and selects every row; the
+/// incremental [`crate::session::SolveSession`] keeps its live flows'
+/// columns resident across calls and selects one component's rows at a
+/// time. Both paths execute the *same* float operations, which is what
+/// makes session results bit-identical to from-scratch solves.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlowsView<'a> {
-    /// Arena slot of each flow, in solve order.
+    /// Column row of each flow, in solve order.
     pub(crate) ids: &'a [u32],
-    /// CSR offsets into `path_res`, indexed by arena slot (`slots + 1` long).
+    /// CSR offsets into `path_res`, indexed by row (`rows + 1` long).
     pub(crate) path_off: &'a [u32],
-    /// Flattened resource indices of every slot's path.
+    /// Flattened resource indices of every row's path.
     pub(crate) path_res: &'a [u32],
-    /// Per-slot intrinsic per-member cap; `f64::INFINITY` means uncapped.
+    /// Per-row intrinsic per-member cap; `f64::INFINITY` means uncapped.
     pub(crate) cap: &'a [f64],
-    /// Per-slot class weight.
+    /// Per-row class weight.
     pub(crate) weight: &'a [f64],
 }
 
@@ -215,21 +215,31 @@ impl FlowsView<'_> {
     }
 }
 
-/// Owned columnar flow storage backing a [`FlowsView`].
-#[derive(Debug, Clone, Default)]
+/// Owned columnar flow storage backing a [`FlowsView`], one row per flow.
+#[derive(Debug, Clone)]
 pub(crate) struct FlowColumns {
-    pub(crate) ids: Vec<u32>,
     pub(crate) path_off: Vec<u32>,
     pub(crate) path_res: Vec<u32>,
     pub(crate) cap: Vec<f64>,
     pub(crate) weight: Vec<f64>,
 }
 
+impl Default for FlowColumns {
+    /// No rows: `path_off` holds only the leading 0.
+    fn default() -> Self {
+        FlowColumns {
+            path_off: vec![0],
+            path_res: Vec::new(),
+            cap: Vec::new(),
+            weight: Vec::new(),
+        }
+    }
+}
+
 impl FlowColumns {
-    /// Flatten specs into columns, one slot per spec, identity selection.
+    /// Flatten specs into columns, one row per spec.
     pub(crate) fn from_specs(flows: &[FlowSpec]) -> Self {
         let mut cols = FlowColumns {
-            ids: (0..flows.len() as u32).collect(),
             path_off: Vec::with_capacity(flows.len() + 1),
             path_res: Vec::with_capacity(flows.iter().map(|f| f.resources.len()).sum()),
             cap: Vec::with_capacity(flows.len()),
@@ -237,24 +247,55 @@ impl FlowColumns {
         };
         cols.path_off.push(0);
         for f in flows {
-            for r in &f.resources {
-                cols.path_res.push(r.0 as u32);
-            }
-            cols.path_off.push(cols.path_res.len() as u32);
-            cols.cap.push(f.cap.unwrap_or(f64::INFINITY));
-            cols.weight.push(f.weight);
+            cols.push(f);
         }
         cols
     }
 
-    /// Resource indices crossed by the flow in arena slot `slot`.
-    pub(crate) fn path(&self, slot: usize) -> &[u32] {
-        &self.path_res[self.path_off[slot] as usize..self.path_off[slot + 1] as usize]
+    /// Append `f` as the last row; returns its row.
+    pub(crate) fn push(&mut self, f: &FlowSpec) -> usize {
+        self.path_res.extend(f.resources.iter().map(|r| r.0 as u32));
+        self.path_off.push(self.path_res.len() as u32);
+        self.cap.push(f.cap.unwrap_or(f64::INFINITY));
+        self.weight.push(f.weight);
+        self.cap.len() - 1
     }
 
-    pub(crate) fn view(&self) -> FlowsView<'_> {
+    /// Resource indices crossed by the flow in row `row`.
+    pub(crate) fn path(&self, row: usize) -> &[u32] {
+        &self.path_res[self.path_off[row] as usize..self.path_off[row + 1] as usize]
+    }
+
+    /// Remove `rows` (ascending, distinct, non-empty) from every column in
+    /// one pass each.
+    pub(crate) fn remove_rows(&mut self, rows: &[usize]) {
+        // CSR paths: each run of kept rows moves its entries down as one
+        // block, and each kept row's end offset drops by the entries
+        // removed before it.
+        let n = self.cap.len();
+        let off = &mut self.path_off;
+        let mut w = rows[0];
+        let mut w_res = off[w] as usize;
+        for (k, &r) in rows.iter().enumerate() {
+            let end = rows.get(k + 1).map_or(n, |&next| next);
+            let (lo, hi) = (off[r + 1] as usize, off[end] as usize);
+            self.path_res.copy_within(lo..hi, w_res);
+            for kept in r + 1..end {
+                w += 1;
+                off[w] = off[kept + 1] - lo as u32 + w_res as u32;
+            }
+            w_res += hi - lo;
+        }
+        off.truncate(w + 1);
+        self.path_res.truncate(w_res);
+        drop_rows(&mut self.cap, rows);
+        drop_rows(&mut self.weight, rows);
+    }
+
+    /// The rows `ids` selects, in that order.
+    pub(crate) fn view<'a>(&'a self, ids: &'a [u32]) -> FlowsView<'a> {
         FlowsView {
-            ids: &self.ids,
+            ids,
             path_off: &self.path_off,
             path_res: &self.path_res,
             cap: &self.cap,
@@ -263,11 +304,22 @@ impl FlowColumns {
     }
 }
 
+/// Remove `rows` (ascending, distinct, non-empty) from a per-row column:
+/// each run of kept rows between two removed ones moves down as one block.
+pub(crate) fn drop_rows<T: Copy>(col: &mut Vec<T>, rows: &[usize]) {
+    let mut w = rows[0];
+    for (k, &r) in rows.iter().enumerate() {
+        let end = rows.get(k + 1).map_or(col.len(), |&next| next);
+        col.copy_within(r + 1..end, w);
+        w += end - r - 1;
+    }
+    col.truncate(w);
+}
+
 impl spider_simkit::MemFootprint for FlowColumns {
     fn mem_bytes(&self) -> u64 {
         use spider_simkit::slab_bytes;
-        slab_bytes::<u32>(self.ids.capacity())
-            + slab_bytes::<u32>(self.path_off.capacity())
+        slab_bytes::<u32>(self.path_off.capacity())
             + slab_bytes::<u32>(self.path_res.capacity())
             + slab_bytes::<f64>(self.cap.capacity())
             + slab_bytes::<f64>(self.weight.capacity())
@@ -365,7 +417,8 @@ impl MaxMinProblem {
     fn solve_specs(&self, flows: &[FlowSpec], want_order: bool) -> (Vec<f64>, SolveStats) {
         let mut stats = SolveStats::default();
         let cols = FlowColumns::from_specs(flows);
-        let rates = self.solve_view(&cols.view(), &mut stats, want_order);
+        let all: Vec<u32> = (0..flows.len() as u32).collect();
+        let rates = self.solve_view(&cols.view(&all), &mut stats, want_order);
         if spider_obs::enabled() {
             stats.flush_obs();
         }
@@ -610,7 +663,8 @@ impl MaxMinProblem {
         if n_flows == 0 {
             return rates;
         }
-        self.validate_view(&FlowColumns::from_specs(flows).view());
+        let all: Vec<u32> = (0..n_flows as u32).collect();
+        self.validate_view(&FlowColumns::from_specs(flows).view(&all));
 
         let mut remaining = self.capacities.clone();
         // Weighted usage of each unfrozen flow class on each resource.

@@ -1,9 +1,9 @@
 //! Incremental max-min solving: a resident problem plus flow deltas.
 //!
-//! [`SolveSession`] keeps a [`MaxMinProblem`]'s resources and a columnar
-//! flow arena alive across solves, so a caller that re-solves under churn
-//! (jobs arriving and completing, weights drifting) pays only for the delta
-//! instead of rebuilding paths and resource tables every call:
+//! [`SolveSession`] keeps a [`MaxMinProblem`]'s resources and its live
+//! flows' columns alive across solves, so a caller that re-solves under
+//! churn (jobs arriving and completing, weights drifting) pays only for the
+//! delta instead of rebuilding paths and resource tables every call:
 //!
 //! - [`SolveSession::add_flows`] / [`SolveSession::remove_flows`] /
 //!   [`SolveSession::update_weight`] edit the resident flow set in place.
@@ -14,6 +14,21 @@
 //!   (the same checkpoint wave appearing with fresh [`FlowId`]s every
 //!   period) warm-starts from its previous fixed point instead of
 //!   re-running the water-filling.
+//!
+//! # Dense columns, per-flow digests
+//!
+//! The live flows are one row each in dense columns (path, cap, weight,
+//! prefrozen flag, digest), kept in solve order: ascending [`FlowId`],
+//! which is insertion order. An add appends a row; a
+//! [`SolveSession::remove_flows`] batch compacts every column once, so the
+//! columns — and the session's memory — are bounded by the live flows, not
+//! by every flow the session has ever seen. One `add_flows` batch gets
+//! consecutive handles, so its rows stay adjacent, and
+//! [`SolveSession::rates_of_batch`] reads the batch's rates from the last
+//! solve as one slice. Each flow's 128-bit digest of its path, cap bits and
+//! weight bits is hashed once when it is added (and again on
+//! [`SolveSession::update_weight`]); a component's signature folds its
+//! members' digests in solve order, two words per member.
 //!
 //! # Component-scoped warm starts
 //!
@@ -53,19 +68,13 @@ use std::collections::BTreeMap;
 
 use rayon::prelude::*;
 
-use crate::maxmin::{FlowColumns, FlowSpec, FlowsView, MaxMinProblem, SolveStats};
+use crate::maxmin::{drop_rows, FlowColumns, FlowSpec, MaxMinProblem, SolveStats};
 
 /// Handle to a flow added to a [`SolveSession`]. Never reused within a
-/// session, even after the flow is removed.
+/// session, even after the flow is removed; handles ascend in insertion
+/// order, which is the session's solve order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(u32);
-
-impl FlowId {
-    /// The arena slot behind this id (stable for the session's lifetime).
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// Event counters for one [`SolveSession`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -110,13 +119,17 @@ const MEMO_CAP: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct SolveSession {
     problem: MaxMinProblem,
-    /// Flow arena. `cols.ids` is the *active* slot list, kept ascending;
-    /// the other columns are indexed by slot and never shrink.
+    /// Live flows, one row each in solve order: `ids` holds each row's
+    /// handle (ascending), `cols`, `prefrozen` and `digest` its inputs.
+    ids: Vec<u32>,
     cols: FlowColumns,
-    /// Per-slot: dead on arrival (exhausted resource on the path or zero
+    /// Per row: dead on arrival (exhausted resource on the path or zero
     /// cap). Capacities are fixed per session, so this never changes.
     prefrozen: Vec<bool>,
-    memo: BTreeMap<(u64, u64), MemoEntry>,
+    /// Per row: [`flow_digest`] of its path, cap and weight.
+    digest: Vec<[u64; 2]>,
+    next_id: u32,
+    memo: BTreeMap<[u64; 2], MemoEntry>,
     /// Insertion clock for memo entries; drives oldest-half eviction.
     next_epoch: u64,
     /// Incremental component index over resources: unioned on every add;
@@ -127,7 +140,7 @@ pub struct SolveSession {
     rebuild_pending: bool,
     stats: SessionStats,
     /// Rates of the last [`SolveSession::solve`], aligned with
-    /// `last_active`.
+    /// `last_active` (the handles live at that solve).
     last_rates: Vec<f64>,
     last_active: Vec<u32>,
 }
@@ -186,25 +199,44 @@ impl spider_simkit::MemFootprint for UnionFind {
     }
 }
 
-/// Fold a `u64` into an FNV-1a hash, byte by byte.
-fn fnv1a(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+/// Fold one word into both lanes of a 128-bit hash state. The lanes run
+/// two different 64-bit finalizers (SplitMix64's and MurmurHash3's), each
+/// a bijection, so a lane's state depends on every word and its position.
+fn fold(h: [u64; 2], v: [u64; 2]) -> [u64; 2] {
+    let mut a = h[0] ^ v[0];
+    a = (a ^ (a >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    a = (a ^ (a >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    let mut b = h[1] ^ v[1];
+    b = (b ^ (b >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    b = (b ^ (b >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    [a ^ (a >> 31), b ^ (b >> 33)]
+}
+
+/// Offset basis of every hash the session folds.
+const HASH_BASIS: [u64; 2] = [0xcbf2_9ce4_8422_2325, 0x9ae1_6a3b_2f90_404f];
+
+/// One flow's 128-bit digest: its path length, resources, cap bits and
+/// weight bits, folded word by word. Flow identity is deliberately left
+/// out, so the same shape re-added under a fresh handle digests the same.
+fn flow_digest(path: &[u32], cap: f64, weight: f64) -> [u64; 2] {
+    std::iter::once(path.len() as u64)
+        .chain(path.iter().map(|&r| u64::from(r)))
+        .chain([cap.to_bits(), weight.to_bits()])
+        .fold(HASH_BASIS, |h, v| fold(h, [v, v]))
 }
 
 impl SolveSession {
     /// Start a session over a built problem. The resource set is fixed for
     /// the session's lifetime; flows come and go through the delta API.
     pub fn new(problem: MaxMinProblem) -> Self {
-        let mut cols = FlowColumns::default();
-        cols.path_off.push(0);
         let uf = UnionFind::new(problem.resources());
         SolveSession {
             problem,
-            cols,
+            ids: Vec::new(),
+            cols: FlowColumns::default(),
             prefrozen: Vec::new(),
+            digest: Vec::new(),
+            next_id: 0,
             memo: BTreeMap::new(),
             next_epoch: 0,
             uf,
@@ -222,17 +254,22 @@ impl SolveSession {
 
     /// Number of currently active flows.
     pub fn active_len(&self) -> usize {
-        self.cols.ids.len()
+        self.ids.len()
     }
 
     /// Active flow ids in solve order (ascending).
     pub fn active_flows(&self) -> Vec<FlowId> {
-        self.cols.ids.iter().map(|&s| FlowId(s)).collect()
+        self.ids.iter().map(|&id| FlowId(id)).collect()
+    }
+
+    /// Row of an active flow, or `None` if `id` is not active.
+    fn row_of(&self, id: FlowId) -> Option<usize> {
+        self.ids.binary_search(&id.0).ok()
     }
 
     /// Whether `id` is currently active.
     pub fn is_active(&self, id: FlowId) -> bool {
-        self.cols.ids.binary_search(&id.0).is_ok()
+        self.row_of(id).is_some()
     }
 
     /// Session event counters.
@@ -242,17 +279,13 @@ impl SolveSession {
 
     /// Add one flow; returns its handle.
     pub fn add_flow(&mut self, spec: &FlowSpec) -> FlowId {
-        let slot = self.cols.cap.len() as u32;
-        let cap = spec.cap.unwrap_or(f64::INFINITY);
-        self.cols
-            .path_res
-            .extend(spec.resources.iter().map(|r| r.0 as u32));
-        self.cols.path_off.push(self.cols.path_res.len() as u32);
-        self.cols.cap.push(cap);
-        self.cols.weight.push(spec.weight);
-        let path = self.cols.path(slot as usize);
+        let id = self.next_id;
+        self.next_id = id.checked_add(1).expect("flow handles exhausted");
+        let row = self.cols.push(spec);
+        let cap = self.cols.cap[row];
+        let path = self.cols.path(row);
         self.problem
-            .validate_flow(slot as usize, path, cap, spec.weight);
+            .validate_flow(id as usize, path, cap, spec.weight);
         let prefrozen = self.problem.prefrozen_path(path, cap);
         if !prefrozen {
             // A live flow couples every resource on its path into one
@@ -261,81 +294,83 @@ impl SolveSession {
             self.uf.union_all(path);
         }
         self.prefrozen.push(prefrozen);
-        // Slots grow monotonically, so pushing keeps `ids` ascending.
-        self.cols.ids.push(slot);
-        FlowId(slot)
+        self.digest.push(flow_digest(path, cap, spec.weight));
+        // Handles grow monotonically, so appending keeps `ids` ascending.
+        self.ids.push(id);
+        FlowId(id)
     }
 
-    /// Add a batch of flows; handles are returned in argument order.
+    /// Add a batch of flows; handles are returned in argument order, and
+    /// they are consecutive.
     pub fn add_flows(&mut self, specs: &[FlowSpec]) -> Vec<FlowId> {
         specs.iter().map(|s| self.add_flow(s)).collect()
     }
 
     /// Remove an active flow. Panics if `id` is not active.
     pub fn remove_flow(&mut self, id: FlowId) {
-        let pos = self
-            .cols
-            .ids
-            .binary_search(&id.0)
-            .unwrap_or_else(|_| panic!("flow {id:?} is not active"));
-        self.cols.ids.remove(pos);
-        // The departed flow may have been the only bridge between resource
-        // groups. Don't recompute now — a coarse index is still a correct
-        // partition — just mark the index for rebuild at the next solve.
-        if !self.prefrozen[id.index()] {
-            self.rebuild_pending = true;
-        }
+        self.remove_flows(&[id]);
     }
 
-    /// Remove a batch of active flows.
+    /// Remove a batch of active flows, compacting every column once.
+    /// Panics if an id is not active or appears twice.
     pub fn remove_flows(&mut self, ids: &[FlowId]) {
-        for &id in ids {
-            self.remove_flow(id);
+        let mut rows: Vec<usize> = ids
+            .iter()
+            .map(|&id| {
+                self.row_of(id)
+                    .unwrap_or_else(|| panic!("flow {id:?} is not active"))
+            })
+            .collect();
+        rows.sort_unstable();
+        if let Some(pair) = rows.windows(2).find(|p| p[0] == p[1]) {
+            panic!("flow {:?} is not active", FlowId(self.ids[pair[0]]));
         }
+        if rows.is_empty() {
+            return;
+        }
+        // A departed flow may have been the only bridge between resource
+        // groups. Don't recompute now — a coarse index is still a correct
+        // partition — just mark the index for rebuild at the next solve.
+        if rows.iter().any(|&r| !self.prefrozen[r]) {
+            self.rebuild_pending = true;
+        }
+        self.cols.remove_rows(&rows);
+        drop_rows(&mut self.ids, &rows);
+        drop_rows(&mut self.prefrozen, &rows);
+        drop_rows(&mut self.digest, &rows);
     }
 
     /// Change the class weight of an active flow. Panics if `id` is not
     /// active or the weight is not positive and finite.
     pub fn update_weight(&mut self, id: FlowId, weight: f64) {
-        assert!(self.is_active(id), "flow {id:?} is not active");
+        let row = self
+            .row_of(id)
+            .unwrap_or_else(|| panic!("flow {id:?} is not active"));
         assert!(
             weight > 0.0 && weight.is_finite(),
             "flow {id:?} given non-positive weight {weight}"
         );
-        self.cols.weight[id.index()] = weight;
+        self.cols.weight[row] = weight;
+        self.digest[row] = flow_digest(self.cols.path(row), self.cols.cap[row], weight);
     }
 
-    /// The deterministic signature of one component: two independent
-    /// FNV-1a-64 passes (different offset bases) over its non-prefrozen
-    /// members' paths, cap bits, and weight bits, in solve order (`members`
-    /// are view positions into `cols.ids`, ascending). Slot ids are
-    /// deliberately excluded, so identical component shapes on identical
-    /// resources re-appearing with fresh ids still hit the memo; prefrozen
-    /// flows are excluded because their rate is always exactly 0.
-    fn group_signature(&self, members: &[u32]) -> (u64, u64) {
-        let mut h = (0xcbf2_9ce4_8422_2325u64, 0x9ae1_6a3b_2f90_404fu64);
-        for &k in members {
-            let s = self.cols.ids[k as usize] as usize;
-            if self.prefrozen[s] {
-                continue;
-            }
-            let path = self.cols.path(s);
-            let fields = std::iter::once(path.len() as u64)
-                .chain(path.iter().map(|&r| u64::from(r)))
-                .chain([self.cols.cap[s].to_bits(), self.cols.weight[s].to_bits()]);
-            for v in fields {
-                h.0 = fnv1a(h.0, v);
-                h.1 = fnv1a(h.1, v);
-            }
-        }
-        h
+    /// The deterministic signature of one component: its members' digests
+    /// folded in solve order (`members` are rows, ascending, of a component
+    /// with no prefrozen flow — a prefrozen flow is a singleton that is
+    /// never signed, because its rate is always exactly 0). Flow handles
+    /// are not in the digests, so identical component shapes on identical
+    /// resources re-appearing with fresh ids still hit the memo.
+    fn group_signature(&self, members: &[u32]) -> [u64; 2] {
+        members
+            .iter()
+            .fold(HASH_BASIS, |h, &row| fold(h, self.digest[row as usize]))
     }
 
     /// Insert a memoized fixed point, evicting the oldest half (by
     /// insertion epoch) when the memo is full.
-    fn memo_insert(&mut self, sig: (u64, u64), live_rates: Vec<f64>, rounds: u64) {
+    fn memo_insert(&mut self, sig: [u64; 2], live_rates: Vec<f64>, rounds: u64) {
         if self.memo.len() >= MEMO_CAP {
-            let mut by_epoch: Vec<((u64, u64), u64)> =
+            let mut by_epoch: Vec<([u64; 2], u64)> =
                 self.memo.iter().map(|(k, e)| (*k, e.epoch)).collect();
             by_epoch.sort_unstable_by_key(|&(_, epoch)| epoch);
             let evict = by_epoch.len() / 2;
@@ -359,35 +394,36 @@ impl SolveSession {
         );
     }
 
-    /// Partition the active flows into component groups of view positions
-    /// (indices into `cols.ids`): each group ascending, groups ordered by
-    /// smallest member. Cap-only and prefrozen flows are singletons — they
-    /// never exchange capacity with anything. A remove since the last call
-    /// triggers the lazy index rebuild first; between rebuilds the index
-    /// may only be coarser than the true partition, never finer.
+    /// Partition the active flows into component groups of rows: each
+    /// group ascending, groups ordered by smallest member. Cap-only and
+    /// prefrozen flows are singletons — they never exchange capacity with
+    /// anything. A remove since the last call triggers the lazy index
+    /// rebuild first; between rebuilds the index may only be coarser than
+    /// the true partition, never finer.
     fn groups(&mut self) -> Vec<Vec<u32>> {
+        let rows = self.ids.len();
         if self.rebuild_pending {
             self.uf = UnionFind::new(self.problem.resources());
-            for &s in &self.cols.ids {
-                if !self.prefrozen[s as usize] {
-                    self.uf.union_all(self.cols.path(s as usize));
+            for row in 0..rows {
+                if !self.prefrozen[row] {
+                    self.uf.union_all(self.cols.path(row));
                 }
             }
             self.rebuild_pending = false;
         }
         let mut groups: Vec<Vec<u32>> = Vec::new();
         let mut group_of_root = vec![u32::MAX; self.problem.resources()];
-        for (k, &s) in self.cols.ids.iter().enumerate() {
-            let path = self.cols.path(s as usize);
-            if path.is_empty() || self.prefrozen[s as usize] {
-                groups.push(vec![k as u32]);
+        for row in 0..rows {
+            let path = self.cols.path(row);
+            if path.is_empty() || self.prefrozen[row] {
+                groups.push(vec![row as u32]);
             } else {
                 let root = self.uf.find(path[0]) as usize;
                 if group_of_root[root] == u32::MAX {
                     group_of_root[root] = groups.len() as u32;
                     groups.push(Vec::new());
                 }
-                groups[group_of_root[root] as usize].push(k as u32);
+                groups[group_of_root[root] as usize].push(row as u32);
             }
         }
         groups
@@ -400,7 +436,7 @@ impl SolveSession {
             .iter()
             .map(|g| {
                 g.iter()
-                    .map(|&k| FlowId(self.cols.ids[k as usize]))
+                    .map(|&row| FlowId(self.ids[row as usize]))
                     .collect()
             })
             .collect()
@@ -416,31 +452,28 @@ impl SolveSession {
     pub fn solve(&mut self) -> &[f64] {
         self.stats.solves += 1;
         let groups = self.groups();
-        let sigs: Vec<(u64, u64)> = groups.iter().map(|g| self.group_signature(g)).collect();
 
         self.last_rates.clear();
-        self.last_rates.resize(self.cols.ids.len(), 0.0);
-        let mut missing: Vec<usize> = Vec::new();
+        self.last_rates.resize(self.ids.len(), 0.0);
+        let mut missing: Vec<(usize, [u64; 2])> = Vec::new();
         let mut skipped = 0u64;
         let mut saved_rounds = 0u64;
         for (gi, members) in groups.iter().enumerate() {
             // Prefrozen flows are singleton components with rate exactly 0:
             // nothing to solve, nothing worth memoizing.
-            if members
-                .iter()
-                .all(|&k| self.prefrozen[self.cols.ids[k as usize] as usize])
-            {
+            if self.prefrozen[members[0] as usize] {
                 continue;
             }
-            if let Some(entry) = self.memo.get(&sigs[gi]) {
+            let sig = self.group_signature(members);
+            if let Some(entry) = self.memo.get(&sig) {
                 skipped += 1;
                 saved_rounds += entry.rounds;
                 self.stats.rounds_saved += entry.rounds;
-                for (&k, &r) in members.iter().zip(&entry.live_rates) {
-                    self.last_rates[k as usize] = r;
+                for (&row, &r) in members.iter().zip(&entry.live_rates) {
+                    self.last_rates[row as usize] = r;
                 }
             } else {
-                missing.push(gi);
+                missing.push((gi, sig));
             }
         }
         self.stats.components_skipped += skipped;
@@ -453,27 +486,24 @@ impl SolveSession {
             let mut total = SolveStats::default();
             let solved: Vec<(Vec<f64>, SolveStats)> = {
                 let problem = &self.problem;
-                let view = self.cols.view();
-                let tasks: Vec<&Vec<u32>> = missing.iter().map(|&gi| &groups[gi]).collect();
+                let cols = &self.cols;
+                let tasks: Vec<&Vec<u32>> = missing.iter().map(|&(gi, _)| &groups[gi]).collect();
                 tasks
                     .par_iter()
                     .map(|&members| {
-                        let ids: Vec<u32> = members.iter().map(|&k| view.ids[k as usize]).collect();
-                        let sub = FlowsView { ids: &ids, ..view };
                         let mut st = SolveStats::default();
-                        let rates = problem.solve_view(&sub, &mut st, false);
+                        let rates = problem.solve_view(&cols.view(members), &mut st, false);
                         (rates, st)
                     })
                     .collect()
             };
             // `collect` preserves task order; sorting by component id is the
             // explicit fixed-order barrier for the scatter below.
-            let mut ordered: Vec<(usize, (Vec<f64>, SolveStats))> =
-                missing.iter().copied().zip(solved).collect();
-            ordered.sort_by_key(|&(gi, _)| gi);
-            for (gi, (rates, st)) in ordered {
-                for (&k, &r) in groups[gi].iter().zip(&rates) {
-                    self.last_rates[k as usize] = r;
+            let mut ordered: Vec<_> = missing.iter().copied().zip(solved).collect();
+            ordered.sort_by_key(|&((gi, _), _)| gi);
+            for ((gi, sig), (rates, st)) in ordered {
+                for (&row, &r) in groups[gi].iter().zip(&rates) {
+                    self.last_rates[row as usize] = r;
                 }
                 self.stats.rounds_executed += st.rounds;
                 let rounds = st.rounds;
@@ -485,7 +515,7 @@ impl SolveSession {
                 total.heap_pushes += st.heap_pushes;
                 total.heap_pops += st.heap_pops;
                 total.stale_discards += st.stale_discards;
-                self.memo_insert(sigs[gi], rates, rounds);
+                self.memo_insert(sig, rates, rounds);
             }
             if spider_obs::enabled() {
                 total.flush_obs();
@@ -503,7 +533,7 @@ impl SolveSession {
             }
         }
         self.last_active.clear();
-        self.last_active.extend_from_slice(&self.cols.ids);
+        self.last_active.extend_from_slice(&self.ids);
         &self.last_rates
     }
 
@@ -520,6 +550,25 @@ impl SolveSession {
             .ok()
             .map(|pos| self.last_rates[pos])
     }
+
+    /// Rates in the last solve of a batch of consecutive handles, as one
+    /// [`Self::add_flows`] call returns them. Consecutive handles are
+    /// adjacent in solve order, so this is one search and one slice of the
+    /// last solve's rates. `None` if any of them was not active then.
+    /// Panics if the handles are not consecutive and ascending.
+    pub fn rates_of_batch(&self, batch: &[FlowId]) -> Option<&[f64]> {
+        let (Some(first), Some(last)) = (batch.first(), batch.last()) else {
+            return Some(&[]);
+        };
+        assert!(
+            last.0.checked_sub(first.0) == Some(batch.len() as u32 - 1),
+            "handles {first:?}..={last:?} are not one batch of {}",
+            batch.len()
+        );
+        let pos = self.last_active.binary_search(&first.0).ok()?;
+        let end = pos + batch.len();
+        (self.last_active.get(end - 1) == Some(&last.0)).then(|| &self.last_rates[pos..end])
+    }
 }
 
 impl spider_simkit::MemFootprint for SolveSession {
@@ -534,9 +583,11 @@ impl spider_simkit::MemFootprint for SolveSession {
             .map(|e| 16 + std::mem::size_of::<MemoEntry>() as u64 + e.live_rates.mem_bytes())
             .sum();
         self.problem.mem_bytes()
+            + slab_bytes::<u32>(self.ids.capacity())
             + self.cols.mem_bytes()
-            + self.uf.mem_bytes()
             + slab_bytes::<bool>(self.prefrozen.capacity())
+            + slab_bytes::<[u64; 2]>(self.digest.capacity())
+            + self.uf.mem_bytes()
             + slab_bytes::<f64>(self.last_rates.capacity())
             + slab_bytes::<u32>(self.last_active.capacity())
             + memo
@@ -547,6 +598,7 @@ impl spider_simkit::MemFootprint for SolveSession {
 mod tests {
     use super::*;
     use crate::maxmin::ResourceId;
+    use spider_simkit::MemFootprint;
 
     /// Specs of the session's active flows, for the from-scratch oracle.
     fn active_specs(sess: &SolveSession, all: &[FlowSpec], ids: &[FlowId]) -> Vec<FlowSpec> {
@@ -654,6 +706,58 @@ mod tests {
         assert_eq!(sess.rate_of(b), None, "added after the last solve");
         sess.solve();
         assert_eq!(sess.rate_of(b), Some(2.0));
+    }
+
+    #[test]
+    fn batch_rates_are_one_slice_of_the_last_solve() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(6.0);
+        let mut sess = SolveSession::new(p);
+        let a = sess.add_flows(&[FlowSpec::new(vec![r]), FlowSpec::new(vec![r])]);
+        let b = sess.add_flows(&[FlowSpec::new(vec![r]).with_weight(2.0)]);
+        assert_eq!(sess.rates_of_batch(&a), None, "before any solve");
+        sess.solve();
+        assert_eq!(sess.rates_of_batch(&a), Some(&[1.5, 1.5][..]));
+        assert_eq!(sess.rates_of_batch(&b), Some(&[1.5][..]));
+        assert_eq!(sess.rates_of_batch(&[]), Some(&[][..]));
+        // Removed after the last solve: the batch still reads that solve.
+        sess.remove_flows(&a);
+        assert_eq!(sess.rates_of_batch(&a), Some(&[1.5, 1.5][..]));
+        sess.solve();
+        assert_eq!(sess.rates_of_batch(&a), None);
+        assert_eq!(sess.rates_of_batch(&b), Some(&[3.0][..]));
+    }
+
+    #[test]
+    fn footprint_is_bounded_by_live_flows() {
+        // One 1,008-class test, shaped like a paper namespace: each class
+        // crosses a router, a couplet and its own OST. Every cycle adds it,
+        // solves and removes it again; after the first cycle no column, no
+        // memo entry and no scratch buffer may grow.
+        let mut p = MaxMinProblem::new();
+        let routers: Vec<ResourceId> = (0..36).map(|_| p.add_resource(2.5e9)).collect();
+        let couplets: Vec<ResourceId> = (0..18).map(|_| p.add_resource(17.8e9)).collect();
+        let osts: Vec<ResourceId> = (0..1008).map(|_| p.add_resource(0.4e9)).collect();
+        let test: Vec<FlowSpec> = (0..1008)
+            .map(|k| {
+                FlowSpec::new(vec![routers[k % 36], couplets[k / 56], osts[k]])
+                    .with_cap(55e6)
+                    .with_weight(f64::from(1 + (k % 7) as u32))
+            })
+            .collect();
+        let mut sess = SolveSession::new(p);
+        let cycle = |sess: &mut SolveSession| {
+            let ids = sess.add_flows(&test);
+            sess.solve();
+            sess.remove_flows(&ids);
+            sess.mem_bytes()
+        };
+        let one = cycle(&mut sess);
+        for k in 2..=8 {
+            assert_eq!(cycle(&mut sess), one, "footprint after cycle {k}");
+        }
+        assert_eq!(sess.active_len(), 0);
+        assert_eq!(sess.stats().cache_hits, 7, "every later cycle replays");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests for the interconnect substrate.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use spider_net::maxmin::{FlowSpec, MaxMinProblem};
 use spider_net::session::{FlowId, SolveSession};
@@ -67,16 +69,21 @@ proptest! {
 
     /// Incremental session solves — decomposed into components, the
     /// missed ones solved in parallel — are bit-identical to undecomposed
-    /// from-scratch solves after any sequence of add / remove /
-    /// update-weight deltas, at every thread budget (budget 0 is fully
-    /// sequential; 7 is an odd worker count).
+    /// from-scratch solves over the live flows in insertion order, after
+    /// any sequence of deltas, at every thread budget (budget 0 is fully
+    /// sequential; 7 is an odd worker count). The deltas: single adds and
+    /// removes, weight updates, batch removals from the middle of the
+    /// active set (every flow of a run, or every other one), re-adds of a
+    /// removed shape under a fresh handle, and a weight update that is
+    /// undone so the next solve probes the memo for a shape it holds. A
+    /// flow removed after the last solve still reads that solve's rate.
     #[test]
     fn session_churn_bitwise_across_thread_budgets(
         caps in prop::collection::vec(0.5f64..50.0, 2..8),
         ops in prop::collection::vec(
-            // (op selector, path seeds, cap?, weight, victim seed)
-            (0u8..4, prop::collection::vec(0usize..64, 1..4), prop::option::of(0.05f64..8.0),
-             0.5f64..16.0, 0usize..64),
+            // (op selector, path seeds, cap?, weight, victim seed, span)
+            (0u8..7, prop::collection::vec(0usize..64, 1..4), prop::option::of(0.05f64..8.0),
+             0.5f64..16.0, 0usize..64, 1usize..6),
             1..40
         ),
         budget_sel in 0usize..3,
@@ -85,8 +92,22 @@ proptest! {
         let mut p = MaxMinProblem::new();
         let rs: Vec<_> = caps.iter().map(|&c| p.add_resource(c)).collect();
         let mut sess = SolveSession::new(p.clone());
+        // Live flows in insertion (= solve) order, removed shapes, and the
+        // bits each flow got at the last solve.
         let mut live: Vec<(FlowId, FlowSpec)> = Vec::new();
-        for (op, path, cap, weight, victim) in ops {
+        let mut removed: Vec<FlowSpec> = Vec::new();
+        let mut last_bits: BTreeMap<FlowId, u64> = BTreeMap::new();
+        let check = |sess: &mut SolveSession,
+                     live: &[(FlowId, FlowSpec)],
+                     last_bits: &mut BTreeMap<FlowId, u64>| {
+            let specs: Vec<FlowSpec> = live.iter().map(|(_, f)| f.clone()).collect();
+            let session_bits: Vec<u64> = sess.solve().iter().map(|r| r.to_bits()).collect();
+            let oracle_bits: Vec<u64> = p.solve(&specs).iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(&session_bits, &oracle_bits);
+            *last_bits = live.iter().map(|(id, _)| *id).zip(session_bits).collect();
+        };
+        for (op, path, cap, weight, victim, span) in ops {
+            let mut gone: Vec<FlowId> = Vec::new();
             match op {
                 0 | 1 => {
                     let mut f = FlowSpec::new(
@@ -99,21 +120,58 @@ proptest! {
                     live.push((id, f));
                 }
                 2 if !live.is_empty() => {
-                    let (id, _) = live.remove(victim % live.len());
+                    let (id, f) = live.remove(victim % live.len());
                     sess.remove_flow(id);
+                    gone.push(id);
+                    removed.push(f);
                 }
                 3 if !live.is_empty() => {
                     let j = victim % live.len();
                     sess.update_weight(live[j].0, weight);
                     live[j].1.weight = weight;
                 }
+                4 if !live.is_empty() => {
+                    // A batch from the middle: `span` flows from the
+                    // victim's position on, adjacent or every other one,
+                    // handed over in reverse order.
+                    let start = victim % live.len();
+                    let stride = 1 + victim % 2;
+                    let picks: Vec<usize> =
+                        (start..live.len()).step_by(stride).take(span).collect();
+                    for &k in picks.iter().rev() {
+                        let (id, f) = live.remove(k);
+                        gone.push(id);
+                        removed.push(f);
+                    }
+                    sess.remove_flows(&gone);
+                }
+                5 if !removed.is_empty() => {
+                    let f = removed[victim % removed.len()].clone();
+                    let id = sess.add_flow(&f);
+                    live.push((id, f));
+                }
+                6 if !live.is_empty() => {
+                    // Solve under a new weight, then restore the old one:
+                    // the shape before the update was solved last round, so
+                    // restoring it must replay from the memo.
+                    let j = victim % live.len();
+                    let old = live[j].1.weight;
+                    sess.update_weight(live[j].0, weight);
+                    live[j].1.weight = weight;
+                    check(&mut sess, &live, &mut last_bits);
+                    sess.update_weight(live[j].0, old);
+                    live[j].1.weight = old;
+                    let hits = sess.stats().cache_hits;
+                    check(&mut sess, &live, &mut last_bits);
+                    prop_assert_eq!(sess.stats().cache_hits, hits + 1);
+                }
                 _ => {}
             }
-            live.sort_by_key(|(id, _)| *id);
-            let specs: Vec<FlowSpec> = live.iter().map(|(_, f)| f.clone()).collect();
-            let session_bits: Vec<u64> = sess.solve().iter().map(|r| r.to_bits()).collect();
-            let oracle_bits: Vec<u64> = p.solve(&specs).iter().map(|r| r.to_bits()).collect();
-            prop_assert_eq!(session_bits, oracle_bits);
+            for id in gone {
+                prop_assert!(!sess.is_active(id));
+                prop_assert_eq!(sess.rate_of(id).map(f64::to_bits), last_bits.get(&id).copied());
+            }
+            check(&mut sess, &live, &mut last_bits);
         }
         rayon::set_spare_thread_budget(0);
     }

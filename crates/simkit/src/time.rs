@@ -105,11 +105,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// True if this duration is exactly zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

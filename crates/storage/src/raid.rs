@@ -305,16 +305,6 @@ impl RaidGroup {
         let rate = disk.seq_bandwidth() * disk.spec.rebuild_fraction;
         Some(rate.time_for(self.rebuild_remaining))
     }
-
-    /// Indices of in-service members flagged slow (candidates for culling).
-    pub fn flagged_members(&self) -> Vec<usize> {
-        self.members
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.health == DiskHealth::FlaggedSlow)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
