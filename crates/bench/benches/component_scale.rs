@@ -32,7 +32,7 @@ const MIN_SKIP_FRACTION: f64 = 0.85;
 /// namespaces 1..`ns` (several large components whose shapes never change)
 /// plus a staggered pair of short churn jobs per wave on fs 0 with strictly
 /// increasing client counts (every churn event is a fresh shape, so only
-/// the steady components' signatures can hit the memo).
+/// the steady components' memo keys can hit).
 fn warm_start_storm(ns: usize, steady: u32, waves: u64, period: SimDuration) -> Vec<Job> {
     let mut jobs = Vec::new();
     for k in 0..steady {

@@ -116,7 +116,7 @@ fn main() {
     );
 
     let fields = format!(
-        r#"  "note": "wall times and events/sec measured on this machine; bytes figures are deterministic (container capacities via MemFootprint, identical on every host). The columnar section is the E3 shape at 10^6 clients: the weighted-class collapse resolves a million clients to O(100) flow classes, so solve wall time is flat in client count and the resident session charges ~4 B/client for the class map plus class-level columns. The arena section is steady-state churn: a fixed resident event population recycled through the slab free list, zero allocation per event",
+        r#"  "note": "wall times and events/sec measured on this machine; bytes figures are deterministic (container capacities via MemFootprint, identical on every host). The columnar section is the E3 shape at 10^6 clients: the weighted-class collapse resolves a million clients to O(100) flow classes, so solve wall time is flat in client count, and the resident session holds class-level columns plus a client-to-class table with one entry per class, so its bytes do not grow with the client count either. The arena section is steady-state churn: a fixed resident event population recycled through the slab free list, zero allocation per event",
   "shape": {{"clients": {clients}, "churn_events": {churn_events}, "resident_events": {resident}}},
   "columnar": {{
     "clients": {clients},

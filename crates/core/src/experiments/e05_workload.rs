@@ -12,26 +12,38 @@ use spider_workload::mix::CenterWorkload;
 use crate::config::Scale;
 use crate::report::{pct, Table};
 
+/// Streams generated and tallied together, in parallel.
+const E5_CHUNK: usize = 16;
+
 /// Run E5.
 pub fn run(scale: Scale) -> Vec<Table> {
     let horizon = match scale {
         Scale::Paper => SimDuration::from_hours(2),
         Scale::Small => SimDuration::from_mins(20),
     };
-    let mut rng = SimRng::seed_from_u64(0xE5);
+    let rng = SimRng::seed_from_u64(0xE5);
     // Characterization needs each client's requests in time order only,
     // which every stream already is, so each stream is tallied as it is
     // generated and dropped; the streams are never merged or held at once.
-    // Collecting the tallies in client order keeps the gap samples in the
-    // order of one pass over the streams, so both Hill fits keep their bits.
+    // The tallies are combined in client order, which keeps the gap samples
+    // in the order of one pass over the streams, so both Hill fits keep
+    // their bits. Streams are generated a chunk at a time and each chunk's
+    // tallies are combined before the next, so the samples are held about
+    // once, not once per stream and once combined. Every chunk forks its
+    // streams' generators from the same parent state, so each stream is the
+    // one a single pass would generate.
     let wl = CenterWorkload::olcf_production();
-    let c = wl
-        .generate_streams(horizon, &mut rng, 0..wl.total_streams(), |stream| {
+    let streams = wl.total_streams();
+    let mut all = Tally::default();
+    for lo in (0..streams).step_by(E5_CHUNK) {
+        let chunk = lo..(lo + E5_CHUNK as u32).min(streams);
+        for part in wl.generate_streams(horizon, &mut rng.clone(), chunk, |stream| {
             stream.iter().collect::<Tally>()
-        })
-        .into_iter()
-        .collect::<Tally>()
-        .finish();
+        }) {
+            all.absorb(part);
+        }
+    }
+    let c = all.finish();
 
     let mut table = Table::new(
         "E5: production mix characterization vs the paper's published values",

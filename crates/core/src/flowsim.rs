@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use spider_net::maxmin::{FlowSpec, MaxMinProblem, ResourceId};
-use spider_net::session::{FlowId, SessionStats, SolveSession};
+use spider_net::session::{FlowBatch, FlowId, SessionStats, SolveSession};
 use spider_pfs::ost::OstId;
 use spider_simkit::Bandwidth;
 use spider_workload::ior::{IorConfig, IorTarget, RateClasses};
@@ -38,32 +38,31 @@ pub struct FlowTest {
 /// Solved allocation, stored at class granularity.
 ///
 /// Clients sharing an (OST, router) path have identical max-min rates, so
-/// the solution keeps one rate per class plus the client→class map and only
-/// expands a per-client vector on demand ([`Self::per_client`]). At 10^6
-/// clients that is the difference between ~10^2 floats per solve point and
-/// a million-element vector per solve point.
+/// the solution keeps one rate per class plus the test's dense (OST, router
+/// slot) class table, and only expands a per-client vector on demand
+/// ([`Self::per_client`]). At 10^6 clients that is ~10^3 floats and a table
+/// of ~10^4 cells per solve point instead of a million-element vector.
 #[derive(Debug, Clone)]
 pub struct FlowSolution {
     /// Aggregate rate.
     pub aggregate: Bandwidth,
     /// Per-class member rate, in class (solve) order.
     class_rate: Vec<f64>,
-    /// Class of each client; shared with cached class decompositions, so
-    /// cloning a solution never copies the million-element map.
-    class_of_client: Arc<Vec<u32>>,
+    /// The clients' class table; shared with cached class decompositions.
+    table: Arc<ClassTable>,
 }
 
 impl FlowSolution {
     /// Number of clients covered.
     pub fn clients(&self) -> usize {
-        self.class_of_client.len()
+        self.table.clients as usize
     }
 
     /// Expand to an owned per-client vector (`clients()` elements).
     pub fn per_client(&self) -> Vec<Bandwidth> {
-        self.class_of_client
-            .iter()
-            .map(|&c| {
+        self.table
+            .class_of_clients()
+            .map(|c| {
                 let rate = self.class_rate[c as usize];
                 Bandwidth(rate)
             })
@@ -154,23 +153,136 @@ fn router_plant(problem: &mut MaxMinProblem, center: &Center) -> Vec<ResourceId>
         .collect()
 }
 
+/// Greatest common divisor.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// The classes that `clients` round-robin clients found over OSTs with
+/// `slots[o]` router slots each: their (OST, slot, weight) in founding
+/// order, and each OST's slot period.
+///
+/// Client `i` uses OST `o = i mod n` and slot `i mod m_o`. OST `o`'s clients
+/// are `o + k·n` for `k < K_o`, and their slots repeat with period
+/// `p_o = m_o / gcd(n, m_o)`. So the OST founds classes at `k < min(K_o,
+/// p_o)`, and class `k` holds the clients `k' ≡ k (mod p_o)`: it weighs
+/// `ceil((K_o − k) / p_o)`, an exact integer in `f64`. Founding order is
+/// client order, which is by `(k, o)`. The cost is O(classes), not
+/// O(clients).
+fn class_founders(clients: u32, slots: &[u32]) -> (Vec<(u32, u32, f64)>, Vec<u32>) {
+    let n = slots.len() as u64;
+    let clients = u64::from(clients);
+    // Per OST: its client count, slot count and slot period.
+    let per_ost: Vec<(u64, u64, u64)> = slots
+        .iter()
+        .enumerate()
+        .map(|(o, &m)| {
+            let o = o as u64;
+            let count = if o < clients {
+                (clients - 1 - o) / n + 1
+            } else {
+                0
+            };
+            let m = u64::from(m);
+            (count, m, m / gcd(n, m))
+        })
+        .collect();
+    let rounds = per_ost
+        .iter()
+        .map(|&(count, _, period)| count.min(period))
+        .max()
+        .unwrap_or(0);
+    let mut founders = Vec::new();
+    for k in 0..rounds {
+        for (o, &(count, m, period)) in per_ost.iter().enumerate() {
+            if k < count.min(period) {
+                let slot = (o as u64 + k * n) % m;
+                founders.push((o as u32, slot as u32, (count - k).div_ceil(period) as f64));
+            }
+        }
+    }
+    let periods = per_ost.iter().map(|&(_, _, p)| p as u32).collect();
+    (founders, periods)
+}
+
+/// The table that names each client's class. Client `i = o + k·n` uses OST
+/// `o` and, through its slot, the class OST `o` founded at `k mod p_o`:
+/// one entry per class, however many clients and router slots.
+#[derive(Debug)]
+struct ClassTable {
+    clients: u32,
+    /// Per OST: its slot period `p_o` and where its classes start in
+    /// `founded`.
+    osts: Vec<(u32, u32)>,
+    /// Each OST's classes by `k` (founding order), OST after OST.
+    founded: Vec<u32>,
+}
+
+impl ClassTable {
+    /// Index founders (as [`class_founders`] lists them) by OST.
+    fn new(clients: u32, founders: &[(u32, u32, f64)], periods: &[u32]) -> Self {
+        let mut start = vec![0u32; periods.len() + 1];
+        for &(o, ..) in founders {
+            start[o as usize + 1] += 1;
+        }
+        for o in 0..periods.len() {
+            start[o + 1] += start[o];
+        }
+        let osts: Vec<(u32, u32)> = periods.iter().zip(&start).map(|(&p, &s)| (p, s)).collect();
+        // Founding order visits each OST's classes by ascending `k`.
+        let mut founded = vec![0u32; founders.len()];
+        for (c, &(o, ..)) in founders.iter().enumerate() {
+            founded[start[o as usize] as usize] = c as u32;
+            start[o as usize] += 1;
+        }
+        ClassTable {
+            clients,
+            osts,
+            founded,
+        }
+    }
+
+    /// Each client's class, in client order.
+    fn class_of_clients(&self) -> impl Iterator<Item = u32> + '_ {
+        let n = self.osts.len() as u32;
+        (0..self.clients).map(move |i| {
+            let (period, start) = self.osts[(i % n) as usize];
+            self.founded[(start + i / n % period) as usize]
+        })
+    }
+}
+
+impl spider_simkit::MemFootprint for ClassTable {
+    fn mem_bytes(&self) -> u64 {
+        use spider_simkit::slab_bytes;
+        slab_bytes::<(u32, u32)>(self.osts.capacity()) + slab_bytes::<u32>(self.founded.capacity())
+    }
+}
+
 /// One test's weighted-class decomposition. All clients hitting the same
 /// (OST, router) pair cross *identical* resources with the *same* cap, and
 /// max-min fairness gives identical members identical rates — so the
 /// solver only needs one weighted flow per class (~n_osts classes instead
-/// of up to 18,688 client flows at Titan scale). The client→class map is
-/// `Arc`-shared with every [`FlowSolution`] handed out for this shape, so
-/// repeated solves at 10^6 clients reuse one 4 MB map instead of copying it.
+/// of up to 18,688 client flows at Titan scale), and the clients map onto
+/// the classes through a table with one entry per class, not a per-client
+/// map.
 struct ClassSet {
-    classes: Vec<FlowSpec>,
-    class_of_client: Arc<Vec<u32>>,
+    /// Each class's path: router, OSS link, couplet, OST.
+    paths: Vec<[ResourceId; 4]>,
+    /// Each class's member count.
+    weights: Vec<f64>,
+    /// The per-process rate every member is capped at.
+    cap: f64,
+    table: ClassTable,
 }
 
 impl ClassSet {
     /// Collapse `t`'s clients onto the skeleton `ns` of namespace `t.fs`
-    /// and the router plant. The per-client loop is allocation-free: at
-    /// 10^6 clients only the ~10^2 class-founding clients build a
-    /// `FlowSpec`.
+    /// and the router plant, in closed form ([`class_founders`]): at 10^6
+    /// clients only the ~10^3 classes are visited.
     ///
     /// Client `i` writes to OST `i % n_osts` (file-per-process round-robin,
     /// the MDS allocator at scale) through router slot `i % m` of that
@@ -178,12 +290,11 @@ impl ClassSet {
     /// mod groups), `m` its router count, slot `s` its `s`-th router. A
     /// group with no routers spreads its clients over the whole plant
     /// instead (`m` the plant's router count, slot `s` router `s`). Slots
-    /// map one-to-one onto routers within a group, so a dense (OST, slot)
-    /// table names each (OST, router) class; the first client on a path
-    /// founds its class, so class indices stay insertion-ordered.
+    /// map one-to-one onto routers within a group, so each (OST, slot)
+    /// pair names one (OST, router) class; the first client on a path
+    /// founds its class, so class indices stay in client order.
     fn build(center: &Center, t: &FlowTest, ns: &NsSkeleton, router_res: &[ResourceId]) -> Self {
         let fs = &center.filesystems[t.fs];
-        let n_osts = fs.ost_count();
         let per_process = center
             .config
             .client
@@ -191,66 +302,69 @@ impl ClassSet {
             .as_bytes_per_sec();
         let plant = center.routers.len().max(1);
         let groups = center.routers.groups.max(1) as usize;
-        // Per OST: its SSU, its group's routers, its slot count and the
-        // table cell of its slot 0.
-        let mut cells = 0;
-        let routes: Vec<(usize, &[usize], usize, usize)> = (0..n_osts)
+        // Per OST: its SSU and its group's routers.
+        let routes: Vec<(usize, &[usize])> = (0..fs.ost_count())
             .map(|o| {
                 let ssu = center.ssu_index(t.fs, OstId(o as u32));
-                let members = center.routers_of_group(ssu % groups);
-                let slots = if members.is_empty() {
+                (ssu, center.routers_of_group(ssu % groups))
+            })
+            .collect();
+        let slots: Vec<u32> = routes
+            .iter()
+            .map(|&(_, members)| {
+                if members.is_empty() {
                     plant
                 } else {
                     members.len()
-                };
-                cells += slots;
-                (ssu, members, slots, cells - slots)
+                }
+                .try_into()
+                .expect("a router count fits in u32")
             })
             .collect();
-        let mut class_at = vec![u32::MAX; cells];
-        let mut classes: Vec<FlowSpec> = Vec::new();
-        let mut class_of_client = Vec::with_capacity(t.clients as usize);
-        for i in 0..t.clients {
-            let ost = ost_of_client(i, n_osts);
-            let (ssu, members, slots, base) = routes[ost.0 as usize];
-            let slot = i as usize % slots;
-            let cell = &mut class_at[base + slot];
-            if *cell == u32::MAX {
+        let (founders, periods) = class_founders(t.clients, &slots);
+        let paths: Vec<[ResourceId; 4]> = founders
+            .iter()
+            .map(|&(o, slot, _)| {
+                let (ssu, members) = routes[o as usize];
                 let router = if members.is_empty() {
-                    slot
+                    slot as usize
                 } else {
-                    members[slot]
+                    members[slot as usize]
                 };
-                *cell = classes.len() as u32;
-                classes.push(
-                    FlowSpec::new(vec![
-                        router_res[router],
-                        ns.oss_res[fs.oss_index_of(ost)],
-                        ns.ssu_to_res[&ssu],
-                        ns.ost_res[ost.0 as usize],
-                    ])
-                    .with_cap(per_process),
-                );
-            } else {
-                classes[*cell as usize].weight += 1.0;
-            }
-            class_of_client.push(*cell);
-        }
+                [
+                    router_res[router],
+                    ns.oss_res[fs.oss_index_of(OstId(o))],
+                    ns.ssu_to_res[&ssu],
+                    ns.ost_res[o as usize],
+                ]
+            })
+            .collect();
         if spider_obs::enabled() {
             spider_obs::counter_add("flowsim_clients", t.clients as u64);
-            spider_obs::counter_add("flowsim_classes", classes.len() as u64);
-            if !classes.is_empty() {
+            spider_obs::counter_add("flowsim_classes", paths.len() as u64);
+            if !paths.is_empty() {
                 // Collapse ratio: member flows folded into each solver class.
                 spider_obs::hist_record(
                     "flowsim_collapse_ratio",
-                    t.clients as f64 / classes.len() as f64,
+                    t.clients as f64 / paths.len() as f64,
                 );
             }
         }
         ClassSet {
-            classes,
-            class_of_client: Arc::new(class_of_client),
+            paths,
+            weights: founders.iter().map(|&(_, _, weight)| weight).collect(),
+            cap: per_process,
+            table: ClassTable::new(t.clients, &founders, &periods),
         }
+    }
+
+    /// The classes as `(resources, cap, weight)`, the fields of a
+    /// [`FlowSpec`].
+    fn flows(&self) -> impl Iterator<Item = (&[ResourceId], Option<f64>, f64)> + '_ {
+        self.paths
+            .iter()
+            .zip(&self.weights)
+            .map(|(path, &weight)| (path.as_slice(), Some(self.cap), weight))
     }
 }
 
@@ -269,11 +383,19 @@ pub fn solve(center: &Center, test: &FlowTest) -> FlowSolution {
     let router_res = router_plant(&mut problem, center);
     let set = ClassSet::build(center, test, &ns, &router_res);
     spider_obs::counter_add("flowsim_solves", 1);
-    let rates = problem.solve(&set.classes);
+    let classes: Vec<FlowSpec> = set
+        .flows()
+        .map(|(path, cap, weight)| FlowSpec {
+            resources: path.to_vec(),
+            cap,
+            weight,
+        })
+        .collect();
+    let rates = problem.solve(&classes);
     let solution = FlowSolution {
-        aggregate: Bandwidth(MaxMinProblem::weighted_total(&set.classes, &rates)),
+        aggregate: Bandwidth(MaxMinProblem::weighted_total(&classes, &rates)),
         class_rate: rates,
-        class_of_client: set.class_of_client,
+        table: Arc::new(set.table),
     };
     // Live feed: the per-OST allocation this solve produced, stamped at the
     // poller's current sim-time (the solve itself is instantaneous in
@@ -285,7 +407,7 @@ pub fn solve(center: &Center, test: &FlowTest) -> FlowSolution {
     if spider_obs::live_enabled() {
         let n_osts = ns.ost_res.len();
         let mut per_ost = vec![0.0f64; n_osts];
-        for (i, &c) in solution.class_of_client.iter().enumerate() {
+        for (i, c) in solution.table.class_of_clients().enumerate() {
             per_ost[ost_of_client(i as u32, n_osts).0 as usize] += solution.class_rate[c as usize];
         }
         for (o, load) in per_ost.iter().enumerate() {
@@ -331,24 +453,33 @@ fn class_key(t: &FlowTest) -> ClassKey {
     )
 }
 
+/// A cached test shape: its classes as one prepared solver batch, and the
+/// table that maps its clients onto them.
+struct PreparedClasses {
+    batch: Arc<FlowBatch>,
+    table: Arc<ClassTable>,
+}
+
 /// An incremental multi-test flow solver over one [`Center`].
 ///
 /// Where [`solve_concurrent`] rebuilds the resource graph and re-derives
-/// every test's (OST, router) class map on each call, a session builds the
-/// per-namespace problem skeleton **once**, caches class decompositions by
-/// test shape, and drives an incremental [`SolveSession`] underneath — so a
-/// caller stepping through time pays O(delta) per event, and recurring
-/// active sets (the same checkpoint wave every period) are answered from
-/// the solver's fixed-point memo without any water-filling at all.
+/// every test's (OST, router) classes on each call, a session builds the
+/// per-namespace problem skeleton **once**, caches each test shape's
+/// classes as one prepared [`FlowBatch`], and drives an incremental
+/// [`SolveSession`] underneath — so a caller stepping through time pays
+/// for its own test per event (a recurring shape is re-added without
+/// validating or hashing a flow), and recurring active sets (the same
+/// checkpoint wave every period) are answered from the solver's
+/// fixed-point memo without any water-filling at all.
 pub struct FlowSession<'a> {
     center: &'a Center,
     solver: SolveSession,
     ns: Vec<NsSkeleton>,
     router_res: Vec<ResourceId>,
-    class_sets: Vec<ClassSet>,
+    class_sets: Vec<PreparedClasses>,
     class_cache: BTreeMap<ClassKey, usize>,
-    /// Active tests: id -> (class-set index, per-class solver flow ids).
-    active: BTreeMap<u64, (usize, Vec<FlowId>)>,
+    /// Active tests: id -> (class-set index, handle of its first flow).
+    active: BTreeMap<u64, (usize, FlowId)>,
     next_test: u64,
 }
 
@@ -386,7 +517,10 @@ impl<'a> FlowSession<'a> {
         }
         spider_obs::counter_add("flowsim_class_cache_misses", 1);
         let set = ClassSet::build(self.center, t, &self.ns[t.fs], &self.router_res);
-        self.class_sets.push(set);
+        self.class_sets.push(PreparedClasses {
+            batch: Arc::new(FlowBatch::from_flows(self.solver.problem(), set.flows())),
+            table: Arc::new(set.table),
+        });
         let idx = self.class_sets.len() - 1;
         self.class_cache.insert(key, idx);
         idx
@@ -397,20 +531,21 @@ impl<'a> FlowSession<'a> {
     pub fn add_test(&mut self, t: &FlowTest) -> TestId {
         check_test(self.center, t);
         let set = self.class_set_of(t);
-        let ids = self.solver.add_flows(&self.class_sets[set].classes);
+        let first = self.solver.add_batch(&self.class_sets[set].batch);
         let id = TestId(self.next_test);
         self.next_test += 1;
-        self.active.insert(id.0, (set, ids));
+        self.active.insert(id.0, (set, first));
         id
     }
 
     /// Deactivate a test (its job completed or was cancelled).
     pub fn remove_test(&mut self, id: TestId) {
-        let (_, ids) = self
+        let (set, first) = self
             .active
             .remove(&id.0)
             .unwrap_or_else(|| panic!("test {id:?} is not active"));
-        self.solver.remove_flows(&ids);
+        self.solver
+            .remove_batch(first, self.class_sets[set].batch.len());
     }
 
     /// Number of currently active tests.
@@ -424,34 +559,34 @@ impl<'a> FlowSession<'a> {
     }
 
     /// A test's class set and its per-class rates in the last
-    /// [`Self::solve`]. The test's flows were added as one batch, so the
-    /// rates are one slice of the solve's output.
-    fn rates_of(&self, id: TestId) -> (&ClassSet, &[f64]) {
-        let (set, ids) = &self.active[&id.0];
+    /// [`Self::solve`]: its batch's own rate column.
+    fn rates_of(&self, id: TestId) -> (&PreparedClasses, &[f64]) {
+        let (set, first) = self.active[&id.0];
+        let set = &self.class_sets[set];
         let rates = self
             .solver
-            .rates_of_batch(ids)
+            .rates_of_batch(first, set.batch.len())
             .expect("test solved after last delta");
-        (&self.class_sets[*set], rates)
+        (set, rates)
     }
 
     /// Aggregate rate of an active test in the last [`Self::solve`]:
     /// `Σ class-weight × per-member rate`, without expanding to clients.
     pub fn aggregate_of(&self, id: TestId) -> Bandwidth {
         let (set, rates) = self.rates_of(id);
-        Bandwidth(MaxMinProblem::weighted_total(&set.classes, rates))
+        Bandwidth(set.batch.weighted_total(rates))
     }
 
     /// Class-level solution of an active test in the last [`Self::solve`].
     /// No per-client vector is materialized — the returned solution shares
-    /// the cached client→class map and expands on demand.
+    /// the cached class table and expands on demand.
     pub fn solution_of(&self, id: TestId) -> FlowSolution {
         let (set, rates) = self.rates_of(id);
         let rates = rates.to_vec();
         FlowSolution {
-            aggregate: Bandwidth(MaxMinProblem::weighted_total(&set.classes, &rates)),
+            aggregate: Bandwidth(set.batch.weighted_total(&rates)),
             class_rate: rates,
-            class_of_client: Arc::clone(&set.class_of_client),
+            table: Arc::clone(&set.table),
         }
     }
 
@@ -465,11 +600,14 @@ impl<'a> FlowSession<'a> {
     /// flows (ascending, deduplicated). Tests that never share a group share
     /// no capacitated resource, directly or transitively; a test whose
     /// classes span several components appears in each of them.
-    pub fn components(&mut self) -> Vec<Vec<TestId>> {
-        let test_of: BTreeMap<FlowId, TestId> = self
+    pub fn components(&self) -> Vec<Vec<TestId>> {
+        // A test's flows are the handles from its first one on, so a flow
+        // belongs to the test with the last first handle at or below it.
+        let test_at: BTreeMap<FlowId, TestId> = self
             .active
             .iter()
-            .flat_map(|(&t, (_, ids))| ids.iter().map(move |&f| (f, TestId(t))))
+            .filter(|&(_, &(set, _))| !self.class_sets[set].batch.is_empty())
+            .map(|(&t, &(_, first))| (first, TestId(t)))
             .collect();
         self.solver
             .components()
@@ -477,7 +615,10 @@ impl<'a> FlowSession<'a> {
             .map(|flows| {
                 // Flow ids ascend with test ids (a test's flows are added
                 // together), so equal tests are adjacent.
-                let mut tests: Vec<TestId> = flows.iter().map(|f| test_of[f]).collect();
+                let mut tests: Vec<TestId> = flows
+                    .iter()
+                    .map(|f| *test_at.range(..=f).next_back().expect("an active test").1)
+                    .collect();
                 tests.dedup();
                 tests
             })
@@ -501,23 +642,19 @@ impl spider_simkit::MemFootprint for FlowSession<'_> {
             .class_sets
             .iter()
             .map(|s| {
-                let specs: u64 = s
-                    .classes
-                    .iter()
-                    .map(|c| slab_bytes::<ResourceId>(c.resources.capacity()))
-                    .sum();
-                slab_bytes::<FlowSpec>(s.classes.capacity())
-                    + specs
-                    + slab_bytes::<u32>(s.class_of_client.capacity())
+                // A batch the solver also holds is charged by the solver.
+                let batch = if Arc::strong_count(&s.batch) == 1 {
+                    s.batch.mem_bytes()
+                } else {
+                    0
+                };
+                batch + s.table.mem_bytes()
             })
             .sum();
-        let active: u64 = self
-            .active
-            .values()
-            .map(|(_, ids)| slab_bytes::<FlowId>(ids.capacity()))
-            .sum();
+        let active = self.active.len() as u64 * std::mem::size_of::<(u64, usize, FlowId)>() as u64;
         self.solver.mem_bytes()
             + ns
+            + slab_bytes::<PreparedClasses>(self.class_sets.capacity())
             + class_sets
             + active
             + slab_bytes::<ResourceId>(self.router_res.capacity())
@@ -556,7 +693,7 @@ impl IorTarget for CenterTarget<'_> {
         let sol = self.solve_cfg(cfg);
         RateClasses {
             rates: sol.class_rate.iter().map(|&r| Bandwidth(r)).collect(),
-            class_of_client: sol.class_of_client,
+            class_of_client: Arc::new(sol.table.class_of_clients().collect()),
         }
     }
 }
@@ -871,6 +1008,136 @@ mod tests {
         assert_eq!(s.components(), vec![ad.clone(), ad, bb.clone(), bb]);
         s.remove_test(d);
         assert_eq!(s.components(), vec![vec![a], vec![a], vec![b], vec![b]]);
+    }
+
+    /// The per-client walk the closed-form build replaced: every client in
+    /// order, the first on an (OST, slot) cell founding its class. Returns
+    /// the classes and each client's class.
+    fn walk_class_set(
+        center: &Center,
+        t: &FlowTest,
+        ns: &NsSkeleton,
+        router_res: &[ResourceId],
+    ) -> (Vec<FlowSpec>, Vec<u32>) {
+        let fs = &center.filesystems[t.fs];
+        let n_osts = fs.ost_count();
+        let per_process = center
+            .config
+            .client
+            .process_rate(t.transfer_size, t.optimal_placement)
+            .as_bytes_per_sec();
+        let plant = center.routers.len().max(1);
+        let groups = center.routers.groups.max(1) as usize;
+        let mut classes: Vec<FlowSpec> = Vec::new();
+        let mut class_at: BTreeMap<(u32, usize), u32> = BTreeMap::new();
+        let mut class_of_client = Vec::new();
+        for i in 0..t.clients {
+            let ost = ost_of_client(i, n_osts);
+            let ssu = center.ssu_index(t.fs, ost);
+            let members = center.routers_of_group(ssu % groups);
+            let slots = if members.is_empty() {
+                plant
+            } else {
+                members.len()
+            };
+            let slot = i as usize % slots;
+            let c = match class_at.get(&(ost.0, slot)) {
+                Some(&c) => {
+                    classes[c as usize].weight += 1.0;
+                    c
+                }
+                None => {
+                    let router = if members.is_empty() {
+                        slot
+                    } else {
+                        members[slot]
+                    };
+                    classes.push(
+                        FlowSpec::new(vec![
+                            router_res[router],
+                            ns.oss_res[fs.oss_index_of(ost)],
+                            ns.ssu_to_res[&ssu],
+                            ns.ost_res[ost.0 as usize],
+                        ])
+                        .with_cap(per_process),
+                    );
+                    let c = classes.len() as u32 - 1;
+                    class_at.insert((ost.0, slot), c);
+                    c
+                }
+            };
+            class_of_client.push(c);
+        }
+        (classes, class_of_client)
+    }
+
+    #[test]
+    fn closed_form_classes_match_the_per_client_walk() {
+        // Centers whose OSTs-per-namespace n and group sizes m are coprime
+        // (n = 5, m = 12), share a factor (n = 10, m = 12; n = 16, m = 8),
+        // and one whose groups 2 and 3 have no routers (their OSTs spread
+        // over the 8-router plant), at client counts below, at and above
+        // n·m for every group size.
+        let configs: Vec<(usize, usize, usize, u32)> = vec![
+            // (SSUs, OSTs per SSU, I/O modules, router groups)
+            (4, 8, 8, 4),
+            (2, 5, 3, 1),
+            (4, 5, 3, 1),
+            (4, 8, 2, 4),
+        ];
+        let (mut periodic, mut spread) = (false, false);
+        for (ssus, per_ssu, modules, groups) in configs {
+            let mut cfg = CenterConfig::small();
+            cfg.fleet.ssus = ssus;
+            cfg.fleet.ssu.groups = per_ssu;
+            cfg.io_modules = modules;
+            cfg.router_groups = groups;
+            let c = Center::build(cfg);
+            let mut problem = MaxMinProblem::new();
+            let skeletons: Vec<NsSkeleton> = (0..c.namespaces())
+                .map(|fs| NsSkeleton::build(&mut problem, &c, fs, true, MIB))
+                .collect();
+            let router_res = router_plant(&mut problem, &c);
+            for (fs, ns) in skeletons.iter().enumerate() {
+                let n = c.filesystems[fs].ost_count() as u32;
+                let m = (c.routers.len() / groups as usize).max(1) as u32;
+                spread |= (0..n).any(|o| {
+                    let ssu = c.ssu_index(fs, OstId(o));
+                    c.routers_of_group(ssu % groups as usize).is_empty()
+                });
+                let mut counts = vec![1, 3, n - 1, n, n + 2, n * m - 1, n * m, n * m + 1];
+                counts.extend([2 * n * m + n / 2, 8 * c.routers.len() as u32 * n + 3]);
+                for clients in counts {
+                    let t = FlowTest {
+                        fs,
+                        clients,
+                        transfer_size: MIB,
+                        write: true,
+                        optimal_placement: false,
+                    };
+                    let set = ClassSet::build(&c, &t, ns, &router_res);
+                    let (classes, class_of_client) = walk_class_set(&c, &t, ns, &router_res);
+                    let bits = |path: &[ResourceId], cap: Option<f64>, weight: f64| {
+                        let path: Vec<usize> = path.iter().map(|r| r.0).collect();
+                        (path, cap.map(f64::to_bits), weight.to_bits())
+                    };
+                    let what = format!(
+                        "{ssus} SSUs x {per_ssu}, {modules} modules, fs {fs}, {clients} clients"
+                    );
+                    let built: Vec<_> = set.flows().map(|(p, c, w)| bits(p, c, w)).collect();
+                    let walked: Vec<_> = classes
+                        .iter()
+                        .map(|f| bits(&f.resources, f.cap, f.weight))
+                        .collect();
+                    assert_eq!(built, walked, "{what}");
+                    let expanded: Vec<u32> = set.table.class_of_clients().collect();
+                    assert_eq!(expanded, class_of_client, "{what}");
+                    periodic |= set.paths.len() > n as usize;
+                }
+            }
+        }
+        assert!(periodic, "some OST founds more than one class");
+        assert!(spread, "some group has no routers");
     }
 
     #[test]

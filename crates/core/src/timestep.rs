@@ -594,15 +594,7 @@ pub fn run_timestep_sharded(
         }
         res.solves += zone.solves;
         res.steps += zone.steps;
-        let s = zone.solver.expect("a zone keeps a resident session");
-        solver.solves += s.solves;
-        solver.cache_hits += s.cache_hits;
-        solver.cache_misses += s.cache_misses;
-        solver.rounds_saved += s.rounds_saved;
-        solver.rounds_executed += s.rounds_executed;
-        solver.components_resolved += s.components_resolved;
-        solver.components_skipped += s.components_skipped;
-        solver.memo_evictions += s.memo_evictions;
+        solver += zone.solver.expect("a zone keeps a resident session");
     }
     if spider_obs::enabled() {
         spider_obs::counter_add("timestep_sharded_runs", 1);

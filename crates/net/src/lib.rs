@@ -33,5 +33,5 @@ pub use gemini::TitanGeometry;
 pub use ib::{IbFabric, LeafId};
 pub use lnet::{Router, RouterGroupId, RouterId, RouterSet};
 pub use maxmin::{FlowSpec, MaxMinProblem, ResourceId, SolveStats};
-pub use session::{FlowId, SessionStats, SolveSession, UnionFind};
+pub use session::{FlowBatch, FlowId, SessionStats, SolveSession, UnionFind};
 pub use torus::{Coord, LinkId, LinkLoads, Torus};

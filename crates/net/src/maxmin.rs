@@ -43,6 +43,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::AddAssign;
 
 /// Identifier of a capacitated resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -155,6 +156,33 @@ pub struct SolveStats {
     pub saturation_order: Vec<u32>,
 }
 
+impl AddAssign for SolveStats {
+    /// Sum every counter and append `other`'s saturation order (a session
+    /// reports the sum over the components it solved).
+    fn add_assign(&mut self, other: SolveStats) {
+        let SolveStats {
+            flows,
+            prefrozen,
+            rounds,
+            cap_freezes,
+            saturation_freezes,
+            heap_pushes,
+            heap_pops,
+            stale_discards,
+            saturation_order,
+        } = other;
+        self.flows += flows;
+        self.prefrozen += prefrozen;
+        self.rounds += rounds;
+        self.cap_freezes += cap_freezes;
+        self.saturation_freezes += saturation_freezes;
+        self.heap_pushes += heap_pushes;
+        self.heap_pops += heap_pops;
+        self.stale_discards += stale_discards;
+        self.saturation_order.extend(saturation_order);
+    }
+}
+
 impl SolveStats {
     /// Flush the counters into the global `spider-obs` registry (call only
     /// when `spider_obs::enabled()`).
@@ -177,9 +205,9 @@ impl SolveStats {
 /// This is the representation the solver core ([`MaxMinProblem::solve_view`])
 /// actually runs on. [`MaxMinProblem::solve`] flattens its `&[FlowSpec]`
 /// argument into a transient [`FlowColumns`] and selects every row; the
-/// incremental [`crate::session::SolveSession`] keeps its live flows'
-/// columns resident across calls and selects one component's rows at a
-/// time. Both paths execute the *same* float operations, which is what
+/// incremental [`crate::session::SolveSession`] keeps its live flows in
+/// their batches' columns across calls and gathers one component's rows at
+/// a time. Both paths execute the *same* float operations, which is what
 /// makes session results bit-identical to from-scratch solves.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlowsView<'a> {
@@ -247,49 +275,30 @@ impl FlowColumns {
         };
         cols.path_off.push(0);
         for f in flows {
-            cols.push(f);
+            cols.push(&f.resources, f.cap, f.weight);
         }
         cols
     }
 
-    /// Append `f` as the last row; returns its row.
-    pub(crate) fn push(&mut self, f: &FlowSpec) -> usize {
-        self.path_res.extend(f.resources.iter().map(|r| r.0 as u32));
+    /// Append a flow as the last row.
+    pub(crate) fn push(&mut self, path: &[ResourceId], cap: Option<f64>, weight: f64) {
+        self.path_res.extend(path.iter().map(|r| r.0 as u32));
         self.path_off.push(self.path_res.len() as u32);
-        self.cap.push(f.cap.unwrap_or(f64::INFINITY));
-        self.weight.push(f.weight);
-        self.cap.len() - 1
+        self.cap.push(cap.unwrap_or(f64::INFINITY));
+        self.weight.push(weight);
+    }
+
+    /// Append row `row` of `src` as the last row.
+    pub(crate) fn push_row(&mut self, src: &FlowColumns, row: usize) {
+        self.path_res.extend_from_slice(src.path(row));
+        self.path_off.push(self.path_res.len() as u32);
+        self.cap.push(src.cap[row]);
+        self.weight.push(src.weight[row]);
     }
 
     /// Resource indices crossed by the flow in row `row`.
     pub(crate) fn path(&self, row: usize) -> &[u32] {
         &self.path_res[self.path_off[row] as usize..self.path_off[row + 1] as usize]
-    }
-
-    /// Remove `rows` (ascending, distinct, non-empty) from every column in
-    /// one pass each.
-    pub(crate) fn remove_rows(&mut self, rows: &[usize]) {
-        // CSR paths: each run of kept rows moves its entries down as one
-        // block, and each kept row's end offset drops by the entries
-        // removed before it.
-        let n = self.cap.len();
-        let off = &mut self.path_off;
-        let mut w = rows[0];
-        let mut w_res = off[w] as usize;
-        for (k, &r) in rows.iter().enumerate() {
-            let end = rows.get(k + 1).map_or(n, |&next| next);
-            let (lo, hi) = (off[r + 1] as usize, off[end] as usize);
-            self.path_res.copy_within(lo..hi, w_res);
-            for kept in r + 1..end {
-                w += 1;
-                off[w] = off[kept + 1] - lo as u32 + w_res as u32;
-            }
-            w_res += hi - lo;
-        }
-        off.truncate(w + 1);
-        self.path_res.truncate(w_res);
-        drop_rows(&mut self.cap, rows);
-        drop_rows(&mut self.weight, rows);
     }
 
     /// The rows `ids` selects, in that order.
@@ -302,18 +311,6 @@ impl FlowColumns {
             weight: &self.weight,
         }
     }
-}
-
-/// Remove `rows` (ascending, distinct, non-empty) from a per-row column:
-/// each run of kept rows between two removed ones moves down as one block.
-pub(crate) fn drop_rows<T: Copy>(col: &mut Vec<T>, rows: &[usize]) {
-    let mut w = rows[0];
-    for (k, &r) in rows.iter().enumerate() {
-        let end = rows.get(k + 1).map_or(col.len(), |&next| next);
-        col.copy_within(r + 1..end, w);
-        w += end - r - 1;
-    }
-    col.truncate(w);
 }
 
 impl spider_simkit::MemFootprint for FlowColumns {
@@ -359,7 +356,7 @@ impl MaxMinProblem {
     }
 
     /// The one flow check every entry point runs (`solve`, `solve_reference`
-    /// and [`crate::session::SolveSession::add_flow`]). `cap` is
+    /// and [`crate::session::FlowBatch::new`]). `cap` is
     /// `f64::INFINITY` for an uncapped flow; a zero cap is legal (a dead
     /// flow), a NaN or negative one is not.
     pub(crate) fn validate_flow(&self, k: usize, path: &[u32], cap: f64, weight: f64) {

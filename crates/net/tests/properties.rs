@@ -1,10 +1,11 @@
 //! Property-based tests for the interconnect substrate.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use spider_net::maxmin::{FlowSpec, MaxMinProblem};
-use spider_net::session::{FlowId, SolveSession};
+use spider_net::session::{FlowBatch, FlowId, SolveSession, UnionFind};
 use spider_net::torus::{Coord, LinkLoads, Torus};
 
 proptest! {
@@ -74,15 +75,20 @@ proptest! {
     /// sequential; 7 is an odd worker count). The deltas: single adds and
     /// removes, weight updates, batch removals from the middle of the
     /// active set (every flow of a run, or every other one), re-adds of a
-    /// removed shape under a fresh handle, and a weight update that is
-    /// undone so the next solve probes the memo for a shape it holds. A
-    /// flow removed after the last solve still reads that solve's rate.
+    /// removed shape under a fresh handle, a weight update that is undone
+    /// so the next solve probes the memo for a shape it holds, multi-flow
+    /// `add_flows` batches, one prepared `FlowBatch` added twice, removal
+    /// of part of a batch, and a bridge flow that merges two components and
+    /// whose removal splits them again. A flow removed after the last solve
+    /// still reads that solve's rate, and after every op the session's
+    /// components equal a from-scratch union-find partition of the live
+    /// flows.
     #[test]
     fn session_churn_bitwise_across_thread_budgets(
         caps in prop::collection::vec(0.5f64..50.0, 2..8),
         ops in prop::collection::vec(
             // (op selector, path seeds, cap?, weight, victim seed, span)
-            (0u8..7, prop::collection::vec(0usize..64, 1..4), prop::option::of(0.05f64..8.0),
+            (0u8..11, prop::collection::vec(0usize..64, 1..4), prop::option::of(0.05f64..8.0),
              0.5f64..16.0, 0usize..64, 1usize..6),
             1..40
         ),
@@ -97,25 +103,52 @@ proptest! {
         let mut live: Vec<(FlowId, FlowSpec)> = Vec::new();
         let mut removed: Vec<FlowSpec> = Vec::new();
         let mut last_bits: BTreeMap<FlowId, u64> = BTreeMap::new();
+        // The components of the live flows, from scratch: no resource here
+        // is exhausted and every cap is positive, so no flow is prefrozen.
+        let partition = |live: &[(FlowId, FlowSpec)]| -> Vec<Vec<FlowId>> {
+            let mut uf = UnionFind::new(caps.len());
+            for (_, f) in live {
+                let path: Vec<u32> = f.resources.iter().map(|r| r.0 as u32).collect();
+                uf.union_all(&path);
+            }
+            let mut groups: BTreeMap<u32, Vec<FlowId>> = BTreeMap::new();
+            for (id, f) in live {
+                groups.entry(uf.find(f.resources[0].0 as u32)).or_default().push(*id);
+            }
+            let mut groups: Vec<Vec<FlowId>> = groups.into_values().collect();
+            groups.sort();
+            groups
+        };
         let check = |sess: &mut SolveSession,
                      live: &[(FlowId, FlowSpec)],
                      last_bits: &mut BTreeMap<FlowId, u64>| {
             let specs: Vec<FlowSpec> = live.iter().map(|(_, f)| f.clone()).collect();
-            let session_bits: Vec<u64> = sess.solve().iter().map(|r| r.to_bits()).collect();
+            sess.solve();
+            let session_bits: Vec<u64> = sess.rates().iter().map(|r| r.to_bits()).collect();
             let oracle_bits: Vec<u64> = p.solve(&specs).iter().map(|r| r.to_bits()).collect();
             prop_assert_eq!(&session_bits, &oracle_bits);
+            prop_assert_eq!(sess.components(), partition(live));
             *last_bits = live.iter().map(|(id, _)| *id).zip(session_bits).collect();
+        };
+        // `n` flows from one path seed list, each shifted by its position.
+        let batch_of = |path: &[usize], cap: Option<f64>, weight: f64, n: usize| -> Vec<FlowSpec> {
+            (0..n)
+                .map(|j| {
+                    let mut f = FlowSpec::new(
+                        path.iter().map(|&s| rs[(s + j) % rs.len()]).collect(),
+                    ).with_weight(weight + j as f64);
+                    if let Some(c) = cap {
+                        f = f.with_cap(c);
+                    }
+                    f
+                })
+                .collect()
         };
         for (op, path, cap, weight, victim, span) in ops {
             let mut gone: Vec<FlowId> = Vec::new();
             match op {
                 0 | 1 => {
-                    let mut f = FlowSpec::new(
-                        path.iter().map(|&s| rs[s % rs.len()]).collect(),
-                    ).with_weight(weight);
-                    if let Some(c) = cap {
-                        f = f.with_cap(c);
-                    }
+                    let f = batch_of(&path, cap, weight, 1).remove(0);
                     let id = sess.add_flow(&f);
                     live.push((id, f));
                 }
@@ -164,6 +197,52 @@ proptest! {
                     let hits = sess.stats().cache_hits;
                     check(&mut sess, &live, &mut last_bits);
                     prop_assert_eq!(sess.stats().cache_hits, hits + 1);
+                }
+                7 => {
+                    // One multi-flow batch.
+                    let specs = batch_of(&path, cap, weight, span);
+                    let ids = sess.add_flows(&specs);
+                    live.extend(ids.into_iter().zip(specs));
+                }
+                8 => {
+                    // One prepared batch, resident twice.
+                    let specs = batch_of(&path, cap, weight, span);
+                    let batch = Arc::new(FlowBatch::new(&p, &specs));
+                    for _ in 0..2 {
+                        let first = sess.add_batch(&batch);
+                        let ids = sess.active_flows();
+                        let ids = &ids[ids.len() - span..];
+                        prop_assert_eq!(ids[0], first);
+                        live.extend(ids.iter().copied().zip(specs.iter().cloned()));
+                    }
+                }
+                9 => {
+                    // A solved batch loses every other flow, from its
+                    // second on: its survivors split into runs.
+                    let specs = batch_of(&path, cap, weight, span + 1);
+                    let ids = sess.add_flows(&specs);
+                    live.extend(ids.iter().copied().zip(specs));
+                    check(&mut sess, &live, &mut last_bits);
+                    gone = ids.iter().copied().skip(1).step_by(2).collect();
+                    for id in &gone {
+                        let k = live.iter().position(|(l, _)| l == id).expect("live");
+                        removed.push(live.remove(k).1);
+                    }
+                    sess.remove_flows(&gone);
+                }
+                10 if live.len() >= 2 => {
+                    // A bridge between two live flows' first resources,
+                    // solved, then removed again.
+                    let a = live[victim % live.len()].1.resources[0];
+                    let b = live[(victim / 2 + 1) % live.len()].1.resources[0];
+                    let bridge = FlowSpec::new(vec![a, b]).with_weight(weight);
+                    let id = sess.add_flow(&bridge);
+                    live.push((id, bridge));
+                    check(&mut sess, &live, &mut last_bits);
+                    let (id, f) = live.pop().expect("just pushed");
+                    sess.remove_flow(id);
+                    gone.push(id);
+                    removed.push(f);
                 }
                 _ => {}
             }

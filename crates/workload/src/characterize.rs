@@ -111,6 +111,30 @@ impl Tally {
         }
     }
 
+    /// Combine `part`, a tally of clients this one has not seen: its gap
+    /// samples go after this tally's, as if its requests were pushed after
+    /// this tally's requests.
+    pub fn absorb(&mut self, mut part: Tally) {
+        self.requests += part.requests;
+        self.writes += part.writes;
+        self.small += part.small;
+        self.large += part.large;
+        for (mine, theirs) in self.size_bins.iter_mut().zip(part.size_bins) {
+            *mine += theirs;
+        }
+        self.inter.append(&mut part.inter);
+        self.idle.append(&mut part.idle);
+        if self.last_by_client.len() < part.last_by_client.len() {
+            self.last_by_client.resize(part.last_by_client.len(), None);
+        }
+        for (mine, theirs) in self.last_by_client.iter_mut().zip(part.last_by_client) {
+            if theirs.is_some() {
+                debug_assert!(mine.is_none(), "combined tallies share a client");
+                *mine = theirs;
+            }
+        }
+    }
+
     /// The statistics, with both Hill tails fitted over the gap samples,
     /// which move into the fits.
     pub fn finish(self) -> Characterization {
@@ -175,22 +199,8 @@ impl FromIterator<Tally> for Tally {
             last_by_client: vec![None; clients.unwrap_or(0)],
             ..Tally::default()
         };
-        for mut part in parts {
-            all.requests += part.requests;
-            all.writes += part.writes;
-            all.small += part.small;
-            all.large += part.large;
-            for (mine, theirs) in all.size_bins.iter_mut().zip(part.size_bins) {
-                *mine += theirs;
-            }
-            all.inter.append(&mut part.inter);
-            all.idle.append(&mut part.idle);
-            for (mine, theirs) in all.last_by_client.iter_mut().zip(part.last_by_client) {
-                if theirs.is_some() {
-                    debug_assert!(mine.is_none(), "collected tallies share a client");
-                    *mine = theirs;
-                }
-            }
+        for part in parts {
+            all.absorb(part);
         }
         all
     }
@@ -308,8 +318,8 @@ mod tests {
         let horizon = SimDuration::from_mins(30);
         let mut rng = SimRng::seed_from_u64(42);
         let streams = wl.generate_streams(horizon, &mut rng, 0..wl.total_streams(), |t| t);
-        // E5's path: tally each stream as it is generated, then collect the
-        // tallies in client order.
+        // Tally each stream as it is generated, then collect the tallies in
+        // client order.
         let mut tally_rng = SimRng::seed_from_u64(42);
         let tallied = wl
             .generate_streams(horizon, &mut tally_rng, 0..wl.total_streams(), |t| {
@@ -318,6 +328,19 @@ mod tests {
             .into_iter()
             .collect::<Tally>()
             .finish();
+        // E5's path: streams generated and tallied seven at a time, each
+        // chunk's tallies absorbed before the next.
+        let mut chunked = Tally::default();
+        for lo in (0..wl.total_streams()).step_by(7) {
+            let chunk = lo..(lo + 7).min(wl.total_streams());
+            let parts = wl.generate_streams(horizon, &mut SimRng::seed_from_u64(42), chunk, |t| {
+                t.iter().collect::<Tally>()
+            });
+            for part in parts {
+                chunked.absorb(part);
+            }
+        }
+        let chunked = chunked.finish();
         let unmerged = characterize(streams.iter().flatten());
         let merged = characterize(&crate::generator::merge_traces(streams));
         let bits = |c: &Characterization| {
@@ -331,7 +354,7 @@ mod tests {
             .map(f64::to_bits)
         };
         assert!(merged.idle_tail.is_some(), "the idle tail is exercised");
-        for c in [&unmerged, &tallied] {
+        for c in [&unmerged, &tallied, &chunked] {
             assert_eq!(c.requests, merged.requests);
             assert_eq!(bits(c), bits(&merged));
             assert_eq!(

@@ -67,7 +67,8 @@ fn incremental_sessions_are_byte_stable() {
             if k % 5 == 2 {
                 s.update_weight(*ids.last().expect("just pushed"), 2.5);
             }
-            bits.extend(s.solve().iter().map(|r| r.to_bits()));
+            s.solve();
+            bits.extend(s.rates().iter().map(|r| r.to_bits()));
         }
         bits
     };
