@@ -9,11 +9,11 @@
 //! transfer-size shape from the client RPC model composed with the RAID
 //! full-stripe/RMW model.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use spider_net::maxmin::{FlowSpec, MaxMinProblem, ResourceId};
-use spider_net::session::{FlowBatch, FlowId, SessionStats, SolveSession};
+use spider_net::session::{FlowBatch, FlowId, SessionStats, SolveSession, UnionFind};
 use spider_pfs::ost::OstId;
 use spider_simkit::Bandwidth;
 use spider_workload::ior::{IorConfig, IorTarget, RateClasses};
@@ -88,12 +88,16 @@ fn check_test(center: &Center, t: &FlowTest) {
     );
 }
 
-/// One namespace's resource skeleton: the solver handles of its OSTs, OSS
-/// links and controller couplets.
+/// One namespace's resource skeleton, as its classes' paths read it: per
+/// OST, the tail every class path through it ends with and its router
+/// group.
 struct NsSkeleton {
-    ost_res: Vec<ResourceId>,
-    oss_res: Vec<ResourceId>,
-    ssu_to_res: BTreeMap<usize, ResourceId>,
+    /// Per OST: its OSS link, its couplet and itself, as `u32` resource
+    /// indices like the solver's columns.
+    tails: Vec<[u32; 3]>,
+    /// Per OST: the fine-grained routing group of its SSU (SSU mod groups),
+    /// an index into the router plant's slot lists.
+    groups: Vec<u32>,
 }
 
 impl NsSkeleton {
@@ -109,7 +113,7 @@ impl NsSkeleton {
         rpc_bytes: u64,
     ) -> Self {
         let fs = &center.filesystems[fs_idx];
-        let ost_res = fs
+        let ost_res: Vec<ResourceId> = fs
             .osts
             .iter()
             .map(|ost| {
@@ -122,35 +126,61 @@ impl NsSkeleton {
                 problem.add_resource(dev.as_bytes_per_sec())
             })
             .collect();
-        let oss_res = fs
+        let oss_res: Vec<ResourceId> = fs
             .oss
             .iter()
             .map(|o| problem.add_resource(o.network_cap().as_bytes_per_sec()))
             .collect();
-        let mut ssu_to_res = BTreeMap::new();
-        for ost_idx in 0..fs.ost_count() {
-            let ssu = center.ssu_index(fs_idx, OstId(ost_idx as u32));
-            ssu_to_res.entry(ssu).or_insert_with(|| {
-                problem.add_resource(center.controllers[ssu].throughput_cap().as_bytes_per_sec())
-            });
-        }
-        NsSkeleton {
-            ost_res,
-            oss_res,
-            ssu_to_res,
-        }
+        // Couplets in the order their SSUs first serve an OST.
+        let groups = center.routers.groups.max(1) as usize;
+        let mut couplet_of_ssu = BTreeMap::new();
+        let (tails, groups) = (0..fs.ost_count())
+            .map(|o| {
+                let ssu = center.ssu_index(fs_idx, OstId(o as u32));
+                let couplet = *couplet_of_ssu.entry(ssu).or_insert_with(|| {
+                    problem
+                        .add_resource(center.controllers[ssu].throughput_cap().as_bytes_per_sec())
+                });
+                let oss = oss_res[fs.oss_index_of(OstId(o as u32))];
+                let tail = [oss, couplet, ost_res[o]].map(|r| r.0 as u32);
+                (tail, (ssu % groups) as u32)
+            })
+            .unzip();
+        NsSkeleton { tails, groups }
     }
 }
 
 /// Register the LNET router plant, which every namespace shares; it follows
-/// the namespace skeletons.
-fn router_plant(problem: &mut MaxMinProblem, center: &Center) -> Vec<ResourceId> {
-    center
+/// the namespace skeletons. Returns each fine-grained routing group's router
+/// slots: slot `s` of group `g` is its `s`-th router, and a group with no
+/// routers spreads its clients over the whole plant (slot `s` is router
+/// `s`).
+fn router_plant(problem: &mut MaxMinProblem, center: &Center) -> Vec<Vec<ResourceId>> {
+    let routers: Vec<ResourceId> = center
         .routers
         .routers
         .iter()
         .map(|r| problem.add_resource(r.capacity.as_bytes_per_sec()))
+        .collect();
+    (0..center.routers.groups.max(1) as usize)
+        .map(|g| match center.routers_of_group(g) {
+            [] => routers.clone(),
+            members => members.iter().map(|&r| routers[r]).collect(),
+        })
         .collect()
+}
+
+/// The problem a [`FlowSession`] solves: every namespace's skeleton, each
+/// OST priced at its 1 MiB (RPC-sized) sequential write rate, then the
+/// router plant's slots.
+fn session_problem(center: &Center) -> (MaxMinProblem, Vec<NsSkeleton>, Vec<Vec<ResourceId>>) {
+    let rpc_size = center.config.client.rpc_size;
+    let mut problem = MaxMinProblem::new();
+    let ns = (0..center.namespaces())
+        .map(|fs| NsSkeleton::build(&mut problem, center, fs, true, rpc_size))
+        .collect();
+    let slots = router_plant(&mut problem, center);
+    (problem, ns, slots)
 }
 
 /// Greatest common divisor.
@@ -169,14 +199,28 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// are `o + k·n` for `k < K_o`, and their slots repeat with period
 /// `p_o = m_o / gcd(n, m_o)`. So the OST founds classes at `k < min(K_o,
 /// p_o)`, and class `k` holds the clients `k' ≡ k (mod p_o)`: it weighs
-/// `ceil((K_o − k) / p_o)`, an exact integer in `f64`. Founding order is
-/// client order, which is by `(k, o)`. The cost is O(classes), not
-/// O(clients).
+/// `ceil((K_o − k) / p_o)`, an exact integer in `f64`, which is `q + 1` for
+/// `k < r` and `q` after, where `K_o = q·p_o + r`. Class `k`'s slot,
+/// `(o + k·n) mod m_o`, steps by `n mod m_o`. Founding order is client
+/// order, which is by `(k, o)`. The cost is O(classes), not O(clients),
+/// and no division is made per class.
 fn class_founders(clients: u32, slots: &[u32]) -> (Vec<(u32, u32, f64)>, Vec<u32>) {
+    /// One OST's founding state.
+    struct Founding {
+        /// Classes it founds, `min(K_o, p_o)`.
+        classes: u64,
+        m: u64,
+        /// The slot of its next class, and the step to the one after.
+        slot: u64,
+        step: u64,
+        /// `K_o = q·p_o + r`.
+        q: u64,
+        r: u64,
+    }
     let n = slots.len() as u64;
     let clients = u64::from(clients);
-    // Per OST: its client count, slot count and slot period.
-    let per_ost: Vec<(u64, u64, u64)> = slots
+    let mut periods = Vec::with_capacity(slots.len());
+    let mut per_ost: Vec<Founding> = slots
         .iter()
         .enumerate()
         .map(|(o, &m)| {
@@ -187,24 +231,32 @@ fn class_founders(clients: u32, slots: &[u32]) -> (Vec<(u32, u32, f64)>, Vec<u32
                 0
             };
             let m = u64::from(m);
-            (count, m, m / gcd(n, m))
+            let period = m / gcd(n, m);
+            periods.push(period as u32);
+            Founding {
+                classes: count.min(period),
+                m,
+                slot: o % m,
+                step: n % m,
+                q: count / period,
+                r: count % period,
+            }
         })
         .collect();
-    let rounds = per_ost
-        .iter()
-        .map(|&(count, _, period)| count.min(period))
-        .max()
-        .unwrap_or(0);
-    let mut founders = Vec::new();
+    let rounds = per_ost.iter().map(|f| f.classes).max().unwrap_or(0);
+    let mut founders = Vec::with_capacity(per_ost.iter().map(|f| f.classes as usize).sum());
     for k in 0..rounds {
-        for (o, &(count, m, period)) in per_ost.iter().enumerate() {
-            if k < count.min(period) {
-                let slot = (o as u64 + k * n) % m;
-                founders.push((o as u32, slot as u32, (count - k).div_ceil(period) as f64));
+        for (o, f) in per_ost.iter_mut().enumerate() {
+            if k < f.classes {
+                let weight = f.q + u64::from(k < f.r);
+                founders.push((o as u32, f.slot as u32, weight as f64));
+                f.slot += f.step;
+                if f.slot >= f.m {
+                    f.slot -= f.m;
+                }
             }
         }
     }
-    let periods = per_ost.iter().map(|&(_, _, p)| p as u32).collect();
     (founders, periods)
 }
 
@@ -286,57 +338,34 @@ impl ClassSet {
     ///
     /// Client `i` writes to OST `i % n_osts` (file-per-process round-robin,
     /// the MDS allocator at scale) through router slot `i % m` of that
-    /// OST's fine-grained routing group: the group of the OST's SSU (SSU
-    /// mod groups), `m` its router count, slot `s` its `s`-th router. A
-    /// group with no routers spreads its clients over the whole plant
-    /// instead (`m` the plant's router count, slot `s` router `s`). Slots
-    /// map one-to-one onto routers within a group, so each (OST, slot)
-    /// pair names one (OST, router) class; the first client on a path
-    /// founds its class, so class indices stay in client order.
-    fn build(center: &Center, t: &FlowTest, ns: &NsSkeleton, router_res: &[ResourceId]) -> Self {
-        let fs = &center.filesystems[t.fs];
+    /// OST's fine-grained routing group (see [`router_plant`]), `m` the
+    /// group's slot count. Slots map one-to-one onto routers within a
+    /// group, so each (OST, slot) pair names one (OST, router) class; the
+    /// first client on a path founds its class, so class indices stay in
+    /// client order. A class's path is its router followed by its OST's
+    /// skeleton tail.
+    fn build(center: &Center, t: &FlowTest, ns: &NsSkeleton, slots: &[Vec<ResourceId>]) -> Self {
         let per_process = center
             .config
             .client
             .process_rate(t.transfer_size, t.optimal_placement)
             .as_bytes_per_sec();
-        let plant = center.routers.len().max(1);
-        let groups = center.routers.groups.max(1) as usize;
-        // Per OST: its SSU and its group's routers.
-        let routes: Vec<(usize, &[usize])> = (0..fs.ost_count())
-            .map(|o| {
-                let ssu = center.ssu_index(t.fs, OstId(o as u32));
-                (ssu, center.routers_of_group(ssu % groups))
-            })
-            .collect();
-        let slots: Vec<u32> = routes
+        let counts: Vec<u32> = ns
+            .groups
             .iter()
-            .map(|&(_, members)| {
-                if members.is_empty() {
-                    plant
-                } else {
-                    members.len()
-                }
-                .try_into()
-                .expect("a router count fits in u32")
+            .map(|&g| {
+                // A plant with no router still offers one slot, which no
+                // class can route through.
+                u32::try_from(slots[g as usize].len().max(1)).expect("a router count fits in u32")
             })
             .collect();
-        let (founders, periods) = class_founders(t.clients, &slots);
+        let (founders, periods) = class_founders(t.clients, &counts);
         let paths: Vec<[ResourceId; 4]> = founders
             .iter()
             .map(|&(o, slot, _)| {
-                let (ssu, members) = routes[o as usize];
-                let router = if members.is_empty() {
-                    slot as usize
-                } else {
-                    members[slot as usize]
-                };
-                [
-                    router_res[router],
-                    ns.oss_res[fs.oss_index_of(OstId(o))],
-                    ns.ssu_to_res[&ssu],
-                    ns.ost_res[o as usize],
-                ]
+                let [oss, couplet, ost] = ns.tails[o as usize].map(|r| ResourceId(r as usize));
+                let router = slots[ns.groups[o as usize] as usize][slot as usize];
+                [router, oss, couplet, ost]
             })
             .collect();
         if spider_obs::enabled() {
@@ -380,8 +409,8 @@ pub fn solve(center: &Center, test: &FlowTest) -> FlowSolution {
     let rpc_bytes = test.transfer_size.min(center.config.client.rpc_size);
     let mut problem = MaxMinProblem::new();
     let ns = NsSkeleton::build(&mut problem, center, test.fs, test.write, rpc_bytes);
-    let router_res = router_plant(&mut problem, center);
-    let set = ClassSet::build(center, test, &ns, &router_res);
+    let slots = router_plant(&mut problem, center);
+    let set = ClassSet::build(center, test, &ns, &slots);
     spider_obs::counter_add("flowsim_solves", 1);
     let classes: Vec<FlowSpec> = set
         .flows()
@@ -405,7 +434,7 @@ pub fn solve(center: &Center, test: &FlowTest) -> FlowSolution {
     // The fold walks clients in index order adding each one's class rate,
     // the same operand sequence the eager per-client path produced.
     if spider_obs::live_enabled() {
-        let n_osts = ns.ost_res.len();
+        let n_osts = ns.tails.len();
         let mut per_ost = vec![0.0f64; n_osts];
         for (i, c) in solution.table.class_of_clients().enumerate() {
             per_ost[ost_of_client(i as u32, n_osts).0 as usize] += solution.class_rate[c as usize];
@@ -475,7 +504,7 @@ pub struct FlowSession<'a> {
     center: &'a Center,
     solver: SolveSession,
     ns: Vec<NsSkeleton>,
-    router_res: Vec<ResourceId>,
+    slots: Vec<Vec<ResourceId>>,
     class_sets: Vec<PreparedClasses>,
     class_cache: BTreeMap<ClassKey, usize>,
     /// Active tests: id -> (class-set index, handle of its first flow).
@@ -489,17 +518,12 @@ impl<'a> FlowSession<'a> {
     /// 1 MiB (RPC-sized) sequential write rate; per-flow transfer-size
     /// effects ride on the flow caps.
     pub fn new(center: &'a Center) -> Self {
-        let rpc_size = center.config.client.rpc_size;
-        let mut problem = MaxMinProblem::new();
-        let ns = (0..center.namespaces())
-            .map(|fs| NsSkeleton::build(&mut problem, center, fs, true, rpc_size))
-            .collect();
-        let router_res = router_plant(&mut problem, center);
+        let (problem, ns, slots) = session_problem(center);
         FlowSession {
             center,
             solver: SolveSession::new(problem),
             ns,
-            router_res,
+            slots,
             class_sets: Vec::new(),
             class_cache: BTreeMap::new(),
             active: BTreeMap::new(),
@@ -516,7 +540,7 @@ impl<'a> FlowSession<'a> {
             return idx;
         }
         spider_obs::counter_add("flowsim_class_cache_misses", 1);
-        let set = ClassSet::build(self.center, t, &self.ns[t.fs], &self.router_res);
+        let set = ClassSet::build(self.center, t, &self.ns[t.fs], &self.slots);
         self.class_sets.push(PreparedClasses {
             batch: Arc::new(FlowBatch::from_flows(self.solver.problem(), set.flows())),
             table: Arc::new(set.table),
@@ -595,35 +619,45 @@ impl<'a> FlowSession<'a> {
     pub fn solver_stats(&self) -> &SessionStats {
         self.solver.stats()
     }
+}
 
-    /// The solver's connected components, each as the tests owning its
-    /// flows (ascending, deduplicated). Tests that never share a group share
-    /// no capacitated resource, directly or transitively; a test whose
-    /// classes span several components appears in each of them.
-    pub fn components(&self) -> Vec<Vec<TestId>> {
-        // A test's flows are the handles from its first one on, so a flow
-        // belongs to the test with the last first handle at or below it.
-        let test_at: BTreeMap<FlowId, TestId> = self
-            .active
-            .iter()
-            .filter(|&(_, &(set, _))| !self.class_sets[set].batch.is_empty())
-            .map(|(&t, &(_, first))| (first, TestId(t)))
-            .collect();
-        self.solver
-            .components()
-            .iter()
-            .map(|flows| {
-                // Flow ids ascend with test ids (a test's flows are added
-                // together), so equal tests are adjacent.
-                let mut tests: Vec<TestId> = flows
-                    .iter()
-                    .map(|f| *test_at.range(..=f).next_back().expect("an active test").1)
-                    .collect();
-                tests.dedup();
-                tests
-            })
-            .collect()
+/// Union-find over namespace indices that joins two namespaces when classes
+/// of `tests` on them couple, directly or through other tests' classes: a
+/// [`FlowSession`] holding every test at once would put them in one
+/// component. Each distinct test shape's classes are built once and their
+/// paths unioned with their namespace; no solver batch, digest or session
+/// is made. A set's representative is its smallest namespace.
+pub(crate) fn coupled_namespaces<'t>(
+    center: &Center,
+    tests: impl IntoIterator<Item = &'t FlowTest>,
+) -> UnionFind {
+    let (problem, ns, slots) = session_problem(center);
+    // Namespaces come first, so a set's smallest member is a namespace
+    // whenever it holds one.
+    let namespaces = center.namespaces() as u32;
+    let mut uf = UnionFind::new(center.namespaces() + problem.resources());
+    let mut shapes = BTreeSet::new();
+    let mut members = Vec::new();
+    for t in tests {
+        check_test(center, t);
+        // A repeated shape reuses its classes, as a session's class cache
+        // would.
+        if !shapes.insert(class_key(t)) {
+            spider_obs::counter_add("flowsim_class_cache_hits", 1);
+            continue;
+        }
+        spider_obs::counter_add("flowsim_class_cache_misses", 1);
+        let set = ClassSet::build(center, t, &ns[t.fs], &slots);
+        for (path, cap, _) in set.flows() {
+            if !problem.is_prefrozen(path, cap) {
+                members.clear();
+                members.push(t.fs as u32);
+                members.extend(path.iter().map(|r| namespaces + r.0 as u32));
+                uf.union_all(&members);
+            }
+        }
     }
+    uf
 }
 
 impl spider_simkit::MemFootprint for FlowSession<'_> {
@@ -633,10 +667,13 @@ impl spider_simkit::MemFootprint for FlowSession<'_> {
             .ns
             .iter()
             .map(|s| {
-                slab_bytes::<ResourceId>(s.ost_res.capacity())
-                    + slab_bytes::<ResourceId>(s.oss_res.capacity())
-                    + s.ssu_to_res.len() as u64 * std::mem::size_of::<(usize, ResourceId)>() as u64
+                slab_bytes::<[u32; 3]>(s.tails.capacity()) + slab_bytes::<u32>(s.groups.capacity())
             })
+            .sum();
+        let slots: u64 = self
+            .slots
+            .iter()
+            .map(|g| slab_bytes::<ResourceId>(g.capacity()))
             .sum();
         let class_sets: u64 = self
             .class_sets
@@ -657,7 +694,8 @@ impl spider_simkit::MemFootprint for FlowSession<'_> {
             + slab_bytes::<PreparedClasses>(self.class_sets.capacity())
             + class_sets
             + active
-            + slab_bytes::<ResourceId>(self.router_res.capacity())
+            + slab_bytes::<Vec<ResourceId>>(self.slots.capacity())
+            + slots
     }
 }
 
@@ -986,13 +1024,11 @@ mod tests {
     }
 
     #[test]
-    fn components_split_by_namespace() {
-        // Namespaces share no storage-side resources, and at small scale
-        // fine-grained routing keeps their router zones disjoint too — so
-        // no component mixes tests of different namespaces, while two tests
-        // on the same namespace share every component they touch (here each
-        // namespace's classes split into two components).
-        let c = small();
+    fn coupled_namespaces_follow_shared_routers() {
+        // Namespaces share no storage-side resources. At small scale
+        // fine-grained routing keeps their router zones disjoint too, so
+        // tests on different namespaces never couple; with one router group
+        // every namespace routes through the same routers, and they do.
         let job = |fs: usize| FlowTest {
             fs,
             clients: 64,
@@ -1000,27 +1036,44 @@ mod tests {
             write: true,
             optimal_placement: false,
         };
-        let mut s = FlowSession::new(&c);
-        let a = s.add_test(&job(0));
-        let b = s.add_test(&job(1));
-        let d = s.add_test(&job(0));
-        let (ad, bb) = (vec![a, d], vec![b]);
-        assert_eq!(s.components(), vec![ad.clone(), ad, bb.clone(), bb]);
-        s.remove_test(d);
-        assert_eq!(s.components(), vec![vec![a], vec![a], vec![b], vec![b]]);
+        let tests = [job(0), job(1), job(0)];
+        let mut zones = coupled_namespaces(&small(), &tests);
+        assert_eq!((zones.find(0), zones.find(1)), (0, 1));
+        let mut cfg = CenterConfig::small();
+        cfg.router_groups = 1;
+        let mut zones = coupled_namespaces(&Center::build(cfg), &tests);
+        assert_eq!((zones.find(0), zones.find(1)), (0, 0));
     }
 
     /// The per-client walk the closed-form build replaced: every client in
-    /// order, the first on an (OST, slot) cell founding its class. Returns
-    /// the classes and each client's class.
+    /// order, the first on an (OST, slot) cell founding its class. The
+    /// namespace's resources start at id `base`: its OSTs, its OSS links,
+    /// then one couplet per SSU in the order the SSUs first serve an OST.
+    /// Returns the classes and each client's class.
     fn walk_class_set(
         center: &Center,
         t: &FlowTest,
-        ns: &NsSkeleton,
+        base: usize,
         router_res: &[ResourceId],
     ) -> (Vec<FlowSpec>, Vec<u32>) {
         let fs = &center.filesystems[t.fs];
         let n_osts = fs.ost_count();
+        let mut ssus: Vec<usize> = Vec::new();
+        for o in 0..n_osts {
+            let ssu = center.ssu_index(t.fs, OstId(o as u32));
+            if !ssus.contains(&ssu) {
+                ssus.push(ssu);
+            }
+        }
+        let ost_res = |o: usize| ResourceId(base + o);
+        let oss_res = |i: usize| ResourceId(base + n_osts + i);
+        let couplet_res = |ssu: usize| {
+            let at = ssus
+                .iter()
+                .position(|&s| s == ssu)
+                .expect("an SSU of the namespace");
+            ResourceId(base + n_osts + fs.oss.len() + at)
+        };
         let per_process = center
             .config
             .client
@@ -1055,9 +1108,9 @@ mod tests {
                     classes.push(
                         FlowSpec::new(vec![
                             router_res[router],
-                            ns.oss_res[fs.oss_index_of(ost)],
-                            ns.ssu_to_res[&ssu],
-                            ns.ost_res[ost.0 as usize],
+                            oss_res(fs.oss_index_of(ost)),
+                            couplet_res(ssu),
+                            ost_res(ost.0 as usize),
                         ])
                         .with_cap(per_process),
                     );
@@ -1094,10 +1147,18 @@ mod tests {
             cfg.router_groups = groups;
             let c = Center::build(cfg);
             let mut problem = MaxMinProblem::new();
+            let mut bases = Vec::new();
             let skeletons: Vec<NsSkeleton> = (0..c.namespaces())
-                .map(|fs| NsSkeleton::build(&mut problem, &c, fs, true, MIB))
+                .map(|fs| {
+                    bases.push(problem.resources());
+                    NsSkeleton::build(&mut problem, &c, fs, true, MIB)
+                })
                 .collect();
-            let router_res = router_plant(&mut problem, &c);
+            // The plant's routers follow the skeletons, in router order.
+            let router_res: Vec<ResourceId> = (0..c.routers.len())
+                .map(|r| ResourceId(problem.resources() + r))
+                .collect();
+            let slots = router_plant(&mut problem, &c);
             for (fs, ns) in skeletons.iter().enumerate() {
                 let n = c.filesystems[fs].ost_count() as u32;
                 let m = (c.routers.len() / groups as usize).max(1) as u32;
@@ -1115,8 +1176,8 @@ mod tests {
                         write: true,
                         optimal_placement: false,
                     };
-                    let set = ClassSet::build(&c, &t, ns, &router_res);
-                    let (classes, class_of_client) = walk_class_set(&c, &t, ns, &router_res);
+                    let set = ClassSet::build(&c, &t, ns, &slots);
+                    let (classes, class_of_client) = walk_class_set(&c, &t, bases[fs], &router_res);
                     let bits = |path: &[ResourceId], cap: Option<f64>, weight: f64| {
                         let path: Vec<usize> = path.iter().map(|r| r.0).collect();
                         (path, cap.map(f64::to_bits), weight.to_bits())

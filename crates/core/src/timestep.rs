@@ -46,14 +46,14 @@
 
 use std::collections::BTreeMap;
 
-use spider_net::{SessionStats, UnionFind};
+use spider_net::SessionStats;
 use spider_simkit::{
     Bandwidth, PdesConfig, PdesStats, Shard, ShardCtx, ShardedEngine, SimDuration, SimTime,
     TimeSeries,
 };
 
 use crate::center::Center;
-use crate::flowsim::{solve_concurrent, FlowSession, FlowTest, TestId};
+use crate::flowsim::{coupled_namespaces, solve_concurrent, FlowSession, FlowTest, TestId};
 
 /// One finite job: `clients` processes each moving `bytes_per_client`.
 #[derive(Debug, Clone)]
@@ -501,25 +501,15 @@ impl Shard for ZoneShard<'_> {
 }
 
 /// Partition `jobs` into router zones: connected components of the
-/// flow–resource coupling graph (all jobs probed at once — footprints are
-/// time-invariant, so the probe components are the union-over-time
-/// coupling), coarsened so every namespace lands in exactly one zone (its
-/// throughput log then lives on one shard). Returns ascending job-index
-/// groups ordered by their smallest namespace.
+/// flow–resource coupling graph of all jobs at once (footprints are
+/// time-invariant, so these are the union-over-time coupling), coarsened
+/// so every namespace lands in exactly one zone (its throughput log then
+/// lives on one shard). Returns ascending job-index groups ordered by their
+/// smallest namespace.
 fn router_zones(center: &Center, jobs: &[Job]) -> Vec<Vec<usize>> {
-    let mut probe = FlowSession::new(center);
-    let fs_of_test: BTreeMap<TestId, u32> = jobs
-        .iter()
-        .map(|j| (probe.add_test(&j.flow_test()), j.fs as u32))
-        .collect();
-    // Namespaces whose jobs share a solver component share a zone; the
-    // smaller root wins, so a zone's representative is its smallest
-    // namespace.
-    let mut zone_of = UnionFind::new(center.namespaces());
-    for tests in probe.components() {
-        let namespaces: Vec<u32> = tests.iter().map(|t| fs_of_test[t]).collect();
-        zone_of.union_all(&namespaces);
-    }
+    let tests: Vec<FlowTest> = jobs.iter().map(Job::flow_test).collect();
+    // A zone's representative is its smallest namespace.
+    let mut zone_of = coupled_namespaces(center, &tests);
     let mut zones: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (i, j) in jobs.iter().enumerate() {
         zones.entry(zone_of.find(j.fs as u32)).or_default().push(i);

@@ -32,6 +32,6 @@ pub use fgr::{CongestionReport, FgrAssignment, PlacementScheme};
 pub use gemini::TitanGeometry;
 pub use ib::{IbFabric, LeafId};
 pub use lnet::{Router, RouterGroupId, RouterId, RouterSet};
-pub use maxmin::{FlowSpec, MaxMinProblem, ResourceId, SolveStats};
+pub use maxmin::{Bound, FlowSpec, MaxMinProblem, ResourceId, SolveStats, Violation, Witness};
 pub use session::{FlowBatch, FlowId, SessionStats, SolveSession, UnionFind};
 pub use torus::{Coord, LinkId, LinkLoads, Torus};

@@ -22,14 +22,32 @@
 //!
 //! [`MaxMinProblem::solve`] is event-driven water-filling: the common water
 //! level rises monotonically, per-resource saturation levels live in a lazy
-//! min-heap, cap events come from a cap-sorted cursor, and a freeze touches
-//! only the flows adjacent to the saturated resource. Per round it does
-//! O(freezes × path + log R) work instead of rescanning every flow and
-//! resource, which turns the worst case from O(flows² × path) into roughly
-//! O((flows × path + R) log R).
+//! min-heap, and cap events come from a cap-sorted cursor. An event freezes
+//! every flow it binds at one level — the unfrozen flows crossing the
+//! saturated resource, or every unfrozen flow whose cap equals the level —
+//! applying each flow's checkpoint and weight updates in flow order, and
+//! then reschedules each resource those flows cross once. An event thus
+//! costs O(frozen flows × path + touched resources × log R), and the heap
+//! takes one entry per touched resource rather than one per flow and
+//! resource. Per-resource state is sized by the capacities the caller
+//! passes: the whole problem for a stateless solve, one component's
+//! resources, renumbered in ascending order, for a
+//! [`SolveSession`](crate::session::SolveSession)'s cold solve. All of it
+//! lives in one workspace that a caller may reuse across solves, so only the
+//! returned rates allocate.
 //!
 //! [`MaxMinProblem::solve_reference`] is the naive full-rescan loop kept as
 //! the differential-testing oracle; both must agree to within 1e-6.
+//!
+//! # A certificate
+//!
+//! [`MaxMinProblem::verify`] checks an allocation without a second solver,
+//! in O(flows × path): every resource and every cap is respected, a
+//! prefrozen flow gets exactly 0, and every other flow sits at its cap or
+//! crosses a saturated resource on which its per-member rate is the
+//! largest. Its [`Witness`] names each flow's binding cap or resource.
+//! Debug builds verify every solve the core runs, stateless and session
+//! alike.
 //!
 //! A stateless solve always runs the event-driven core over the whole flow
 //! set. Splitting a one-shot problem into its connected components and
@@ -137,13 +155,15 @@ pub struct SolveStats {
     /// Flows frozen before water-filling began (exhausted resource on the
     /// path, or a zero cap).
     pub prefrozen: u64,
-    /// Event-loop rounds (one cap or saturation event per round).
+    /// Event-loop rounds: one per saturation event and one per flow frozen
+    /// at its cap.
     pub rounds: u64,
     /// Flows frozen by reaching their intrinsic per-member cap.
     pub cap_freezes: u64,
     /// Flows frozen because a resource on their path saturated.
     pub saturation_freezes: u64,
-    /// Heap entries pushed (initial schedule plus freeze-time reschedules).
+    /// Heap entries pushed (initial schedule plus one reschedule per
+    /// resource an event touched).
     pub heap_pushes: u64,
     /// Heap entries popped, current and stale alike.
     pub heap_pops: u64,
@@ -199,85 +219,69 @@ impl SolveStats {
     }
 }
 
-/// Columnar (structure-of-arrays) view of a flow set: CSR paths plus cap and
-/// weight columns, indexed through an explicit `ids` selection list.
+/// Columnar (structure-of-arrays) flow storage: CSR paths plus cap and
+/// weight columns, one row per flow, in solve order.
 ///
-/// This is the representation the solver core ([`MaxMinProblem::solve_view`])
-/// actually runs on. [`MaxMinProblem::solve`] flattens its `&[FlowSpec]`
-/// argument into a transient [`FlowColumns`] and selects every row; the
-/// incremental [`crate::session::SolveSession`] keeps its live flows in
-/// their batches' columns across calls and gathers one component's rows at
-/// a time. Both paths execute the *same* float operations, which is what
-/// makes session results bit-identical to from-scratch solves.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FlowsView<'a> {
-    /// Column row of each flow, in solve order.
-    pub(crate) ids: &'a [u32],
-    /// CSR offsets into `path_res`, indexed by row (`rows + 1` long).
-    pub(crate) path_off: &'a [u32],
-    /// Flattened resource indices of every row's path.
-    pub(crate) path_res: &'a [u32],
-    /// Per-row intrinsic per-member cap; `f64::INFINITY` means uncapped.
-    pub(crate) cap: &'a [f64],
-    /// Per-row class weight.
-    pub(crate) weight: &'a [f64],
-}
-
-impl FlowsView<'_> {
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Resource indices crossed by the flow at view position `k`.
-    fn path(&self, k: usize) -> &[u32] {
-        let s = self.ids[k] as usize;
-        &self.path_res[self.path_off[s] as usize..self.path_off[s + 1] as usize]
-    }
-
-    fn cap_of(&self, k: usize) -> f64 {
-        self.cap[self.ids[k] as usize]
-    }
-
-    fn weight_of(&self, k: usize) -> f64 {
-        self.weight[self.ids[k] as usize]
-    }
-}
-
-/// Owned columnar flow storage backing a [`FlowsView`], one row per flow.
+/// This is the representation the solver core ([`water_fill`]) runs on.
+/// [`MaxMinProblem::solve`] flattens its `&[FlowSpec]` argument into
+/// transient columns; the incremental [`crate::session::SolveSession`] keeps
+/// its live flows in their batches' columns across calls and gathers one
+/// component's rows at a time, its resources renumbered. Both paths execute
+/// the *same* float operations, which is what makes session results
+/// bit-identical to from-scratch solves.
 #[derive(Debug, Clone)]
 pub(crate) struct FlowColumns {
+    /// CSR offsets into `path_res`, indexed by row (`rows + 1` long).
     pub(crate) path_off: Vec<u32>,
+    /// Flattened resource indices of every row's path.
     pub(crate) path_res: Vec<u32>,
+    /// Per-row intrinsic per-member cap; `f64::INFINITY` means uncapped.
     pub(crate) cap: Vec<f64>,
+    /// Per-row class weight.
     pub(crate) weight: Vec<f64>,
 }
 
 impl Default for FlowColumns {
     /// No rows: `path_off` holds only the leading 0.
     fn default() -> Self {
-        FlowColumns {
-            path_off: vec![0],
-            path_res: Vec::new(),
-            cap: Vec::new(),
-            weight: Vec::new(),
-        }
+        FlowColumns::with_capacity(0, 0)
     }
 }
 
 impl FlowColumns {
+    /// No rows, with room for `rows` flows over `entries` path entries.
+    pub(crate) fn with_capacity(rows: usize, entries: usize) -> Self {
+        let mut path_off = Vec::with_capacity(rows + 1);
+        path_off.push(0);
+        FlowColumns {
+            path_off,
+            path_res: Vec::with_capacity(entries),
+            cap: Vec::with_capacity(rows),
+            weight: Vec::with_capacity(rows),
+        }
+    }
+
     /// Flatten specs into columns, one row per spec.
     pub(crate) fn from_specs(flows: &[FlowSpec]) -> Self {
-        let mut cols = FlowColumns {
-            path_off: Vec::with_capacity(flows.len() + 1),
-            path_res: Vec::with_capacity(flows.iter().map(|f| f.resources.len()).sum()),
-            cap: Vec::with_capacity(flows.len()),
-            weight: Vec::with_capacity(flows.len()),
-        };
-        cols.path_off.push(0);
+        let entries = flows.iter().map(|f| f.resources.len()).sum();
+        let mut cols = FlowColumns::with_capacity(flows.len(), entries);
         for f in flows {
             cols.push(&f.resources, f.cap, f.weight);
         }
         cols
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.cap.len()
+    }
+
+    /// Drop every row, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.path_off.truncate(1);
+        self.path_res.clear();
+        self.cap.clear();
+        self.weight.clear();
     }
 
     /// Append a flow as the last row.
@@ -286,6 +290,16 @@ impl FlowColumns {
         self.path_off.push(self.path_res.len() as u32);
         self.cap.push(cap.unwrap_or(f64::INFINITY));
         self.weight.push(weight);
+    }
+
+    /// Append row `row` of `src` as the last row, each resource `r` of its
+    /// path renamed `local[r]`.
+    pub(crate) fn push_row_renamed(&mut self, src: &FlowColumns, row: usize, local: &[u32]) {
+        self.path_res
+            .extend(src.path(row).iter().map(|&r| local[r as usize]));
+        self.path_off.push(self.path_res.len() as u32);
+        self.cap.push(src.cap[row]);
+        self.weight.push(src.weight[row]);
     }
 
     /// Append row `row` of `src` as the last row.
@@ -299,17 +313,6 @@ impl FlowColumns {
     /// Resource indices crossed by the flow in row `row`.
     pub(crate) fn path(&self, row: usize) -> &[u32] {
         &self.path_res[self.path_off[row] as usize..self.path_off[row + 1] as usize]
-    }
-
-    /// The rows `ids` selects, in that order.
-    pub(crate) fn view<'a>(&'a self, ids: &'a [u32]) -> FlowsView<'a> {
-        FlowsView {
-            ids,
-            path_off: &self.path_off,
-            path_res: &self.path_res,
-            cap: &self.cap,
-            weight: &self.weight,
-        }
     }
 }
 
@@ -327,6 +330,12 @@ impl spider_simkit::MemFootprint for MaxMinProblem {
     fn mem_bytes(&self) -> u64 {
         spider_simkit::slab_bytes::<f64>(self.capacities.capacity())
     }
+}
+
+/// Flows dead on arrival: crossing an exhausted resource or carrying a zero
+/// cap. Their rate is 0 and they never join the water-filling.
+fn prefrozen(capacities: &[f64], path: &[u32], cap: f64) -> bool {
+    path.iter().any(|&r| capacities[r as usize] <= EPS) || cap <= EPS
 }
 
 impl MaxMinProblem {
@@ -355,10 +364,10 @@ impl MaxMinProblem {
         self.capacities[r.0]
     }
 
-    /// The one flow check every entry point runs (`solve`, `solve_reference`
-    /// and [`crate::session::FlowBatch::new`]). `cap` is
-    /// `f64::INFINITY` for an uncapped flow; a zero cap is legal (a dead
-    /// flow), a NaN or negative one is not.
+    /// The one flow check every entry point runs (`solve`, `solve_reference`,
+    /// [`crate::session::FlowBatch::new`] and a session's cold solves).
+    /// `cap` is `f64::INFINITY` for an uncapped flow; a zero cap is legal (a
+    /// dead flow), a NaN or negative one is not.
     pub(crate) fn validate_flow(&self, k: usize, path: &[u32], cap: f64, weight: f64) {
         assert!(cap >= 0.0, "flow {k} has a NaN or negative cap {cap}");
         assert!(
@@ -377,21 +386,23 @@ impl MaxMinProblem {
         }
     }
 
-    fn validate_view(&self, v: &FlowsView<'_>) {
-        for k in 0..v.len() {
-            self.validate_flow(k, v.path(k), v.cap_of(k), v.weight_of(k));
+    fn validate_columns(&self, cols: &FlowColumns) {
+        for k in 0..cols.len() {
+            self.validate_flow(k, cols.path(k), cols.cap[k], cols.weight[k]);
         }
     }
 
-    /// Flows dead on arrival: crossing an exhausted resource or carrying a
-    /// zero cap. Their rate is 0 and they never join the water-filling.
-    fn prefrozen(&self, f: &FlowSpec) -> bool {
-        f.resources.iter().any(|r| self.capacities[r.0] <= EPS) || f.cap.is_some_and(|c| c <= EPS)
+    /// Whether a flow over `resources` with `cap` is dead on arrival: it
+    /// crosses an exhausted resource or carries a zero cap, so every solve
+    /// gives it exactly 0 and it couples with no other flow.
+    pub fn is_prefrozen(&self, resources: &[ResourceId], cap: Option<f64>) -> bool {
+        resources.iter().any(|r| self.capacities[r.0] <= EPS) || cap.is_some_and(|c| c <= EPS)
     }
 
-    /// View-level twin of [`Self::prefrozen`].
+    /// [`Self::is_prefrozen`] for a columnar path (`cap` infinite when
+    /// uncapped).
     pub(crate) fn prefrozen_path(&self, path: &[u32], cap: f64) -> bool {
-        path.iter().any(|&r| self.capacities[r as usize] <= EPS) || cap <= EPS
+        prefrozen(&self.capacities, path, cap)
     }
 
     /// Solve for the max-min fair per-member rates of `flows` by
@@ -411,242 +422,33 @@ impl MaxMinProblem {
         self.solve_specs(flows, true)
     }
 
+    /// Validate `flows` against this problem's resources, then run the
+    /// core over all of them.
     fn solve_specs(&self, flows: &[FlowSpec], want_order: bool) -> (Vec<f64>, SolveStats) {
-        let mut stats = SolveStats::default();
         let cols = FlowColumns::from_specs(flows);
-        let all: Vec<u32> = (0..flows.len() as u32).collect();
-        let rates = self.solve_view(&cols.view(&all), &mut stats, want_order);
+        self.validate_columns(&cols);
+        let mut stats = SolveStats::default();
+        let rates = water_fill(
+            &self.capacities,
+            &cols,
+            &mut stats,
+            want_order,
+            &mut Workspace::default(),
+        );
         if spider_obs::enabled() {
             stats.flush_obs();
         }
         (rates, stats)
     }
 
-    /// The event-driven solver core, running on a columnar [`FlowsView`].
-    /// Returns per-member rates indexed by view position.
-    pub(crate) fn solve_view(
-        &self,
-        flows: &FlowsView<'_>,
-        stats: &mut SolveStats,
-        want_order: bool,
-    ) -> Vec<f64> {
-        let n_res = self.capacities.len();
-        let n_flows = flows.len();
-        let mut rates = vec![0.0f64; n_flows];
-        stats.flows = n_flows as u64;
-        if n_flows == 0 {
-            return rates;
-        }
-        self.validate_view(flows);
-
-        // Weighted usage per resource from unfrozen flows, and the
-        // resource -> flows adjacency (CSR; duplicates are fine because a
-        // freeze is idempotent under the `frozen` flag).
-        let mut active_weight = vec![0.0f64; n_res];
-        let mut frozen = vec![false; n_flows];
-        let mut unfrozen = n_flows;
-
-        for (i, fz) in frozen.iter_mut().enumerate() {
-            if self.prefrozen_path(flows.path(i), flows.cap_of(i)) {
-                *fz = true;
-                unfrozen -= 1;
-                stats.prefrozen += 1;
-            } else {
-                let w = flows.weight_of(i);
-                for &r in flows.path(i) {
-                    active_weight[r as usize] += w;
-                }
-            }
-        }
-
-        let mut adj_off = vec![0usize; n_res + 1];
-        for (i, &fz) in frozen.iter().enumerate() {
-            if !fz {
-                for &r in flows.path(i) {
-                    adj_off[r as usize + 1] += 1;
-                }
-            }
-        }
-        for r in 0..n_res {
-            adj_off[r + 1] += adj_off[r];
-        }
-        let mut adj = vec![0u32; adj_off[n_res]];
-        {
-            let mut cursor = adj_off.clone();
-            for (i, &fz) in frozen.iter().enumerate() {
-                if !fz {
-                    for &r in flows.path(i) {
-                        adj[cursor[r as usize]] = i as u32;
-                        cursor[r as usize] += 1;
-                    }
-                }
-            }
-        }
-
-        // Per-resource lazy state: remaining capacity as of `ckpt_level`.
-        // remaining(level) = ckpt_remaining - active_weight * (level - ckpt).
-        let mut ckpt_remaining = self.capacities.clone();
-        let mut ckpt_level = vec![0.0f64; n_res];
-        let mut saturated = vec![false; n_res];
-
-        let saturation_level =
-            |r: usize, ckpt_remaining: &[f64], ckpt_level: &[f64], active_weight: &[f64]| -> f64 {
-                ckpt_level[r] + ckpt_remaining[r] / active_weight[r]
-            };
-
-        // Min-heap of predicted resource saturation levels. Entries are
-        // lazy: a freeze moves a resource's prediction later and pushes a
-        // fresh entry, leaving the old one stale in the heap. `latest_key`
-        // holds the key of the newest entry per resource, so a popped entry
-        // whose key doesn't match is discarded outright — the current entry
-        // is still in the heap, and nothing is re-pushed (re-pushing on
-        // stale pops would let duplicates multiply and go quadratic).
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        let key = |level: f64| -> u64 {
-            // Monotone map from non-negative floats to u64 for heap ordering.
-            level.max(0.0).to_bits()
-        };
-        let mut latest_key = vec![u64::MAX; n_res];
-        for r in 0..n_res {
-            if active_weight[r] > EPS {
-                let s = saturation_level(r, &ckpt_remaining, &ckpt_level, &active_weight);
-                latest_key[r] = key(s);
-                heap.push(Reverse((key(s), r as u32)));
-                stats.heap_pushes += 1;
-            }
-        }
-
-        // Cap events: unfrozen capped flows, ascending by cap.
-        let mut by_cap: Vec<u32> = (0..n_flows as u32)
-            .filter(|&i| !frozen[i as usize] && flows.cap_of(i as usize).is_finite())
-            .collect();
-        // Equal caps tie-break by view position: equal-cap freezes on a
-        // shared resource subtract `active_weight` in a fixed order, which
-        // the session's per-component solves rely on to stay bit-identical
-        // to the whole-set solve (a component view preserves relative
-        // positions).
-        by_cap.sort_unstable_by(|&a, &b| {
-            let ca = flows.cap_of(a as usize);
-            let cb = flows.cap_of(b as usize);
-            ca.total_cmp(&cb).then(a.cmp(&b))
-        });
-        let mut cap_cursor = 0usize;
-
-        // Freezing a flow at the current level: record its rate and remove
-        // its weight from every resource it crosses (advancing each
-        // resource's checkpoint to `level` first so lazily-accrued usage is
-        // accounted), then reschedule those resources in the heap.
-        macro_rules! freeze_flow {
-            ($i:expr, $rate:expr, $level:expr) => {{
-                let i = $i;
-                frozen[i] = true;
-                unfrozen -= 1;
-                rates[i] = $rate;
-                let w = flows.weight_of(i);
-                for &r in flows.path(i) {
-                    let r = r as usize;
-                    ckpt_remaining[r] -= active_weight[r] * ($level - ckpt_level[r]);
-                    ckpt_level[r] = $level;
-                    active_weight[r] -= w;
-                    if !saturated[r] {
-                        if ckpt_remaining[r] <= EPS {
-                            // Fully drained by accrual: saturates right here.
-                            latest_key[r] = key($level);
-                            heap.push(Reverse((latest_key[r], r as u32)));
-                            stats.heap_pushes += 1;
-                        } else if active_weight[r] > EPS {
-                            let s =
-                                saturation_level(r, &ckpt_remaining, &ckpt_level, &active_weight);
-                            latest_key[r] = key(s);
-                            heap.push(Reverse((latest_key[r], r as u32)));
-                            stats.heap_pushes += 1;
-                        } else {
-                            // No unfrozen flow crosses r: it can no longer
-                            // saturate; invalidate any live entry.
-                            latest_key[r] = u64::MAX;
-                        }
-                    }
-                }
-            }};
-        }
-
-        let mut level = 0.0f64;
-        while unfrozen > 0 {
-            stats.rounds += 1;
-            // Skip cap entries frozen meanwhile (by resource saturation).
-            while cap_cursor < by_cap.len() && frozen[by_cap[cap_cursor] as usize] {
-                cap_cursor += 1;
-            }
-            let next_cap = if cap_cursor < by_cap.len() {
-                // by_cap indexes only finitely-capped flows.
-                flows.cap_of(by_cap[cap_cursor] as usize)
-            } else {
-                f64::INFINITY
-            };
-
-            // Discard stale heap entries (key no longer the resource's
-            // latest) until the top is current.
-            let next_res = loop {
-                match heap.peek() {
-                    None => break None,
-                    Some(&Reverse((k, r))) => {
-                        let r = r as usize;
-                        if saturated[r] || active_weight[r] <= EPS || k != latest_key[r] {
-                            heap.pop();
-                            stats.heap_pops += 1;
-                            stats.stale_discards += 1;
-                            continue;
-                        }
-                        let s = saturation_level(r, &ckpt_remaining, &ckpt_level, &active_weight);
-                        break Some((s.max(level), r));
-                    }
-                }
-            };
-
-            match (next_res, next_cap.is_finite()) {
-                (None, false) => {
-                    // No binding constraint remains; cannot happen for
-                    // validated flows (every unfrozen flow is capped or
-                    // crosses a resource it weights down), but mirror the
-                    // reference solver's defensive stop.
-                    break;
-                }
-                (Some((s, _)), true) if next_cap <= s => {
-                    // Cap event first.
-                    level = next_cap;
-                    let i = by_cap[cap_cursor] as usize;
-                    cap_cursor += 1;
-                    stats.cap_freezes += 1;
-                    freeze_flow!(i, next_cap, level);
-                }
-                (None, true) => {
-                    level = next_cap;
-                    let i = by_cap[cap_cursor] as usize;
-                    cap_cursor += 1;
-                    stats.cap_freezes += 1;
-                    freeze_flow!(i, next_cap, level);
-                }
-                (Some((s, r)), _) => {
-                    // Resource saturation event: freeze every unfrozen flow
-                    // crossing `r` at the saturation level.
-                    level = s;
-                    heap.pop();
-                    stats.heap_pops += 1;
-                    saturated[r] = true;
-                    if want_order {
-                        stats.saturation_order.push(r as u32);
-                    }
-                    for &fi in &adj[adj_off[r]..adj_off[r + 1]] {
-                        let i = fi as usize;
-                        if !frozen[i] {
-                            stats.saturation_freezes += 1;
-                            freeze_flow!(i, level, level);
-                        }
-                    }
-                }
-            }
-        }
-        rates
+    /// Check `rates` (per-member, one per flow) against the max-min
+    /// certificate for `flows` over this problem's resources; see
+    /// [`Witness`] and [`Violation`]. Panics on flows a solve would reject,
+    /// or if `rates` is not one rate per flow.
+    pub fn verify(&self, flows: &[FlowSpec], rates: &[f64]) -> Result<Witness, Violation> {
+        let cols = FlowColumns::from_specs(flows);
+        self.validate_columns(&cols);
+        verify(&self.capacities, &cols, rates)
     }
 
     /// Solve by the naive progressive-filling loop: every round rescans all
@@ -660,8 +462,7 @@ impl MaxMinProblem {
         if n_flows == 0 {
             return rates;
         }
-        let all: Vec<u32> = (0..n_flows as u32).collect();
-        self.validate_view(&FlowColumns::from_specs(flows).view(&all));
+        self.validate_columns(&FlowColumns::from_specs(flows));
 
         let mut remaining = self.capacities.clone();
         // Weighted usage of each unfrozen flow class on each resource.
@@ -675,7 +476,7 @@ impl MaxMinProblem {
         // Immediately freeze flows over exhausted resources.
         let mut unfrozen = n_flows;
         for (i, f) in flows.iter().enumerate() {
-            if self.prefrozen(f) {
+            if self.is_prefrozen(&f.resources, f.cap) {
                 frozen[i] = true;
                 unfrozen -= 1;
                 for r in &f.resources {
@@ -743,6 +544,439 @@ impl MaxMinProblem {
     }
 }
 
+/// Monotone map from non-negative levels to heap keys.
+fn key(level: f64) -> u64 {
+    level.max(0.0).to_bits()
+}
+
+/// Clear `v` and fill it with `n` copies of `x`, keeping its allocation.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
+}
+
+/// Solver scratch, reused across solves: per-resource state, the
+/// resource-to-flow adjacency, the heap's buffer, the cap order and
+/// per-flow flags. Each solve sizes it to its own resources and flows.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// Weighted usage per resource from unfrozen flows.
+    active_weight: Vec<f64>,
+    /// Remaining capacity as of `ckpt_level`: remaining(level) =
+    /// `ckpt_remaining - active_weight × (level - ckpt_level)`.
+    ckpt_remaining: Vec<f64>,
+    ckpt_level: Vec<f64>,
+    saturated: Vec<bool>,
+    /// Key of each resource's newest heap entry; `u64::MAX` when none is
+    /// current.
+    latest_key: Vec<u64>,
+    /// Resource -> unfrozen flows, CSR (`resources + 1` offsets).
+    adj_off: Vec<u32>,
+    adj: Vec<u32>,
+    /// Resources the current event's freezes touched, each once.
+    touched: Vec<u32>,
+    is_touched: Vec<bool>,
+    frozen: Vec<bool>,
+    /// Unfrozen capped flows, ascending by (cap, row).
+    by_cap: Vec<u32>,
+    /// Min-heap of predicted saturation levels, `(key, resource)`.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl Workspace {
+    /// Predicted saturation level of resource `r` from its checkpoint.
+    fn saturation_level(&self, r: usize) -> f64 {
+        self.ckpt_level[r] + self.ckpt_remaining[r] / self.active_weight[r]
+    }
+
+    /// Freeze row `i` at `level`: advance the checkpoint of every resource
+    /// on its path to `level` (accounting the usage accrued since), remove
+    /// its weight, and note each resource for [`Self::reschedule`].
+    fn freeze(&mut self, flows: &FlowColumns, i: usize, level: f64) {
+        self.frozen[i] = true;
+        let w = flows.weight[i];
+        for &r in flows.path(i) {
+            let r = r as usize;
+            self.ckpt_remaining[r] -= self.active_weight[r] * (level - self.ckpt_level[r]);
+            self.ckpt_level[r] = level;
+            self.active_weight[r] -= w;
+            if !self.is_touched[r] {
+                self.is_touched[r] = true;
+                self.touched.push(r as u32);
+            }
+        }
+    }
+
+    /// Reschedule each resource the event at `level` touched, once: a
+    /// drained one saturates right here, one still weighted down gets its
+    /// new saturation level, and one no unfrozen flow crosses can no longer
+    /// saturate, so any entry it has goes stale. Its state is final for the
+    /// event, so the entry is the one the event's last freeze on it would
+    /// have left.
+    fn reschedule(&mut self, level: f64, stats: &mut SolveStats) {
+        for t in 0..self.touched.len() {
+            let r = self.touched[t] as usize;
+            self.is_touched[r] = false;
+            if self.saturated[r] {
+                continue;
+            }
+            let k = if self.ckpt_remaining[r] <= EPS {
+                key(level)
+            } else if self.active_weight[r] > EPS {
+                key(self.saturation_level(r))
+            } else {
+                self.latest_key[r] = u64::MAX;
+                continue;
+            };
+            self.latest_key[r] = k;
+            self.heap.push(Reverse((k, r as u32)));
+            stats.heap_pushes += 1;
+        }
+        self.touched.clear();
+    }
+}
+
+/// The event-driven water-filling core over `flows`, whose paths index
+/// `capacities`. Returns per-member rates in row order. The flows must be
+/// valid (see [`MaxMinProblem::validate_flow`]); `ws` may hold anything.
+pub(crate) fn water_fill(
+    capacities: &[f64],
+    flows: &FlowColumns,
+    stats: &mut SolveStats,
+    want_order: bool,
+    ws: &mut Workspace,
+) -> Vec<f64> {
+    let n_res = capacities.len();
+    let n_flows = flows.len();
+    let mut rates = vec![0.0f64; n_flows];
+    stats.flows = n_flows as u64;
+    if n_flows == 0 {
+        return rates;
+    }
+    refill(&mut ws.active_weight, n_res, 0.0);
+    refill(&mut ws.ckpt_level, n_res, 0.0);
+    refill(&mut ws.saturated, n_res, false);
+    refill(&mut ws.latest_key, n_res, u64::MAX);
+    refill(&mut ws.is_touched, n_res, false);
+    refill(&mut ws.adj_off, n_res + 1, 0);
+    refill(&mut ws.frozen, n_flows, false);
+    ws.ckpt_remaining.clear();
+    ws.ckpt_remaining.extend_from_slice(capacities);
+    ws.touched.clear();
+    ws.heap.clear();
+
+    // Weighted usage per resource from unfrozen flows, and the resource ->
+    // flows adjacency (duplicates are fine: a freeze skips frozen flows).
+    let mut unfrozen = n_flows;
+    for i in 0..n_flows {
+        let path = flows.path(i);
+        if prefrozen(capacities, path, flows.cap[i]) {
+            ws.frozen[i] = true;
+            unfrozen -= 1;
+            stats.prefrozen += 1;
+        } else {
+            let w = flows.weight[i];
+            for &r in path {
+                ws.active_weight[r as usize] += w;
+                ws.adj_off[r as usize + 1] += 1;
+            }
+        }
+    }
+    for r in 0..n_res {
+        ws.adj_off[r + 1] += ws.adj_off[r];
+    }
+    refill(&mut ws.adj, ws.adj_off[n_res] as usize, 0);
+    // Fill each resource's list in row order, using its start as a cursor,
+    // then shift the cursors (each ending at the next start) back.
+    for i in 0..n_flows {
+        if !ws.frozen[i] {
+            for &r in flows.path(i) {
+                let at = &mut ws.adj_off[r as usize];
+                ws.adj[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+    }
+    ws.adj_off.copy_within(0..n_res, 1);
+    ws.adj_off[0] = 0;
+
+    // Min-heap of predicted resource saturation levels. Entries are lazy:
+    // a reschedule moves a resource's prediction and pushes a fresh entry,
+    // leaving the old one stale in the heap. `latest_key` holds the key of
+    // the newest entry per resource, so a popped entry whose key doesn't
+    // match is discarded outright — the current entry is still in the heap,
+    // and nothing is re-pushed (re-pushing on stale pops would let
+    // duplicates multiply and go quadratic).
+    for r in 0..n_res {
+        if ws.active_weight[r] > EPS {
+            let k = key(ws.saturation_level(r));
+            ws.latest_key[r] = k;
+            ws.heap.push(Reverse((k, r as u32)));
+            stats.heap_pushes += 1;
+        }
+    }
+
+    // Cap events: unfrozen capped flows, ascending by cap. Equal caps
+    // tie-break by row: equal-cap freezes on a shared resource subtract
+    // `active_weight` in a fixed order, which the session's per-component
+    // solves rely on to stay bit-identical to the whole-set solve (a
+    // component's rows keep their relative order).
+    ws.by_cap.clear();
+    ws.by_cap.extend(
+        (0..n_flows as u32)
+            .filter(|&i| !ws.frozen[i as usize] && flows.cap[i as usize].is_finite()),
+    );
+    ws.by_cap.sort_unstable_by(|&a, &b| {
+        let ca = flows.cap[a as usize];
+        let cb = flows.cap[b as usize];
+        ca.total_cmp(&cb).then(a.cmp(&b))
+    });
+    let mut cap_cursor = 0usize;
+
+    let mut level = 0.0f64;
+    while unfrozen > 0 {
+        // Skip cap entries frozen meanwhile (by resource saturation).
+        while cap_cursor < ws.by_cap.len() && ws.frozen[ws.by_cap[cap_cursor] as usize] {
+            cap_cursor += 1;
+        }
+        let next_cap = match ws.by_cap.get(cap_cursor) {
+            // by_cap indexes only finitely-capped flows.
+            Some(&i) => flows.cap[i as usize],
+            None => f64::INFINITY,
+        };
+
+        // Discard stale heap entries (key no longer the resource's latest)
+        // until the top is current.
+        let next_res = loop {
+            match ws.heap.peek() {
+                None => break None,
+                Some(&Reverse((k, r))) => {
+                    let r = r as usize;
+                    if ws.saturated[r] || ws.active_weight[r] <= EPS || k != ws.latest_key[r] {
+                        ws.heap.pop();
+                        stats.heap_pops += 1;
+                        stats.stale_discards += 1;
+                        continue;
+                    }
+                    break Some((ws.saturation_level(r).max(level), r));
+                }
+            }
+        };
+
+        match next_res {
+            None if !next_cap.is_finite() => {
+                // No binding constraint remains; cannot happen for
+                // validated flows (every unfrozen flow is capped or crosses
+                // a resource it weights down), but mirror the reference
+                // solver's defensive stop.
+                stats.rounds += 1;
+                break;
+            }
+            // Cap events win ties.
+            Some((s, r)) if next_cap > s || !next_cap.is_finite() => {
+                // Resource saturation event: freeze every unfrozen flow
+                // crossing `r` at the saturation level.
+                stats.rounds += 1;
+                level = s;
+                ws.heap.pop();
+                stats.heap_pops += 1;
+                ws.saturated[r] = true;
+                if want_order {
+                    stats.saturation_order.push(r as u32);
+                }
+                for j in ws.adj_off[r]..ws.adj_off[r + 1] {
+                    let i = ws.adj[j as usize] as usize;
+                    if !ws.frozen[i] {
+                        stats.saturation_freezes += 1;
+                        unfrozen -= 1;
+                        rates[i] = level;
+                        ws.freeze(flows, i, level);
+                    }
+                }
+                ws.reschedule(level, stats);
+            }
+            _ => {
+                // Cap event. Every other unfrozen flow capped at exactly
+                // this level follows it: each would win the next round too,
+                // since the next saturation level is at least `level`, so
+                // no saturation can come between them.
+                level = next_cap;
+                while let Some(&i) = ws.by_cap.get(cap_cursor) {
+                    let i = i as usize;
+                    if flows.cap[i] != level {
+                        break;
+                    }
+                    cap_cursor += 1;
+                    if !ws.frozen[i] {
+                        stats.rounds += 1;
+                        stats.cap_freezes += 1;
+                        unfrozen -= 1;
+                        rates[i] = level;
+                        ws.freeze(flows, i, level);
+                    }
+                }
+                ws.reschedule(level, stats);
+            }
+        }
+    }
+    if cfg!(debug_assertions) {
+        if let Err(v) = verify(capacities, flows, &rates) {
+            panic!("water-filling broke the max-min certificate: {v:?}");
+        }
+    }
+    rates
+}
+
+/// What binds one flow of a verified allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
+    /// Dead on arrival (an exhausted resource or a zero cap): rate 0.
+    Prefrozen,
+    /// Held at its own per-member cap.
+    Cap,
+    /// Held by this saturated resource, on which no flow gets a larger
+    /// per-member rate (the first such resource on its path).
+    Resource(ResourceId),
+}
+
+/// A max-min certificate: what binds each flow, in flow order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Witness {
+    /// One bound per flow.
+    pub bounds: Vec<Bound>,
+}
+
+/// How an allocation fails the max-min certificate. Resources and flows are
+/// numbered as in the verified problem.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Violation {
+    /// A resource carries more than its capacity: `load` is
+    /// `Σ weight × rate` over its path entries.
+    Oversubscribed {
+        /// The resource.
+        resource: ResourceId,
+        /// Its load.
+        load: f64,
+        /// Its capacity.
+        capacity: f64,
+    },
+    /// A flow gets more than its cap.
+    AboveCap {
+        /// The flow.
+        flow: usize,
+        /// Its rate.
+        rate: f64,
+        /// Its cap.
+        cap: f64,
+    },
+    /// A prefrozen flow got a rate other than 0.
+    PrefrozenRate {
+        /// The flow.
+        flow: usize,
+        /// Its rate.
+        rate: f64,
+    },
+    /// A flow below its cap crosses no saturated resource, so it could
+    /// grow.
+    Unbottlenecked {
+        /// The flow.
+        flow: usize,
+        /// Its rate.
+        rate: f64,
+    },
+    /// A flow below its cap gets less than another flow on every saturated
+    /// resource it crosses.
+    NotMaximal {
+        /// The flow.
+        flow: usize,
+        /// The first saturated resource on its path.
+        resource: ResourceId,
+        /// Its rate.
+        rate: f64,
+        /// The largest per-member rate on `resource`.
+        max: f64,
+    },
+}
+
+/// Slack of every comparison in [`verify`]: the differential tests' 1e-6
+/// relative bound plus the solver's `EPS`.
+fn slack(x: f64) -> f64 {
+    1e-6 * x.abs() + EPS
+}
+
+/// Check `rates` against the max-min certificate of `flows` over
+/// `capacities` (Bertsekas & Gallager, *Data Networks*, §6.5) in
+/// O(flows × path + resources): every resource is feasible, no flow exceeds
+/// its cap, a prefrozen flow gets exactly 0, and every other flow sits at
+/// its cap or crosses a saturated resource on which its per-member rate is
+/// the largest. The flows must be valid.
+pub(crate) fn verify(
+    capacities: &[f64],
+    flows: &FlowColumns,
+    rates: &[f64],
+) -> Result<Witness, Violation> {
+    assert_eq!(rates.len(), flows.len(), "one rate per flow");
+    // Per resource: its load and the largest per-member rate crossing it.
+    let mut load = vec![0.0f64; capacities.len()];
+    let mut top = vec![0.0f64; capacities.len()];
+    for (i, &rate) in rates.iter().enumerate() {
+        for &r in flows.path(i) {
+            load[r as usize] += flows.weight[i] * rate;
+            top[r as usize] = top[r as usize].max(rate);
+        }
+    }
+    for (r, (&load, &capacity)) in load.iter().zip(capacities).enumerate() {
+        if load > capacity + slack(capacity) {
+            return Err(Violation::Oversubscribed {
+                resource: ResourceId(r),
+                load,
+                capacity,
+            });
+        }
+    }
+    let saturated = |r: usize| load[r] >= capacities[r] - slack(capacities[r]);
+    let mut bounds = Vec::with_capacity(rates.len());
+    for (flow, &rate) in rates.iter().enumerate() {
+        let (path, cap) = (flows.path(flow), flows.cap[flow]);
+        if prefrozen(capacities, path, cap) {
+            if rate != 0.0 {
+                return Err(Violation::PrefrozenRate { flow, rate });
+            }
+            bounds.push(Bound::Prefrozen);
+            continue;
+        }
+        if cap.is_finite() {
+            if rate > cap + slack(cap) {
+                return Err(Violation::AboveCap { flow, rate, cap });
+            }
+            if rate >= cap - slack(cap) {
+                bounds.push(Bound::Cap);
+                continue;
+            }
+        }
+        let (mut bound, mut first_saturated) = (None, None);
+        for r in path.iter().map(|&r| r as usize).filter(|&r| saturated(r)) {
+            if rate >= top[r] - slack(top[r]) {
+                bound = Some(r);
+                break;
+            }
+            first_saturated.get_or_insert(r);
+        }
+        bounds.push(match (bound, first_saturated) {
+            (Some(r), _) => Bound::Resource(ResourceId(r)),
+            (None, Some(r)) => {
+                return Err(Violation::NotMaximal {
+                    flow,
+                    resource: ResourceId(r),
+                    rate,
+                    max: top[r],
+                })
+            }
+            (None, None) => return Err(Violation::Unbottlenecked { flow, rate }),
+        });
+    }
+    Ok(Witness { bounds })
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1067,5 +1301,126 @@ mod tests {
             })
             .collect();
         let _ = assert_solvers_agree(&p, &flows);
+    }
+
+    #[test]
+    fn one_shared_cap_freezes_in_one_event() {
+        // Eight flows over three resources, all capped at 1.0, far below
+        // every saturation level (100 / 8 at the busiest resource): one cap
+        // event freezes all eight, counts one round per flow, and
+        // reschedules each resource once.
+        let mut p = MaxMinProblem::new();
+        let rs: Vec<ResourceId> = (0..3).map(|_| p.add_resource(100.0)).collect();
+        let flows: Vec<FlowSpec> = (0..8)
+            .map(|i| FlowSpec::new(vec![rs[i % 3], rs[(i + 1) % 3]]).with_cap(1.0))
+            .collect();
+        let (rates, stats) = p.solve_with_stats(&flows);
+        assert!(rates.iter().all(|&r| r == 1.0), "{rates:?}");
+        assert_eq!(stats.cap_freezes, 8);
+        assert_eq!(stats.rounds, 8);
+        assert_eq!(stats.saturation_freezes, 0);
+        let (resources, touched) = (3, 3);
+        assert!(
+            stats.heap_pushes <= resources + touched,
+            "{} pushes",
+            stats.heap_pushes
+        );
+        assert_eq!(rates, p.solve_reference(&flows));
+    }
+
+    #[test]
+    fn verify_names_each_flows_bound() {
+        let mut p = MaxMinProblem::new();
+        let dead = p.add_resource(0.0);
+        let l1 = p.add_resource(1.0);
+        let l2 = p.add_resource(10.0);
+        let flows = vec![
+            FlowSpec::new(vec![l1, l2]),
+            FlowSpec::new(vec![l1]),
+            FlowSpec::new(vec![l2]).with_cap(0.1),
+            FlowSpec::new(vec![dead, l2]),
+            FlowSpec::new(vec![l2]),
+        ];
+        let rates = p.solve(&flows);
+        let witness = p.verify(&flows, &rates).expect("a solve is certified");
+        assert_eq!(
+            witness.bounds,
+            vec![
+                Bound::Resource(l1),
+                Bound::Resource(l1),
+                Bound::Cap,
+                Bound::Prefrozen,
+                Bound::Resource(l2),
+            ]
+        );
+    }
+
+    #[test]
+    fn verify_rejects_an_oversubscribed_resource() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(1.0);
+        let flows = vec![FlowSpec::new(vec![r]), FlowSpec::new(vec![r])];
+        assert_eq!(
+            p.verify(&flows, &[0.6, 0.6]),
+            Err(Violation::Oversubscribed {
+                resource: r,
+                load: 1.2,
+                capacity: 1.0
+            })
+        );
+    }
+
+    #[test]
+    fn verify_rejects_a_flow_below_its_cap_with_no_saturated_resource() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(1.0);
+        let flows = vec![FlowSpec::new(vec![r]).with_cap(0.8)];
+        assert_eq!(
+            p.verify(&flows, &[0.5]),
+            Err(Violation::Unbottlenecked { flow: 0, rate: 0.5 })
+        );
+    }
+
+    #[test]
+    fn verify_rejects_a_flow_not_maximal_on_its_only_saturated_resource() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(1.0);
+        let wide = p.add_resource(50.0);
+        let flows = vec![FlowSpec::new(vec![r]), FlowSpec::new(vec![wide, r])];
+        assert_eq!(
+            p.verify(&flows, &[0.75, 0.25]),
+            Err(Violation::NotMaximal {
+                flow: 1,
+                resource: r,
+                rate: 0.25,
+                max: 0.75
+            })
+        );
+    }
+
+    #[test]
+    fn verify_rejects_a_nonzero_prefrozen_rate() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(10.0);
+        let flows = vec![FlowSpec::new(vec![r]).with_cap(0.0), FlowSpec::new(vec![r])];
+        assert_eq!(
+            p.verify(&flows, &[0.5, 9.5]),
+            Err(Violation::PrefrozenRate { flow: 0, rate: 0.5 })
+        );
+    }
+
+    #[test]
+    fn verify_rejects_a_flow_above_its_cap() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(10.0);
+        let flows = vec![FlowSpec::new(vec![r]).with_cap(1.0), FlowSpec::new(vec![r])];
+        assert_eq!(
+            p.verify(&flows, &[2.0, 8.0]),
+            Err(Violation::AboveCap {
+                flow: 0,
+                rate: 2.0,
+                cap: 1.0
+            })
+        );
     }
 }

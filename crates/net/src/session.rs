@@ -71,19 +71,24 @@
 //!
 //! Session results are **bit-identical** to a from-scratch
 //! [`MaxMinProblem::solve`] over the same active flows in session order.
-//! Cold components run the *same* columnar core ([`MaxMinProblem`]'s
-//! internal `solve_view`) that `solve` runs on the whole set, and a
+//! Cold components run the *same* water-filling core that `solve` runs on
+//! the whole set, over their own resources only: a component's rows are
+//! gathered in solve order with its resources renumbered to a dense local
+//! range in ascending global order, and only its capacities are passed. A
 //! component's solve is bitwise the whole solve restricted to its flows:
 //! every float the core touches (`active_weight`, checkpoints, levels) is
 //! per-resource state owned by exactly one component, events fire in
 //! ascending level order with deterministic tie-breaks (cap events by
-//! `(cap, flow position)`, saturation events by resource id), and the
-//! water level is monotone — so the whole solve's event sequence
-//! restricted to one component is that component's own event sequence.
-//! Cache hits replay a fixed point that was itself produced by that core
-//! for an identical component. The session never extrapolates a stale
-//! fixed point numerically — that would converge to the same allocation
-//! but through different roundoff, breaking the differential oracle.
+//! `(cap, flow position)`, saturation events by resource id, which the
+//! ascending renumbering keeps), and the water level is monotone — so the
+//! whole solve's event sequence restricted to one component is that
+//! component's own event sequence. The cold solves of one parallel chunk
+//! share one solver workspace, so a cold component costs its own flows and
+//! resources, not the session's. Cache hits replay a fixed point that was
+//! itself produced by that core for an identical component. The session
+//! never extrapolates a stale fixed point numerically — that would converge
+//! to the same allocation but through different roundoff, breaking the
+//! differential oracle.
 
 use std::collections::BTreeMap;
 use std::ops::AddAssign;
@@ -91,7 +96,9 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use crate::maxmin::{FlowColumns, FlowSpec, MaxMinProblem, ResourceId, SolveStats};
+use crate::maxmin::{
+    water_fill, FlowColumns, FlowSpec, MaxMinProblem, ResourceId, SolveStats, Workspace,
+};
 
 /// Handle to a flow added to a [`SolveSession`]. Never reused within a
 /// session, even after the flow is removed; handles ascend in insertion
@@ -368,22 +375,27 @@ impl FlowBatch {
     }
 
     /// [`Self::new`] for flows given as `(resources, cap, weight)`, the
-    /// fields of a [`FlowSpec`], without building one per flow.
+    /// fields of a [`FlowSpec`], without building one per flow. The columns
+    /// are sized from the iterator's length.
     pub fn from_flows<'a>(
         problem: &MaxMinProblem,
         flows: impl IntoIterator<Item = (&'a [ResourceId], Option<f64>, f64)>,
     ) -> FlowBatch {
-        let mut cols = FlowColumns::default();
-        for (path, cap, weight) in flows {
+        let flows = flows.into_iter();
+        let n = flows.size_hint().0;
+        let mut cols = FlowColumns::with_capacity(n, 0);
+        let mut prefrozen = Vec::with_capacity(n);
+        for (k, (path, cap, weight)) in flows.enumerate() {
+            if k == 0 {
+                // A batch's paths mostly share one length: a test's classes
+                // all cross the same tiers.
+                cols.path_res.reserve(n * path.len());
+            }
             cols.push(path, cap, weight);
+            let (path, cap) = (cols.path(k), cols.cap[k]);
+            problem.validate_flow(k, path, cap, weight);
+            prefrozen.push(problem.prefrozen_path(path, cap));
         }
-        let prefrozen = (0..cols.cap.len())
-            .map(|k| {
-                let (path, cap) = (cols.path(k), cols.cap[k]);
-                problem.validate_flow(k, path, cap, cols.weight[k]);
-                problem.prefrozen_path(path, cap)
-            })
-            .collect();
         FlowBatch::with_parts(cols, prefrozen)
     }
 
@@ -395,15 +407,11 @@ impl FlowBatch {
         // Union each flow with the first flow seen on each of its resources.
         let resources = cols.path_res.iter().max().map_or(0, |&r| r as usize + 1);
         let mut first_at = vec![NONE; resources];
-        let mut touched: Vec<u32> = Vec::new();
         let mut uf = UnionFind::new(n);
         for k in live() {
             for &r in cols.path(k as usize) {
                 match first_at[r as usize] {
-                    NONE => {
-                        first_at[r as usize] = k;
-                        touched.push(r);
-                    }
+                    NONE => first_at[r as usize] = k,
                     first => uf.union(first, k),
                 }
             }
@@ -426,11 +434,13 @@ impl FlowBatch {
             part.positions.push(k);
             part.hash = part.hash.push(digest_of(&cols, k as usize));
         }
-        // Visiting the resources in order leaves each footprint ascending.
-        touched.sort_unstable();
-        for r in touched {
-            let part = part_of_root[uf.find(first_at[r as usize]) as usize];
-            parts[part as usize].footprint.push(r);
+        // One ascending pass over the resource table leaves each footprint
+        // ascending.
+        for (r, &first) in first_at.iter().enumerate() {
+            if first != NONE {
+                let part = part_of_root[uf.find(first) as usize];
+                parts[part as usize].footprint.push(r as u32);
+            }
         }
         let prefrozen_count = prefrozen.iter().filter(|&&p| p).count();
         FlowBatch {
@@ -577,6 +587,81 @@ fn for_each_member(
         for &k in group_positions(group, &res.batch, &mut merged) {
             f(group[0].slot, res, k as usize);
         }
+    }
+}
+
+/// Scratch for cold component solves, one per parallel chunk: a
+/// component's rows gathered in solve order with its resources renamed to a
+/// dense local range, its capacities, the global-to-local map and the
+/// solver workspace.
+#[derive(Debug)]
+struct ColdScratch {
+    cols: FlowColumns,
+    /// The component's resources, ascending: local id `l` names `res[l]`.
+    res: Vec<u32>,
+    capacities: Vec<f64>,
+    /// Per session resource: its local id, or [`NONE`]. Only the entries of
+    /// `res` are set, and they are reset after each solve.
+    local: Vec<u32>,
+    ws: Workspace,
+}
+
+impl ColdScratch {
+    /// Scratch for a session over `resources` resources.
+    fn new(resources: usize) -> Self {
+        ColdScratch {
+            cols: FlowColumns::default(),
+            res: Vec::new(),
+            capacities: Vec::new(),
+            local: vec![NONE; resources],
+            ws: Workspace::default(),
+        }
+    }
+
+    /// Water-fill one component over its own resources. Renaming them in
+    /// ascending order keeps every saturation tie-break by resource id, and
+    /// no float operation changes, so the rates are bitwise those its flows
+    /// get in a whole-problem solve. Returns its rates in solve order.
+    fn solve(
+        &mut self,
+        problem: &MaxMinProblem,
+        comp: &Component,
+        residents: &[Option<Resident>],
+    ) -> (Vec<f64>, SolveStats) {
+        self.res.clear();
+        for s in &comp.segs {
+            for &r in &resident(residents, s.slot).batch.parts[s.part as usize].footprint {
+                if self.local[r as usize] == NONE {
+                    self.local[r as usize] = 0;
+                    self.res.push(r);
+                }
+            }
+        }
+        self.res.sort_unstable();
+        self.capacities.clear();
+        for (l, &r) in self.res.iter().enumerate() {
+            self.local[r as usize] = l as u32;
+            self.capacities
+                .push(problem.capacity(ResourceId(r as usize)));
+        }
+        self.cols.clear();
+        for_each_member(&comp.segs, residents, |_, res, k| {
+            let src = &res.batch.cols;
+            problem.validate_flow(self.cols.len(), src.path(k), src.cap[k], src.weight[k]);
+            self.cols.push_row_renamed(src, k, &self.local);
+        });
+        let mut stats = SolveStats::default();
+        let rates = water_fill(
+            &self.capacities,
+            &self.cols,
+            &mut stats,
+            false,
+            &mut self.ws,
+        );
+        for &r in &self.res {
+            self.local[r as usize] = NONE;
+        }
+        (rates, stats)
     }
 }
 
@@ -1203,17 +1288,10 @@ impl SolveSession {
                 let (problem, residents, index) = (&self.problem, &self.residents, &self.index);
                 missing
                     .par_iter()
-                    .map(|&c| {
-                        // Gather the component's rows in solve order.
-                        let mut cols = FlowColumns::default();
-                        for_each_member(&index.comp(c).segs, residents, |_, res, k| {
-                            cols.push_row(&res.batch.cols, k);
-                        });
-                        let all: Vec<u32> = (0..cols.cap.len() as u32).collect();
-                        let mut st = SolveStats::default();
-                        let rates = problem.solve_view(&cols.view(&all), &mut st, false);
-                        (rates, st)
-                    })
+                    .map_init(
+                        || ColdScratch::new(problem.resources()),
+                        |scratch, &c| scratch.solve(problem, index.comp(c), residents),
+                    )
                     .collect()
             };
             // `collect` keeps task order: the scatter and the memo inserts
@@ -1882,6 +1960,40 @@ mod tests {
             sess.add_flows(&flows);
             assert_eq!(solve_bits(&mut sess), bits(&p.solve(&flows)));
         }
+    }
+
+    #[test]
+    fn renumbering_keeps_the_saturation_tie_break_by_resource_id() {
+        // Resources 2 and 5 both saturate at 1 / (0.7 + 0.1). The one with
+        // the smaller id saturates first and freezes its flows at that
+        // level; the other saturates next, one ulp later, from the residue
+        // those freezes leave. The component's local ids must ascend with
+        // the global ones for its solve to saturate them in the same order.
+        let mut p = MaxMinProblem::new();
+        for c in [1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 2.0, 1.0] {
+            p.add_resource(c);
+        }
+        let path = |ids: &[usize]| ids.iter().map(|&r| ResourceId(r)).collect::<Vec<_>>();
+        let specs = vec![
+            FlowSpec::new(path(&[2])).with_cap(1.5).with_weight(0.7),
+            FlowSpec::new(path(&[6, 9, 7]))
+                .with_cap(0.5)
+                .with_weight(0.1),
+            FlowSpec::new(path(&[5, 1])).with_weight(0.7),
+            FlowSpec::new(path(&[5, 7, 0, 2]))
+                .with_cap(1.5)
+                .with_weight(0.1),
+        ];
+        let (whole, stats) = p.solve_with_stats(&specs);
+        assert_eq!(stats.saturation_order, vec![2, 5]);
+        assert_ne!(
+            whole[0].to_bits(),
+            whole[2].to_bits(),
+            "the tie leaves an ulp"
+        );
+        let mut sess = SolveSession::new(p);
+        sess.add_flows(&specs);
+        assert_eq!(solve_bits(&mut sess), bits(&whole));
     }
 
     #[test]

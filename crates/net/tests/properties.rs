@@ -274,3 +274,76 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The water-filling core's bitwise contract on adversarial shapes:
+    /// capacities, caps and weights come from short lists, so many flows
+    /// share a cap and many resources saturate at exactly the same level;
+    /// some capacities and caps are zero (prefrozen flows); paths repeat
+    /// resources. Fractional weights make the order of a tie's freezes show
+    /// in the last bits. Paths mostly stay inside one block of resources,
+    /// so a session splits the problem into components, and it gets the
+    /// flows in several batches. Its component-local solves must equal the
+    /// stateless solve bit for bit at thread budgets 0 and 1, and both
+    /// allocations must pass the max-min certificate. Ties whose order shows
+    /// are rare, hence the case count.
+    #[test]
+    fn component_local_solves_match_the_stateless_core_bitwise(
+        capacity_sel in prop::collection::vec(0usize..8, 2..24),
+        blocks in 1usize..5,
+        flows in prop::collection::vec(
+            // (block, path seeds, cap selector, weight selector)
+            (0usize..8, prop::collection::vec(0usize..64, 1..5), 0usize..8, 0usize..4),
+            1..80
+        ),
+        batch in 1usize..9,
+    ) {
+        const CAPACITY: [f64; 8] = [0.0, 1.0, 2.0, 2.0, 3.0, 6.0, 12.0, 7.5];
+        const CAP: [Option<f64>; 8] =
+            [None, None, None, Some(0.5), Some(0.5), Some(1.0), Some(1.5), Some(0.0)];
+        const WEIGHT: [f64; 4] = [1.0, 2.0, 0.1, 0.7];
+        let mut p = MaxMinProblem::new();
+        let rs: Vec<_> = capacity_sel.iter().map(|&c| p.add_resource(CAPACITY[c])).collect();
+        let per_block = rs.len().div_ceil(blocks);
+        let specs: Vec<FlowSpec> = flows
+            .iter()
+            .map(|(block, seeds, cap, weight)| {
+                let lo = block % blocks * per_block;
+                let path = seeds
+                    .iter()
+                    .map(|&s| {
+                        if s >= 60 {
+                            // A path entry outside the block couples blocks.
+                            rs[s % rs.len()]
+                        } else {
+                            rs[(lo + s % per_block).min(rs.len() - 1)]
+                        }
+                    })
+                    .collect();
+                let f = FlowSpec::new(path).with_weight(WEIGHT[*weight]);
+                match CAP[*cap] {
+                    Some(c) => f.with_cap(c),
+                    None => f,
+                }
+            })
+            .collect();
+        let whole = p.solve(&specs);
+        prop_assert!(p.verify(&specs, &whole).is_ok(), "{:?}", p.verify(&specs, &whole));
+        let whole: Vec<u64> = whole.iter().map(|r| r.to_bits()).collect();
+        for budget in [0, 1] {
+            rayon::set_spare_thread_budget(budget);
+            let mut sess = SolveSession::new(p.clone());
+            for chunk in specs.chunks(batch) {
+                sess.add_flows(chunk);
+            }
+            sess.solve();
+            let parts = sess.rates();
+            prop_assert!(p.verify(&specs, &parts).is_ok(), "{:?}", p.verify(&specs, &parts));
+            let parts: Vec<u64> = parts.iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(&parts, &whole);
+        }
+        rayon::set_spare_thread_budget(0);
+    }
+}

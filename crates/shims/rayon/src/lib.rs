@@ -3,7 +3,8 @@
 //! The build environment has no access to crates.io, so this crate provides
 //! the subset of the rayon API the workspace uses: `par_iter()` and
 //! `par_iter_mut()` over slices and `Vec`s with `map` / `collect` / `reduce` /
-//! `sum`. It is the one place in the workspace that creates threads.
+//! `sum`, and `par_iter().map_init(..).collect()`. It is the one place in the
+//! workspace that creates threads.
 //!
 //! **Pool.** Parallelism is real but there is no work stealing. A call cuts
 //! its input into contiguous chunks, runs the first chunk on the calling
@@ -32,7 +33,8 @@
 //! is inputs `[i·c, min((i+1)·c, n))` with `c = ceil(n / k)`, whichever
 //! thread runs it. `collect` preserves input order, and `reduce` and `sum`
 //! fold the mapped values left to right, so results are identical at every
-//! budget.
+//! budget. `map_init` runs its `init` once per chunk (once for a sequential
+//! call) and maps the chunk's inputs in order with that state.
 //!
 //! **Panics.** A panic in any chunk is caught where it happens. The call
 //! waits for its other chunks, returns its spare threads to the budget and
@@ -123,6 +125,30 @@ where
         return items.iter().map(f).collect();
     };
     map_chunks(items.len(), len, items.chunks(len), f)
+}
+
+/// Parallel ordered map with per-chunk state: each chunk calls `init` once
+/// and maps its inputs in order, `out[i] = f(&mut state, &items[i])`.
+fn parallel_map_init<'a, T, S, R, I, F>(items: &'a [T], init: &I, f: &F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &'a T) -> R + Sync,
+{
+    let run = |chunk: &'a [T]| {
+        let mut state = init();
+        chunk.iter().map(|x| f(&mut state, x)).collect::<Vec<R>>()
+    };
+    let Some((_grant, len)) = plan(items.len()) else {
+        return run(items);
+    };
+    // One task per chunk, each mapping its whole run of inputs.
+    let chunks: Vec<&'a [T]> = items.chunks(len).collect();
+    map_chunks(chunks.len(), 1, chunks.chunks(1), &|c: &&'a [T]| run(c))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Parallel ordered map over mutable references: `out[i] = f(&mut items[i])`.
@@ -515,6 +541,44 @@ impl<'a, T: Sync> ParIter<'a, T> {
             f,
         }
     }
+
+    /// Apply `f` to every element in parallel with per-chunk state: `init`
+    /// makes one state per chunk, and `f` gets it mutably for each of the
+    /// chunk's elements in order (scratch buffers reused across elements).
+    pub fn map_init<S, R, I, F>(self, init: I, f: F) -> ParMapInit<'a, T, I, F>
+    where
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, &'a T) -> R + Sync,
+    {
+        ParMapInit {
+            items: self.items,
+            init,
+            f,
+        }
+    }
+}
+
+/// The result of [`ParIter::map_init`]: a mapped parallel pipeline with
+/// per-chunk state.
+#[derive(Debug)]
+pub struct ParMapInit<'a, T, I, F> {
+    items: &'a [T],
+    init: I,
+    f: F,
+}
+
+impl<'a, T, S, R, I, F> ParMapInit<'a, T, I, F>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &'a T) -> R + Sync,
+{
+    /// Collect mapped values in input order.
+    pub fn collect<C: FromParallelIterator<R>>(self) -> C {
+        C::from_par_vec(parallel_map_init(self.items, &self.init, &self.f))
+    }
 }
 
 /// The result of [`ParIter::map`]: a mapped parallel pipeline.
@@ -631,6 +695,42 @@ mod tests {
         let xs: Vec<u64> = (0..10_000).collect();
         let ys: Vec<u64> = xs.par_iter().map(|&x| x * 2).collect();
         assert_eq!(ys, (0..10_000).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_init_runs_init_once_per_chunk_and_keeps_order() {
+        let _serial = serial();
+        let xs: Vec<u64> = (0..100).collect();
+        for budget in [0usize, 1, 3, 7] {
+            set_spare_thread_budget(budget);
+            let inits = AtomicUsize::new(0);
+            // Each element records its chunk's state and how many elements
+            // that state had seen before it.
+            let ys: Vec<(usize, u64, u64)> = xs
+                .par_iter()
+                .map_init(
+                    || (inits.fetch_add(1, Ordering::SeqCst), 0u64),
+                    |(chunk, seen), &x| {
+                        *seen += 1;
+                        (*chunk, *seen, x)
+                    },
+                )
+                .collect();
+            // `plan`: one thread per granted helper plus the caller, and
+            // chunks of ceil(n / threads) inputs.
+            let chunk_len = xs.len().div_ceil(budget.min(xs.len() - 1) + 1);
+            let chunks = xs.len().div_ceil(chunk_len);
+            assert_eq!(inits.load(Ordering::SeqCst), chunks, "budget {budget}");
+            assert_eq!(
+                ys.iter().map(|&(_, _, x)| x).collect::<Vec<_>>(),
+                xs,
+                "budget {budget}"
+            );
+            for (i, &(_, seen, _)) in ys.iter().enumerate() {
+                assert_eq!(seen, (i % chunk_len) as u64 + 1, "budget {budget}");
+            }
+        }
+        set_spare_thread_budget(0);
     }
 
     #[test]
