@@ -10,7 +10,9 @@
 //!    Every budget must reproduce budget 0's report.
 //! 2. **Federation storm** (E8d): cross-namespace metadata traffic with the
 //!    1 ms cross-namespace RPC hop as the lookahead — thousands of epoch
-//!    barriers and real cross-shard message flow. Every budget must match
+//!    barriers of ~76 events and real cross-shard message flow. Each window
+//!    after the first is under the engine's grain (`pdes::GRAIN`), so it
+//!    runs on the calling thread at every budget. Every budget must match
 //!    `ShardedEngine::run_sequential`, the PDES layer's oracle, which is
 //!    also timed.
 //!
@@ -146,7 +148,7 @@ fn main() {
 
     let last = budgets.len() - 1;
     let fields = format!(
-        r#"  "note": "timed at spare-thread budgets 0, 1 and cores - 1 (deduplicated); a budget above cores - 1 would only time-share cores. Helper threads come from the rayon shim's persistent pool, so an epoch barrier costs a handoff to a running helper, not a thread spawn. Bit-identity across budgets (and, for the federation storm, against the sequential oracle) is asserted by this bench and by crates/simkit/tests/pdes_threads.rs",
+        r#"  "note": "timed at spare-thread budgets 0, 1 and cores - 1 (deduplicated); a budget above cores - 1 would only time-share cores. Helper threads come from the rayon shim's persistent pool, so a parallel window costs a handoff to a running helper, not a thread spawn; a window after one of fewer than spider_simkit::pdes::GRAIN events runs on the calling thread, as every federation window after the first does. Bit-identity across budgets (and, for the federation storm, against the sequential oracle) is asserted by this bench and by crates/simkit/tests/pdes_threads.rs",
   "shape": {{"interference_osts": {n_osts}, "interference_clients": {clients}, "trace_secs": {secs}, "federation_namespaces": {fed_ns}, "federation_ops_per_ns": {fed_ops}, "federation_remote_share": 0.2}},
   "spare_thread_budgets": {budgets:?},
   "interference": {{

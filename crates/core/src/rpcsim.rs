@@ -8,8 +8,22 @@
 //! run as one shard of the sharded PDES engine; a trace (e.g. analytics
 //! alone, or analytics + checkpoint) is replayed through the queues and
 //! per-class latency is recorded.
+//!
+//! A replay costs its own requests. Each OST shard owns its arrival list
+//! and streams it through the engine one arrival at a time, so a shard's
+//! heap never holds more than two events. Each shard emits its completions
+//! as one run per class, already in canonical `(done, index)` order, and
+//! the report merges each class's runs and folds the two classes at once.
+//! Unit tests check the replay
+//! against the per-OST Lindley recursion in closed form (including
+//! same-nanosecond ties and the horizon cut) and one OST against the M/G/1
+//! mean sojourn of Pollaczek–Khinchine.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
+
+use rayon::prelude::*;
 
 use spider_pfs::ost::Ost;
 use spider_simkit::{
@@ -72,11 +86,17 @@ pub struct InterferenceReport {
     pub truncated: u64,
 }
 
-/// One completion: (done time, trace index, latency seconds). Collected
-/// raw and sorted canonically afterwards so per-class accumulation order —
-/// and therefore every Welford intermediate — is a pure function of the
-/// trace, identical however the shards were scheduled.
+/// One completion: (done time, trace index, latency seconds). A shard emits
+/// its completions per class in `(done, index)` order, and the report merges
+/// those runs, so per-class accumulation order — and therefore every
+/// Welford intermediate — is a pure function of the trace, identical
+/// however the shards were scheduled.
 type Record = (SimTime, u32, f64);
+
+/// Index of a request's class in the per-class arrays: 0 reads, 1 writes.
+fn class_of(req: &IoRequest) -> usize {
+    usize::from(!req.is_read)
+}
 
 fn service_time(req: &IoRequest, ost: &Ost) -> SimDuration {
     let bw = if req.is_read {
@@ -87,60 +107,96 @@ fn service_time(req: &IoRequest, ost: &Ost) -> SimDuration {
     bw.time_for(req.size)
 }
 
-/// Sort the shards' completions into canonical `(done, index)` order and
-/// fold them into per-class stats; each shard's leftover holds the trace
-/// indices still queued or in service at the horizon.
+/// Visit the records of sorted `runs` in merged `(done, index)` order. Keys
+/// are unique (one record per trace index), so the order does not depend on
+/// how the runs are listed.
+fn merge_runs<'r>(runs: impl IntoIterator<Item = &'r [Record]>, mut visit: impl FnMut(&Record)) {
+    let mut heads: Vec<std::slice::Iter<'r, Record>> = runs.into_iter().map(<[_]>::iter).collect();
+    let mut heap: BinaryHeap<Reverse<(SimTime, u32, usize)>> = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(i, run)| run.as_slice().first().map(|r| Reverse((r.0, r.1, i))))
+        .collect();
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse((_, _, i)) = *top;
+        let rec = heads[i].next().expect("a run in the heap has a head");
+        visit(rec);
+        match heads[i].as_slice().first() {
+            Some(r) => *top = Reverse((r.0, r.1, i)),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+    }
+}
+
+/// Fold one class's runs, merged into canonical `(done, index)` order.
+fn fold_class(trace: &[IoRequest], runs: &[Vec<Record>]) -> ClassStats {
+    let mut class = ClassStats::new();
+    class.samples = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    merge_runs(runs.iter().map(Vec::as_slice), |&(_, idx, lat)| {
+        class.completed += 1;
+        class.bytes += trace[idx as usize].size;
+        class.latency.push(lat);
+        class.samples.push(lat);
+    });
+    class
+}
+
+/// Merge the shards' per-class completion runs and fold each class; the
+/// two classes fold at once. Each shard's truncated counts are the requests
+/// still queued or in service at the horizon.
 fn build_report(
     trace: &[IoRequest],
     n_osts: usize,
     horizon: SimDuration,
-    outs: Vec<(Vec<Record>, Vec<u32>)>,
+    outs: Vec<OstOut>,
 ) -> InterferenceReport {
-    let mut records: Vec<Record> = Vec::new();
-    let mut leftover: Vec<u32> = Vec::new();
-    for (recs, left) in outs {
-        records.extend(recs);
-        leftover.extend(left);
+    let mut runs: [Vec<Vec<Record>>; 2] = [
+        Vec::with_capacity(outs.len()),
+        Vec::with_capacity(outs.len()),
+    ];
+    let mut truncated = [0u64; 2];
+    for out in outs {
+        for (c, run) in out.runs.into_iter().enumerate() {
+            debug_assert!(
+                run.is_sorted_by_key(|&(done, idx, _)| (done, idx)),
+                "an OST shard's completions left (done, index) order"
+            );
+            runs[c].push(run);
+            truncated[c] += out.truncated[c];
+        }
     }
     // Conservation: every request that arrived by the (inclusive) horizon
     // either completed or is still queued or in service.
     let end = SimTime::ZERO + horizon;
+    let completed: usize = runs.iter().flatten().map(Vec::len).sum();
     debug_assert_eq!(
-        records.len() + leftover.len(),
-        trace.iter().filter(|r| r.at <= end).count(),
+        completed as u64 + truncated[0] + truncated[1],
+        trace.iter().filter(|r| r.at <= end).count() as u64,
         "rpcsim lost or duplicated requests"
     );
-    records.sort_unstable_by_key(|&(done, idx, _)| (done, idx));
     // Live telemetry replays the canonical completion stream: the poller
     // ticks to each completion time and sees per-OST latency samples in
     // `(done, index)` order, which does not depend on the thread count —
     // alarm logs are therefore byte-stable across thread budgets.
     if spider_obs::live_enabled() {
-        for &(done, idx, lat) in &records {
-            spider_obs::live_tick(done.as_nanos());
-            let ost = (trace[idx as usize].client as usize) % n_osts.max(1);
-            spider_obs::live_sample("rpcsim_latency_ms", &format!("ost{ost:03}"), lat * 1e3);
-        }
+        merge_runs(
+            runs.iter().flatten().map(Vec::as_slice),
+            |&(done, idx, lat)| {
+                spider_obs::live_tick(done.as_nanos());
+                let ost = (trace[idx as usize].client as usize) % n_osts.max(1);
+                spider_obs::live_sample("rpcsim_latency_ms", &format!("ost{ost:03}"), lat * 1e3);
+            },
+        );
     }
-    let mut reads = ClassStats::new();
-    let mut writes = ClassStats::new();
-    for &(_, idx, lat) in &records {
-        let req = &trace[idx as usize];
-        let class = if req.is_read { &mut reads } else { &mut writes };
-        class.completed += 1;
-        class.bytes += req.size;
-        class.latency.push(lat);
-        class.samples.push(lat);
-    }
-    for &idx in &leftover {
-        let class = if trace[idx as usize].is_read {
-            &mut reads
-        } else {
-            &mut writes
-        };
-        class.truncated += 1;
-    }
-    let issued = records.len() as u64 + leftover.len() as u64;
+    // spider-lint: allow(taint-path, reason = "the ordered collect puts class c's stats at index c, and each class folds its own runs on one thread in merged (done, index) order, so scheduling order never reaches the report")
+    let mut classes: Vec<ClassStats> = runs.par_iter().map(|r| fold_class(trace, r)).collect();
+    let mut writes = classes.pop().expect("two classes");
+    let mut reads = classes.pop().expect("two classes");
+    reads.truncated = truncated[0];
+    writes.truncated = truncated[1];
+    let issued = completed as u64 + truncated[0] + truncated[1];
     InterferenceReport {
         unfinished: issued - reads.completed - writes.completed,
         truncated: reads.truncated + writes.truncated,
@@ -149,21 +205,43 @@ fn build_report(
     }
 }
 
+/// What one OST shard hands back, per class (reads, writes): its
+/// completions in `(done, index)` order, and how many of its requests were
+/// still queued or in service at the horizon.
+struct OstOut {
+    runs: [Vec<Record>; 2],
+    truncated: [u64; 2],
+}
+
 /// One OST as a PDES shard: the client→OST mapping is static, so arrivals
 /// pre-partition cleanly and the per-OST FIFO dynamics are fully local —
 /// no cross-shard events at all, which makes the legal lookahead the whole
 /// horizon (a single epoch window per run).
+///
+/// The shard streams its own arrivals: the engine holds only the next one,
+/// and each `Arrival` schedules the following, so the shard's heap holds at
+/// most two events (that arrival and the completion in service). A FIFO
+/// server starts request `i` at `max(arrival_i, done_{i-1})`, so whether an
+/// arrival or a completion at the same nanosecond fires first changes no
+/// start, completion or latency. Completions come out in `done` order, and
+/// two at the same nanosecond (a zero service time) in arrival order, which
+/// is index order for a time-sorted trace.
 struct OstShard<'a> {
     ost: &'a Ost,
     trace: &'a [IoRequest],
+    /// This OST's trace indices in `(at, index)` order.
+    arrivals: Vec<u32>,
+    /// Position in `arrivals` of the arrival the engine holds.
+    next: usize,
     queue: VecDeque<u32>,
     in_service: Option<u32>,
-    records: Vec<Record>,
+    runs: [Vec<Record>; 2],
 }
 
 #[derive(Debug, Clone, Copy)]
 enum OstEv {
-    Arrival(u32),
+    /// `arrivals[next]` arrives.
+    Arrival,
     Complete,
 }
 
@@ -177,18 +255,28 @@ impl OstShard<'_> {
 
 impl Shard for OstShard<'_> {
     type Event = OstEv;
-    type Out = (Vec<Record>, Vec<u32>);
+    type Out = OstOut;
 
     fn handle(&mut self, ctx: &mut ShardCtx<'_, '_, OstEv>, ev: OstEv) {
         match ev {
-            // The queue is empty whenever the server is idle.
-            OstEv::Arrival(idx) if self.in_service.is_none() => self.start(ctx, idx),
-            OstEv::Arrival(idx) => self.queue.push_back(idx),
+            OstEv::Arrival => {
+                let idx = self.arrivals[self.next];
+                self.next += 1;
+                if let Some(&following) = self.arrivals.get(self.next) {
+                    ctx.schedule(self.trace[following as usize].at, OstEv::Arrival);
+                }
+                // The queue is empty whenever the server is idle.
+                if self.in_service.is_none() {
+                    self.start(ctx, idx);
+                } else {
+                    self.queue.push_back(idx);
+                }
+            }
             OstEv::Complete => {
                 let done_idx = self.in_service.take().expect("completion without service");
                 let req = &self.trace[done_idx as usize];
                 let lat = ctx.now().since(req.at).as_secs_f64();
-                self.records.push((ctx.now(), done_idx, lat));
+                self.runs[class_of(req)].push((ctx.now(), done_idx, lat));
                 if let Some(next) = self.queue.pop_front() {
                     self.start(ctx, next);
                 }
@@ -196,15 +284,21 @@ impl Shard for OstShard<'_> {
         }
     }
 
-    fn finish(self) -> (Vec<Record>, Vec<u32>) {
-        let leftover = self.in_service.into_iter().chain(self.queue).collect();
-        (self.records, leftover)
+    fn finish(self) -> OstOut {
+        let mut truncated = [0u64; 2];
+        for idx in self.in_service.into_iter().chain(self.queue) {
+            truncated[class_of(&self.trace[idx as usize])] += 1;
+        }
+        OstOut {
+            runs: self.runs,
+            truncated,
+        }
     }
 }
 
-/// One shard per OST with every trace arrival pre-loaded onto its OST
-/// (client id modulo the OST count: file-per-process striping), and the
-/// whole horizon as the lookahead.
+/// One shard per OST (client id modulo the OST count: file-per-process
+/// striping), each holding its own arrival list and with only its first
+/// arrival pre-loaded, and the whole horizon as the lookahead.
 fn interference_engine<'a>(
     osts: &'a [Ost],
     trace: &'a [IoRequest],
@@ -213,30 +307,51 @@ fn interference_engine<'a>(
     assert!(!osts.is_empty());
     let lookahead = SimDuration::from_nanos(horizon.as_nanos().max(1));
     let cfg = PdesConfig::new(lookahead, SimTime::ZERO + horizon, 0);
-    let shards = osts
-        .iter()
-        .map(|ost| OstShard {
-            ost,
-            trace,
-            queue: VecDeque::new(),
-            in_service: None,
-            records: Vec::new(),
-        })
-        .collect();
-    let mut engine = ShardedEngine::new(cfg, shards);
+    let mut arrivals: Vec<Vec<u32>> = vec![Vec::new(); osts.len()];
+    let mut per_class = vec![[0usize; 2]; osts.len()];
     for (i, r) in trace.iter().enumerate() {
         let o = (r.client as usize) % osts.len();
-        engine.schedule(o, r.at, OstEv::Arrival(i as u32));
+        arrivals[o].push(i as u32);
+        per_class[o][class_of(r)] += 1;
+    }
+    let shards: Vec<OstShard<'a>> = osts
+        .iter()
+        .zip(arrivals)
+        .zip(per_class)
+        .map(|((ost, mut arrivals), [reads, writes])| {
+            // Stable: ties keep index order. Linear on a time-sorted trace.
+            arrivals.sort_by_key(|&i| trace[i as usize].at);
+            OstShard {
+                ost,
+                trace,
+                arrivals,
+                next: 0,
+                queue: VecDeque::new(),
+                in_service: None,
+                runs: [Vec::with_capacity(reads), Vec::with_capacity(writes)],
+            }
+        })
+        .collect();
+    let firsts: Vec<Option<SimTime>> = shards
+        .iter()
+        .map(|s| s.arrivals.first().map(|&i| trace[i as usize].at))
+        .collect();
+    let mut engine = ShardedEngine::new(cfg, shards);
+    for (o, at) in firsts.into_iter().enumerate() {
+        if let Some(at) = at {
+            engine.schedule(o, at, OstEv::Arrival);
+        }
     }
     engine
 }
 
 /// Replay `trace` against `osts` until `horizon`, one shard per OST on the
-/// sharded PDES engine, epochs running across worker threads. The trace
-/// must be time-sorted. Completions are folded through one canonical
-/// `(done, index)` sort, so the report is bit-identical across thread
-/// budgets and to [`ShardedEngine::run_sequential`] on the same shards.
-/// Also returns the engine's run statistics.
+/// sharded PDES engine, epochs running across worker threads. Each OST
+/// replays its requests in `(at, index)` order. Completions are folded per
+/// class in canonical `(done, index)` order, merged from the shards' runs,
+/// so the report is bit-identical across thread budgets and to
+/// [`ShardedEngine::run_sequential`] on the same shards. Also returns the
+/// engine's run statistics.
 pub fn run_interference_sharded(
     osts: &[Ost],
     trace: &[IoRequest],
@@ -319,7 +434,7 @@ pub fn run_create_storm(mds: &spider_pfs::mds::MdsCluster, clients: u32) -> Crea
 mod tests {
     use super::*;
     use spider_pfs::ost::OstId;
-    use spider_simkit::SimRng;
+    use spider_simkit::{OnlineStats, SimRng};
     use spider_storage::disk::{Disk, DiskId, DiskSpec};
     use spider_storage::raid::{RaidConfig, RaidGroup, RaidGroupId};
     use spider_workload::generator::{generate_trace, merge_traces};
@@ -489,6 +604,197 @@ mod tests {
         }
         assert_eq!(seq.unfinished, shd.unfinished);
         assert_eq!(seq.truncated, shd.truncated);
+    }
+
+    /// The replay in closed form: each OST serves its requests in
+    /// `(at, index)` order by the Lindley recursion in integer nanoseconds,
+    /// `done = max(at, prev_done) + service_time`. A request completes if
+    /// `done` is at or before the horizon and is truncated if it arrived by
+    /// the horizon but finishes after it. Completions fold per class in
+    /// `(done, index)` order.
+    fn lindley_report(
+        osts: &[Ost],
+        trace: &[IoRequest],
+        horizon: SimDuration,
+    ) -> InterferenceReport {
+        let end = SimTime::ZERO + horizon;
+        let mut order: Vec<usize> = (0..trace.len()).collect();
+        order.sort_by_key(|&i| (trace[i].at, i));
+        let mut prev_done = vec![SimTime::ZERO; osts.len()];
+        let mut records = Vec::new();
+        let (mut reads, mut writes) = (ClassStats::new(), ClassStats::new());
+        for i in order {
+            let req = &trace[i];
+            if req.at > end {
+                continue;
+            }
+            let o = req.client as usize % osts.len();
+            let done = req.at.max(prev_done[o]) + service_time(req, &osts[o]);
+            prev_done[o] = done;
+            if done <= end {
+                records.push((done, i, done.since(req.at).as_secs_f64()));
+            } else if req.is_read {
+                reads.truncated += 1;
+            } else {
+                writes.truncated += 1;
+            }
+        }
+        records.sort_by_key(|&(done, i, _)| (done, i));
+        for (_, i, lat) in records {
+            let class = if trace[i].is_read {
+                &mut reads
+            } else {
+                &mut writes
+            };
+            class.completed += 1;
+            class.bytes += trace[i].size;
+            class.latency.push(lat);
+            class.samples.push(lat);
+        }
+        let truncated = reads.truncated + writes.truncated;
+        InterferenceReport {
+            unfinished: truncated,
+            truncated,
+            reads,
+            writes,
+        }
+    }
+
+    /// Every field of a report, floats by their bits.
+    fn report_bits(rep: &InterferenceReport) -> Vec<u64> {
+        let mut bits = vec![rep.unfinished, rep.truncated];
+        for c in [&rep.reads, &rep.writes] {
+            bits.extend([c.completed, c.bytes, c.truncated, c.latency.count()]);
+            let l = &c.latency;
+            bits.extend([l.mean(), l.variance(), l.min(), l.max()].map(f64::to_bits));
+            bits.extend(c.samples.iter().map(|x| x.to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn replay_matches_the_lindley_recursion_bitwise() {
+        // The mixed trace, cut mid-trace so requests are in flight.
+        let osts4 = osts(4);
+        let trace = merge_traces(vec![analytics_trace(8, 1), checkpoint_trace(8, 2, 1_000)]);
+        let horizon = SimDuration::from_secs(150);
+        let rep = run_interference_sharded(&osts4, &trace, horizon).0;
+        assert!(rep.truncated > 0 && rep.reads.completed > 0 && rep.writes.completed > 0);
+        assert_eq!(
+            report_bits(&rep),
+            report_bits(&lindley_report(&osts4, &trace, horizon))
+        );
+
+        // A hand-built trace on two OSTs whose arrivals land on the same
+        // nanosecond as a completion and as each other, with a completion
+        // and an arrival at exactly the horizon. On OST 0, c and d arrive
+        // together at b's completion, and the engine fires c's arrival
+        // first (it was scheduled when b arrived). On OST 1, g arrives at
+        // e's completion, which fires first (g's arrival is scheduled only
+        // when f arrives, mid-service).
+        let osts2 = osts(2);
+        let req = |at: SimTime, client: u32, size: u64, is_read: bool| IoRequest {
+            at,
+            size,
+            is_read,
+            random: false,
+            client,
+        };
+        let svc = |r: &IoRequest| service_time(r, &osts2[r.client as usize % 2]);
+        let t0 = SimTime::from_secs(1);
+        let a = req(t0, 0, 1 << 20, true);
+        let b = req(t0, 2, 4 << 20, false);
+        let b_done = t0 + svc(&a) + svc(&b);
+        let c = req(b_done, 0, 1 << 20, false);
+        let d = req(b_done, 2, 64 << 10, true);
+        let e = req(t0, 1, 64 << 10, true);
+        let f = req(t0 + SimDuration::from_nanos(1), 3, 1 << 20, true);
+        let g = req(t0 + svc(&e), 1, 1 << 20, true);
+        let horizon = b_done.since(SimTime::ZERO) + svc(&c);
+        let h = req(SimTime::ZERO + horizon, 3, 1 << 20, false);
+        let trace = vec![a, b, e, f, g, c, d, h];
+        let rep = run_interference_sharded(&osts2, &trace, horizon).0;
+        // c finishes at the horizon with d queued behind it, and h arrives
+        // at it; everything else completes.
+        assert_eq!(rep.reads.completed + rep.writes.completed, 6);
+        assert_eq!(rep.truncated, 2);
+        assert_eq!(
+            report_bits(&rep),
+            report_bits(&lindley_report(&osts2, &trace, horizon))
+        );
+    }
+
+    #[test]
+    fn ost_shard_matches_the_mg1_mean_sojourn() {
+        // One OST fed a seeded Poisson trace of 1 MiB and 8 MiB reads
+        // (3:1), at loads 0.3, 0.6 and 0.9. Pollaczek–Khinchine gives the
+        // mean sojourn E[S] + λE[S²]/(2(1 − ρ)). The run is sized from the
+        // queue's heavy-traffic relaxation time τ = 2(1 + c_s²)E[S]/(1 − ρ)²
+        // (Abate & Whitt; for M/M/1 it tends to the exact
+        // 1/(μ(1 − √ρ)²) as ρ → 1), λτ requests: batches of 50 λτ requests
+        // and at least 1,000, one batch of warm-up from the empty start, 20
+        // batches, and a 99% Student-t interval on the batch means.
+        const BATCHES: usize = 20;
+        const T_19_995: f64 = 2.861;
+        let ost = osts(1);
+        let sizes = [(1u64 << 20, 0.75), (8u64 << 20, 0.25)];
+        let service = |size: u64| {
+            service_time(
+                &IoRequest {
+                    at: SimTime::ZERO,
+                    size,
+                    is_read: true,
+                    random: false,
+                    client: 0,
+                },
+                &ost[0],
+            )
+            .as_secs_f64()
+        };
+        let es: f64 = sizes.iter().map(|&(z, p)| p * service(z)).sum();
+        let es2: f64 = sizes.iter().map(|&(z, p)| p * service(z).powi(2)).sum();
+        let cs2 = es2 / (es * es) - 1.0;
+        for (k, rho) in [0.3f64, 0.6, 0.9].into_iter().enumerate() {
+            let lambda = rho / es;
+            let n_tau = (2.0 * rho * (1.0 + cs2) / (1.0 - rho).powi(2)).ceil() as usize;
+            let batch = (50 * n_tau).max(1_000);
+            let n = batch * (BATCHES + 1);
+            let mut rng = SimRng::seed_from_u64(0x4D_4731 + k as u64);
+            let mut t = 0.0f64;
+            let trace: Vec<IoRequest> = (0..n)
+                .map(|_| {
+                    t += rng.exp(1.0 / lambda);
+                    let size = if rng.chance(sizes[0].1) {
+                        sizes[0].0
+                    } else {
+                        sizes[1].0
+                    };
+                    IoRequest {
+                        at: SimTime::from_secs_f64(t),
+                        size,
+                        is_read: true,
+                        random: false,
+                        client: 0,
+                    }
+                })
+                .collect();
+            let horizon = SimDuration::from_secs_f64(t + 1e4 * es);
+            let rep = run_interference_sharded(&ost, &trace, horizon).0;
+            // One FIFO server: samples are in arrival order.
+            assert_eq!(rep.reads.samples.len(), n);
+            let means: Vec<f64> = rep.reads.samples[batch..]
+                .chunks(batch)
+                .map(|b| b.iter().sum::<f64>() / b.len() as f64)
+                .collect();
+            let stats = OnlineStats::from_iter(means.iter().copied());
+            let half = T_19_995 * (stats.variance() / BATCHES as f64).sqrt();
+            let pk = es + lambda * es2 / (2.0 * (1.0 - rho));
+            assert!(
+                (stats.mean() - pk).abs() <= half,
+                "rho {rho}: batch-means mean {:.6} s ± {half:.6}, M/G/1 {pk:.6} s",
+                stats.mean()
+            );
+        }
     }
 
     #[test]

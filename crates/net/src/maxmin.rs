@@ -97,12 +97,10 @@ impl FlowSpec {
         self
     }
 
-    /// Set the class multiplicity (must be positive and finite).
+    /// Set the class multiplicity (finite and above the solver's `EPS`,
+    /// 1e-9).
     pub fn with_weight(mut self, weight: f64) -> Self {
-        assert!(
-            weight > 0.0 && weight.is_finite(),
-            "flow weight must be positive and finite, got {weight}"
-        );
+        check_weight(weight, format_args!("flow"));
         self.weight = weight;
         self
     }
@@ -140,6 +138,19 @@ pub struct MaxMinProblem {
 }
 
 const EPS: f64 = 1e-9;
+
+/// The weight check of every entry point that takes one
+/// ([`FlowSpec::with_weight`], [`MaxMinProblem::validate_flow`] and
+/// [`crate::session::SolveSession::update_weight`]): a weight must be
+/// finite and above `EPS`. Water-filling skips a resource whose active
+/// weight is at most `EPS`, so a flow of such a weight would never be
+/// bottlenecked and would end unfrozen at rate 0.
+pub(crate) fn check_weight(weight: f64, flow: std::fmt::Arguments<'_>) {
+    assert!(
+        weight > EPS && weight.is_finite(),
+        "{flow} weight must be positive, finite and above {EPS:e}, got {weight}"
+    );
+}
 
 /// Counters describing one event-driven [`MaxMinProblem::solve`] run.
 ///
@@ -374,10 +385,7 @@ impl MaxMinProblem {
             !path.is_empty() || cap.is_finite(),
             "flow {k} has no resources and no cap: unbounded"
         );
-        assert!(
-            weight > 0.0 && weight.is_finite(),
-            "flow {k} has non-positive weight {weight}"
-        );
+        check_weight(weight, format_args!("flow {k}"));
         for &r in path {
             assert!(
                 (r as usize) < self.capacities.len(),
@@ -1101,6 +1109,23 @@ mod tests {
         let mut p = MaxMinProblem::new();
         let r = p.add_resource(1.0);
         let _ = p.solve(&[FlowSpec::new(vec![r]).with_weight(0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be positive, finite and above 1e-9")]
+    fn sub_eps_weight_panics_in_with_weight() {
+        let _ = FlowSpec::new(vec![ResourceId(0)]).with_weight(1e-10);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 1 weight must be positive, finite and above 1e-9")]
+    fn sub_eps_weight_panics_in_validate_flow() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(1.0);
+        // The field is public, so a spec can skip `with_weight`.
+        let mut tiny = FlowSpec::new(vec![r]);
+        tiny.weight = 1e-10;
+        let _ = p.solve(&[FlowSpec::new(vec![r]), tiny]);
     }
 
     #[test]

@@ -97,7 +97,8 @@ use std::sync::Arc;
 use rayon::prelude::*;
 
 use crate::maxmin::{
-    water_fill, FlowColumns, FlowSpec, MaxMinProblem, ResourceId, SolveStats, Workspace,
+    check_weight, water_fill, FlowColumns, FlowSpec, MaxMinProblem, ResourceId, SolveStats,
+    Workspace,
 };
 
 /// Handle to a flow added to a [`SolveSession`]. Never reused within a
@@ -1125,15 +1126,12 @@ impl SolveSession {
     }
 
     /// Change the class weight of an active flow. Panics if `id` is not
-    /// active or the weight is not positive and finite.
+    /// active or the weight is not finite and above the solver's `EPS`.
     pub fn update_weight(&mut self, id: FlowId, weight: f64) {
         let (slot, k) = self
             .locate(id)
             .unwrap_or_else(|| panic!("flow {id:?} is not active"));
-        assert!(
-            weight > 0.0 && weight.is_finite(),
-            "flow {id:?} given non-positive weight {weight}"
-        );
+        check_weight(weight, format_args!("flow {id:?}"));
         let res = self.residents[slot as usize]
             .as_mut()
             .expect("live resident");
@@ -2005,6 +2003,16 @@ mod tests {
         let id = sess.add_flow(&FlowSpec::new(vec![r]));
         sess.remove_flow(id);
         sess.remove_flow(id);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be positive, finite and above 1e-9")]
+    fn sub_eps_weight_rejected_by_update_weight() {
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(1.0);
+        let mut sess = SolveSession::new(p);
+        let id = sess.add_flow(&FlowSpec::new(vec![r]));
+        sess.update_weight(id, 1e-10);
     }
 
     #[test]

@@ -32,6 +32,14 @@
 //!   `tests/pdes_threads.rs`, the same differential harness as
 //!   `tests/montecarlo_threads.rs`).
 //!
+//! - **Sub-grain windows on the caller.** A window runs its shards through
+//!   the rayon shim only when the window before it delivered at least
+//!   [`GRAIN`] events (the first window always does); otherwise the calling
+//!   thread runs them in shard order. Window bounds, the flush order and
+//!   the reductions are the same on both paths, so the choice cannot change
+//!   a result. The cutoff lives here rather than in the shim because only
+//!   the engine sees the events behind its 16 or 32 inputs.
+//!
 //! [`ShardedEngine::run_sequential`] executes the identical shard set in a
 //! single global `(time, shard)` order with immediate message delivery —
 //! the differential oracle for the epoch-parallel path. Per-shard handler
@@ -48,6 +56,24 @@ use crate::mem::{slab_bytes, MemFootprint};
 use crate::montecarlo::{tree_merge, Merge};
 use crate::rng::SimRng;
 use crate::{SimDuration, SimTime};
+
+/// Events a window must deliver for the next window to run its shards in
+/// parallel; a window after a smaller one runs them on the calling thread,
+/// where handing shards to another core would cost more than it saves.
+///
+/// Measured on a 2-core host at spare-thread budget 1 with the federation
+/// storm's shape (16 shards, 1 ms lookahead, ~0.1 µs of work per event,
+/// 1.15 M events) and its local rate swept, best of nine, three rounds:
+/// parallel windows took 132–156 ms against 97–118 ms on the caller at 77
+/// events per window, 101–120 against 86–105 ms at 153, broke even at about
+/// 300, and won from about 1,200 (65–79 against 86–126 ms at 1,223;
+/// 80–83 against 117–142 ms at 4,861). The cutoff sits at about three
+/// times the break-even, so windows of events even cheaper than these
+/// still pay for the handoff; costlier events break even below it. The
+/// federation storm (~76 events per window) runs every window after the
+/// first on the caller, so in `pdes_scale` it took 13.21 ms at budget 0
+/// and 13.26 ms at budget 1.
+pub const GRAIN: u64 = 1_024;
 
 /// Configuration of a sharded run.
 #[derive(Debug, Clone, Copy)]
@@ -268,7 +294,9 @@ impl<S: Shard> ShardedEngine<S> {
     }
 
     /// Run to the horizon with conservative epoch barriers, shards executing
-    /// in parallel within each window. Bit-identical across thread counts.
+    /// in parallel within each window that follows one of at least
+    /// [`GRAIN`] events, and on the calling thread within the others.
+    /// Bit-identical across thread counts.
     pub fn run(self) -> PdesRun<S::Out> {
         self.run_with_observer(|_| {})
     }
@@ -289,6 +317,9 @@ impl<S: Shard> ShardedEngine<S> {
             cross_messages: 0,
             queue_high_water: 0,
         };
+        // Events the previous window delivered; the first window always
+        // runs in parallel.
+        let mut last_delivered = u64::MAX;
         loop {
             let next = self
                 .slots
@@ -305,11 +336,18 @@ impl<S: Shard> ShardedEngine<S> {
             let k = t.as_nanos() / w;
             let start = SimTime(k * w);
             let end = SimTime((k + 1).saturating_mul(w).min(bound.as_nanos()));
-            let delivered: u64 = self
-                .slots
-                .par_iter_mut()
-                .map(|slot| run_window(slot, end, lookahead))
-                .sum();
+            let delivered: u64 = if last_delivered < GRAIN {
+                self.slots
+                    .iter_mut()
+                    .map(|slot| run_window(slot, end, lookahead))
+                    .sum()
+            } else {
+                self.slots
+                    .par_iter_mut()
+                    .map(|slot| run_window(slot, end, lookahead))
+                    .sum()
+            };
+            last_delivered = delivered;
             let messages = self.flush_mailboxes();
             stats.epochs += 1;
             stats.events += delivered;
