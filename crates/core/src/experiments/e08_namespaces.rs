@@ -15,6 +15,9 @@
 //!    sharded PDES engine, one shard per namespace, with the cross-namespace
 //!    RPC hop as the lookahead.
 
+use std::fmt::Write as _;
+
+use spider_obs::PhaseTimer;
 use spider_pfs::fs::{FileSystem, FsConfig};
 use spider_pfs::mds::{MdsCluster, MdsOp};
 use spider_pfs::purge::{purge, PURGE_WINDOW};
@@ -124,11 +127,15 @@ fn purge_table(scale: Scale) -> Table {
     // capacity 64 TB, so write ~2.5 TB/day as 2,500 1 GiB files.
     let daily_files = 2_500u32;
     let file_bytes = 1u64 << 30;
+    // One buffer for every name and path.
+    let mut name = String::new();
     for day in 0..days {
         let now = SimTime::ZERO + SimDuration::from_days(day);
         for i in 0..daily_files {
+            name.clear();
+            write!(name, "d{day}_f{i}").expect("writing to a String cannot fail");
             let f = fs
-                .create(dir, &format!("d{day}_f{i}"), 4, 0, now, &mut rng)
+                .create(dir, &name, 4, 0, now, &mut rng)
                 .expect("scratch dir exists and names are unique per day");
             fs.append(f, file_bytes, now)
                 .expect("fullness stays below the append ceiling in this sweep");
@@ -136,7 +143,10 @@ fn purge_table(scale: Scale) -> Table {
         // ~10% of yesterday's files are re-read (they survive purges).
         if day > 0 {
             for i in 0..daily_files / 10 {
-                if let Some(f) = fs.ns.lookup(&format!("/scratch/d{}_f{i}", day - 1)) {
+                name.clear();
+                write!(name, "/scratch/d{}_f{i}", day - 1)
+                    .expect("writing to a String cannot fail");
+                if let Some(f) = fs.ns.lookup(&name) {
                     fs.read(f, now).expect("file was just looked up");
                 }
             }
@@ -194,6 +204,9 @@ pub struct NsShard {
     remote_share: f64,
     next_free: SimTime,
     out: NsStats,
+    /// Test hook: every op's sojourn in seconds, in service order.
+    #[cfg(test)]
+    sojourns: Vec<f64>,
 }
 
 /// Federation storm event.
@@ -210,7 +223,10 @@ impl NsShard {
         let start = self.next_free.max(now);
         let done = start + self.service;
         self.next_free = done;
-        self.out.latency.push(done.since(now).as_secs_f64());
+        let sojourn = done.since(now).as_secs_f64();
+        self.out.latency.push(sojourn);
+        #[cfg(test)]
+        self.sojourns.push(sojourn);
     }
 }
 
@@ -251,6 +267,8 @@ impl Shard for NsShard {
     }
 
     fn finish(self) -> NsStats {
+        #[cfg(test)]
+        tests::SOJOURNS.with(|s| s.borrow_mut().push(self.sojourns));
         self.out
     }
 }
@@ -274,6 +292,8 @@ pub fn federation_storm(
             remote_share,
             next_free: SimTime::ZERO,
             out: NsStats::default(),
+            #[cfg(test)]
+            sojourns: Vec::new(),
         })
         .collect();
     let mut eng = ShardedEngine::new(cfg, shards);
@@ -334,12 +354,15 @@ fn federation_table(scale: Scale) -> Table {
 
 /// Run E8.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let tables = vec![
-        metadata_table(),
-        fullness_table(),
-        purge_table(scale),
-        federation_table(scale),
-    ];
+    let mut tables = vec![metadata_table(), fullness_table()];
+    // Wall-time sub-phases, recorded only in the obs manifest's `wall`
+    // section.
+    let purge_sim = PhaseTimer::start("exp:E8/purge_sim");
+    tables.push(purge_table(scale));
+    drop(purge_sim);
+    let federation = PhaseTimer::start("exp:E8/federation");
+    tables.push(federation_table(scale));
+    drop(federation);
     super::trace::experiment("E8", 1, tables.len());
     tables
 }
@@ -347,6 +370,84 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Each finished shard's per-op sojourns, in finish (shard) order.
+        /// `run_sequential` runs and finishes every shard on the calling
+        /// thread, so a test reads its own run here.
+        pub(super) static SOJOURNS: std::cell::RefCell<Vec<Vec<f64>>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// Run the storm sequentially and return each shard's per-op sojourns.
+    fn sojourns(namespaces: usize, ops_per_ns: u32, remote_share: f64, seed: u64) -> Vec<Vec<f64>> {
+        SOJOURNS.with(|s| s.borrow_mut().clear());
+        federation_storm(namespaces, ops_per_ns, remote_share, seed).run_sequential();
+        SOJOURNS.with(|s| std::mem::take(&mut *s.borrow_mut()))
+    }
+
+    #[test]
+    fn e8d_shards_match_the_md1_mean_sojourn() {
+        // Each namespace is a FIFO server with a fixed 1/μ service time,
+        // μ = 5,000 creates/s. Its own clients send Poisson arrivals at
+        // 0.8μ; a remote share r of every peer's ops arrives thinned and
+        // independently delayed, which keeps the sum Poisson, at 0.8μr in
+        // all (for any number of namespaces above one). So each shard is an
+        // M/D/1 queue at ρ = 0.8(1 + r), with mean sojourn
+        // 1/μ + ρ/(2μ(1 − ρ)): 0.600 ms at r = 0 and 0.933 ms at r = 0.1.
+        //
+        // Fixed before the first run, as the rpcsim M/G/1 test does: the
+        // heavy-traffic relaxation time τ = 2(1 + c_s²)E[S]/(1 − ρ)² with
+        // c_s² = 0, batches of 50 λτ ops, one batch of warm-up from the
+        // empty start, 10 batches on each of two namespaces (20 batch
+        // means), and a 99% Student-t interval on the batch means.
+        const SHARDS: usize = 2;
+        const BATCHES: usize = 10;
+        const T_19_995: f64 = 2.861;
+        let mu = MdsCluster::single().mdts[0].rate(MdsOp::Create);
+        assert_eq!(mu, 5_000.0);
+        for (r, expected_ms) in [(0.0f64, 0.600), (0.1, 0.933)] {
+            let rho = 0.8 * (1.0 + r);
+            let md1 = 1.0 / mu + rho / (2.0 * mu * (1.0 - rho));
+            assert!((md1 * 1e3 - expected_ms).abs() < 5e-4, "{md1}");
+            let n_tau = (2.0 * rho / (1.0 - rho).powi(2)).ceil() as usize;
+            let batch = 50 * n_tau;
+            // Local ops alone fill the batches; remote ones only add.
+            let ops = (batch * (BATCHES + 1)) as u32;
+            let means: Vec<f64> = sojourns(SHARDS, ops, r, 0xE8D)
+                .iter()
+                .flat_map(|s| {
+                    assert!(s.len() >= batch * (BATCHES + 1));
+                    s[batch..batch * (BATCHES + 1)]
+                        .chunks(batch)
+                        .map(|b| b.iter().sum::<f64>() / b.len() as f64)
+                })
+                .collect();
+            assert_eq!(means.len(), SHARDS * BATCHES);
+            let stats = OnlineStats::from_iter(means.iter().copied());
+            let half = T_19_995 * (stats.variance() / means.len() as f64).sqrt();
+            assert!(
+                (stats.mean() - md1).abs() <= half,
+                "r {r}: batch-means mean {:.6} s ± {half:.6}, M/D/1 {md1:.6} s",
+                stats.mean()
+            );
+        }
+    }
+
+    #[test]
+    fn e8d_overloaded_shards_grow_their_latency_with_run_length() {
+        // r = 0.3 gives ρ = 1.04: no steady state, so the mean sojourn
+        // keeps growing as the run lengthens.
+        let mean_ms = |ops: u32| {
+            let run = federation_storm(2, ops, 0.3, 0xE8D).run_sequential();
+            run.merged().latency.mean() * 1e3
+        };
+        let means: Vec<f64> = [2_000, 8_000, 32_000].map(mean_ms).to_vec();
+        assert!(
+            means.windows(2).all(|w| w[1] > 1.5 * w[0]),
+            "mean latency by run length: {means:?} ms"
+        );
+    }
 
     #[test]
     fn e8a_two_namespaces_beat_dne2() {

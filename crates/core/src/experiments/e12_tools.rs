@@ -9,9 +9,11 @@
 //!   phase, serial vs rayon work-stealing — real wall-clock on this
 //!   machine.
 
+use std::fmt::Write as _;
 // spider-lint: allow(wall-clock, reason = "E12b reports measured tool wall time, labelled 'this machine'")
 use std::time::Instant;
 
+use spider_obs::PhaseTimer;
 use spider_pfs::layout::StripeLayout;
 use spider_pfs::mds::MdsCluster;
 use spider_pfs::namespace::{FileMeta, Namespace};
@@ -23,22 +25,31 @@ use spider_tools::ptools::{dfind, dwalk, find_serial, walk_serial};
 use crate::config::Scale;
 use crate::report::Table;
 
-fn build_tree(dirs: usize, files_per_dir: usize) -> Namespace {
+/// E12's project tree: `dirs` run directories under `/proj`, each holding
+/// `files_per_dir` files of 1-100 MiB striped over 4 of 64 OSTs, all at
+/// time zero.
+pub fn build_tree(dirs: usize, files_per_dir: usize) -> Namespace {
     let mut ns = Namespace::new();
+    // One buffer for every path and name: a file's name costs no
+    // allocation, and a `Name` copies it inline.
+    let mut name = String::new();
     for d in 0..dirs {
-        let dir = ns
-            .mkdir_p(&format!("/proj/run{d}"))
-            .expect("/proj tree paths are well-formed");
+        name.clear();
+        write!(name, "/proj/run{d}").expect("writing to a String cannot fail");
+        let dir = ns.mkdir_p(&name).expect("/proj tree paths are well-formed");
         for f in 0..files_per_dir {
+            name.clear();
+            write!(name, "f{f:06}").expect("writing to a String cannot fail");
+            let osts: [OstId; 4] = std::array::from_fn(|s| OstId((f as u32 + s as u32) % 64));
             ns.create_file(
                 dir,
-                &format!("f{f:06}"),
+                &name,
                 FileMeta {
                     size: ((f % 100) as u64 + 1) << 20,
                     atime: SimTime::ZERO,
                     mtime: SimTime::ZERO,
                     ctime: SimTime::ZERO,
-                    stripe: StripeLayout::new((0..4).map(|s| OstId((f as u32 + s) % 64)).collect()),
+                    stripe: StripeLayout::from_slice(&osts),
                     project: d as u32,
                 },
             )
@@ -54,7 +65,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
         Scale::Paper => (256, 2_000),
         Scale::Small => (64, 500),
     };
+    // Wall-time sub-phases, recorded only in the obs manifest's `wall`
+    // section: building the tree, every walk over it, and freeing it.
+    let build = PhaseTimer::start("exp:E12/build");
     let ns = build_tree(dirs, files);
+    drop(build);
+    let walks = PhaseTimer::start("exp:E12/walks");
     let mds = MdsCluster::single();
 
     // du vs LustreDU.
@@ -125,6 +141,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         format!("{:.2}x", fser_ms / fpar_ms),
         format!("{fser} matches"),
     ]);
+    drop(walks);
+    let free = PhaseTimer::start("exp:E12/free");
+    drop(ns);
+    drop(free);
 
     super::trace::experiment("E12", 1, 2);
     vec![du_table, tool_table]

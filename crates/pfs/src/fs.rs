@@ -68,6 +68,8 @@ pub struct FileSystem {
     /// The namespace tree.
     pub ns: Namespace,
     rr_cursor: usize,
+    /// The per-OST split of the extent an append or unlink is charging.
+    split: Vec<u64>,
 }
 
 impl FileSystem {
@@ -87,6 +89,7 @@ impl FileSystem {
             oss,
             ns: Namespace::new(),
             rr_cursor: 0,
+            split: Vec::new(),
         }
     }
 
@@ -207,20 +210,16 @@ impl FileSystem {
     /// OST ran out of space (the write fails with `ENOSPC` semantics:
     /// nothing is charged).
     pub fn append(&mut self, file: InodeId, bytes: u64, now: SimTime) -> Result<bool, NsError> {
-        let (per_ost, osts) = {
-            let meta = self.ns.get(file).file().ok_or(NsError::NotADirectory)?;
-            (
-                meta.stripe.bytes_per_ost(meta.size, bytes),
-                meta.stripe.osts.clone(),
-            )
-        };
+        let meta = self.ns.get(file).file().ok_or(NsError::NotADirectory)?;
+        meta.stripe.split_extent(meta.size, bytes, &mut self.split);
+        let osts = meta.stripe.osts();
         // Check space first.
-        for (ost, b) in osts.iter().zip(&per_ost) {
+        for (ost, b) in osts.iter().zip(&self.split) {
             if self.osts[ost.0 as usize].free() < *b {
                 return Ok(false);
             }
         }
-        for (ost, b) in osts.iter().zip(&per_ost) {
+        for (ost, b) in osts.iter().zip(&self.split) {
             let ok = self.osts[ost.0 as usize].grow(*b);
             debug_assert!(ok);
         }
@@ -245,8 +244,8 @@ impl FileSystem {
     /// Unlink a file and release its OST space.
     pub fn unlink(&mut self, file: InodeId) -> Result<u64, NsError> {
         let meta = self.ns.unlink(file)?;
-        let per_ost = meta.stripe.bytes_per_ost(0, meta.size);
-        for (ost, b) in meta.stripe.osts.iter().zip(&per_ost) {
+        meta.stripe.split_extent(0, meta.size, &mut self.split);
+        for (ost, b) in meta.stripe.osts().iter().zip(&self.split) {
             self.osts[ost.0 as usize].release(*b);
         }
         Ok(meta.size)
@@ -376,7 +375,7 @@ mod tests {
         let f = fs
             .create(dir, "big", 1, 0, SimTime::ZERO, &mut rng)
             .unwrap();
-        let target_ost = fs.ns.get(f).file().unwrap().stripe.osts[0];
+        let target_ost = fs.ns.get(f).file().unwrap().stripe.osts()[0];
         let cap = fs.ost(target_ost).capacity();
         fs.ost_mut(target_ost).allocate(cap - MIB);
         let used_before = fs.used();

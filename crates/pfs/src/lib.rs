@@ -19,10 +19,13 @@
 //!   Lustre's scaling limit (§IV-C) and the reason OLCF runs multiple
 //!   namespaces; DNE striping is modeled for the "use both" recommendation.
 //! - [`namespace`]: an in-memory namespace tree (directories, files, stripe
-//!   metadata, timestamps) that scales to millions of inodes.
+//!   metadata, timestamps) that scales to millions of inodes: a file owns no
+//!   heap allocation, and a last-activity index lets the purge visit only
+//!   its victims.
 //! - [`fs`]: a mounted file system instance tying MDS + OSTs + namespace
 //!   together, with OST allocation policies.
-//! - [`purge`]: the 14-day automatic purge (§IV-C).
+//! - [`purge`]: the 14-day automatic purge (§IV-C), driven by the
+//!   namespace's last-activity index.
 //! - [`journal`]: the Lustre journal whose loss in the 2010 incident cost
 //!   "more than a million files" (§IV-E), plus the recovery model.
 //! - [`client`]: Lustre client RPC behaviour — 1 MiB RPCs, pipelining, and
@@ -44,7 +47,7 @@ pub use fs::{FileSystem, FsConfig, OstAllocPolicy};
 pub use journal::{Journal, RecoveryModel, RecoveryOutcome};
 pub use layout::StripeLayout;
 pub use mds::{MdsCluster, MdsOp, MetadataServer};
-pub use namespace::{FileMeta, Inode, InodeId, InodeKind, Namespace};
+pub use namespace::{FileMeta, Inode, InodeId, InodeKind, Name, Namespace};
 pub use oss::{JournalingMode, ObjectStorageServer, OssId};
 pub use ost::{Ost, OstId};
 pub use purge::{purge, PurgeReport};

@@ -5,14 +5,142 @@
 //! three timestamps the purge policy inspects. Designed so read-only
 //! traversal needs only `&Namespace` — the parallel tools in `spider-tools`
 //! walk it from many threads at once.
+//!
+//! A file costs no heap allocation of its own. Its [`Name`] keeps up to
+//! [`INLINE_NAME`] bytes inline, both in the inode and as the key of its
+//! parent's child map, and its [`StripeLayout`] keeps up to
+//! [`INLINE_OSTS`](crate::layout::INLINE_OSTS) OSTs inline. What a file adds
+//! is its slot in the inode slab, one child-map entry and one id in the
+//! last-activity index.
+//!
+//! The last-activity index lists files by [`FileMeta::last_activity`], one
+//! bucket per timestamp. [`create_file`](Namespace::create_file) pushes each
+//! file, and [`update_file`](Namespace::update_file) pushes it again when its
+//! last activity changes. Nothing is ever removed from a bucket but by a
+//! purge, which drains the buckets older than its cutoff and keeps an id only
+//! if it still names a live file whose last activity is the bucket's time. So
+//! the index holds every live file under its current last activity, plus
+//! stale entries that the purge discards, and a purge visits only the
+//! buckets that can hold victims.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
+use spider_simkit::mem::{slab_bytes, MemFootprint};
 use spider_simkit::SimTime;
 
 use crate::layout::StripeLayout;
+
+/// Longest name a [`Name`] stores inline; longer names are boxed.
+pub const INLINE_NAME: usize = 22;
+
+/// A directory entry's name: up to [`INLINE_NAME`] bytes inline, longer
+/// ones boxed, 24 bytes either way.
+///
+/// Orders and compares by its bytes, exactly as `String` does, so a child
+/// map keyed by `Name` iterates in the same order as one keyed by `String`. It borrows as `[u8]`, so a map lookup takes a path component's
+/// bytes and allocates nothing.
+///
+/// ```
+/// use spider_pfs::namespace::Name;
+///
+/// let short = Name::new("f000042");
+/// let long = Name::new("a-name-longer-than-twenty-two-bytes");
+/// assert_eq!(short.as_str(), "f000042");
+/// assert!(long < short, "byte order, as String orders");
+/// ```
+#[derive(Clone)]
+pub struct Name(NameRepr);
+
+#[derive(Clone)]
+enum NameRepr {
+    Inline { len: u8, bytes: [u8; INLINE_NAME] },
+    Boxed(Box<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<Name>() == 24);
+
+impl Name {
+    /// A name holding `s`.
+    pub fn new(s: &str) -> Name {
+        if s.len() <= INLINE_NAME {
+            let mut bytes = [0u8; INLINE_NAME];
+            bytes[..s.len()].copy_from_slice(s.as_bytes());
+            Name(NameRepr::Inline {
+                len: s.len() as u8,
+                bytes,
+            })
+        } else {
+            Name(NameRepr::Boxed(s.into()))
+        }
+    }
+
+    /// The name's bytes (valid UTF-8).
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            NameRepr::Inline { len, bytes } => &bytes[..*len as usize],
+            NameRepr::Boxed(s) => s.as_bytes(),
+        }
+    }
+
+    /// The name as a string.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            NameRepr::Inline { len, bytes } => std::str::from_utf8(&bytes[..*len as usize])
+                .expect("an inline name holds the bytes of a str"),
+            NameRepr::Boxed(s) => s,
+        }
+    }
+
+    /// Heap bytes the name owns: 0 when inline.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        match &self.0 {
+            NameRepr::Inline { .. } => 0,
+            NameRepr::Boxed(s) => s.len() as u64,
+        }
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Borrow<[u8]> for Name {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// Index of an inode within its namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,8 +175,8 @@ impl FileMeta {
 pub enum InodeKind {
     /// A directory and its sorted children.
     Dir {
-        /// Name -> child inode.
-        children: BTreeMap<String, InodeId>,
+        /// Name -> child inode, in byte order of the names.
+        children: BTreeMap<Name, InodeId>,
     },
     /// A regular file.
     File(FileMeta),
@@ -62,7 +190,7 @@ pub struct Inode {
     /// Parent directory (the root is its own parent).
     pub parent: InodeId,
     /// Name within the parent.
-    pub name: String,
+    pub name: Name,
     /// Payload.
     pub kind: InodeKind,
 }
@@ -140,6 +268,10 @@ pub struct Namespace {
     files: u64,
     dirs: u64,
     bytes: u64,
+    /// Files by last activity (see the module docs): every live file sits
+    /// in the bucket of its current last activity, and stale entries wait
+    /// for the purge that drains their bucket.
+    activity: BTreeMap<SimTime, Vec<InodeId>>,
 }
 
 impl Default for Namespace {
@@ -154,7 +286,7 @@ impl Namespace {
         let root = Inode {
             id: InodeId(0),
             parent: InodeId(0),
-            name: String::new(),
+            name: Name::new(""),
             kind: InodeKind::Dir {
                 children: BTreeMap::new(),
             },
@@ -166,6 +298,7 @@ impl Namespace {
             files: 0,
             dirs: 1,
             bytes: 0,
+            activity: BTreeMap::new(),
         }
     }
 
@@ -218,15 +351,15 @@ impl Namespace {
         }
     }
 
-    fn children_mut(&mut self, dir: InodeId) -> Result<&mut BTreeMap<String, InodeId>, NsError> {
+    fn children_mut(&mut self, dir: InodeId) -> Result<&mut BTreeMap<Name, InodeId>, NsError> {
         match &mut self.get_mut(dir).kind {
             InodeKind::Dir { children } => Ok(children),
             InodeKind::File(_) => Err(NsError::NotADirectory),
         }
     }
 
-    /// Children of a directory.
-    pub fn children(&self, dir: InodeId) -> Result<&BTreeMap<String, InodeId>, NsError> {
+    /// Children of a directory, in byte order of their names.
+    pub fn children(&self, dir: InodeId) -> Result<&BTreeMap<Name, InodeId>, NsError> {
         match &self.get(dir).kind {
             InodeKind::Dir { children } => Ok(children),
             InodeKind::File(_) => Err(NsError::NotADirectory),
@@ -236,10 +369,10 @@ impl Namespace {
     /// Bind `name` in `parent`, with one search of the parent's children,
     /// to the id [`alloc`](Self::alloc) gives the next inode: the top of the
     /// free list, or else the next new slot. Fails if the name is taken.
-    fn bind_next(&mut self, parent: InodeId, name: &str) -> Result<InodeId, NsError> {
+    fn bind_next(&mut self, parent: InodeId, name: &Name) -> Result<InodeId, NsError> {
         let next = self.free.last().copied();
         let id = InodeId(next.unwrap_or(self.inodes.len() as u32));
-        match self.children_mut(parent)?.entry(name.to_owned()) {
+        match self.children_mut(parent)?.entry(name.clone()) {
             Entry::Occupied(_) => Err(NsError::Exists),
             Entry::Vacant(slot) => {
                 slot.insert(id);
@@ -250,11 +383,12 @@ impl Namespace {
 
     /// Create a subdirectory.
     pub fn mkdir(&mut self, parent: InodeId, name: &str) -> Result<InodeId, NsError> {
-        let id = self.bind_next(parent, name)?;
+        let name = Name::new(name);
+        let id = self.bind_next(parent, &name)?;
         let allocated = self.alloc(Inode {
             id: InodeId(0),
             parent,
-            name: name.to_owned(),
+            name,
             kind: InodeKind::Dir {
                 children: BTreeMap::new(),
             },
@@ -268,7 +402,7 @@ impl Namespace {
     pub fn mkdir_p(&mut self, path: &str) -> Result<InodeId, NsError> {
         let mut cur = self.root;
         for comp in path.split('/').filter(|c| !c.is_empty()) {
-            cur = match self.children(cur)?.get(comp) {
+            cur = match self.children(cur)?.get(comp.as_bytes()) {
                 Some(&id) if self.get(id).is_dir() => id,
                 Some(_) => return Err(NsError::NotADirectory),
                 None => self.mkdir(cur, comp)?,
@@ -277,20 +411,25 @@ impl Namespace {
         Ok(cur)
     }
 
-    /// Create a file.
+    /// Create a file, and list it in the last-activity index.
     pub fn create_file(
         &mut self,
         parent: InodeId,
         name: &str,
         meta: FileMeta,
     ) -> Result<InodeId, NsError> {
-        let id = self.bind_next(parent, name)?;
+        let name = Name::new(name);
+        let id = self.bind_next(parent, &name)?;
         self.bytes += meta.size;
         self.files += 1;
+        self.activity
+            .entry(meta.last_activity())
+            .or_default()
+            .push(id);
         let allocated = self.alloc(Inode {
             id: InodeId(0),
             parent,
-            name: name.to_owned(),
+            name,
             kind: InodeKind::File(meta),
         });
         debug_assert_eq!(allocated, id, "alloc gave another id than bound");
@@ -301,7 +440,7 @@ impl Namespace {
     pub fn lookup(&self, path: &str) -> Option<InodeId> {
         let mut cur = self.root;
         for comp in path.split('/').filter(|c| !c.is_empty()) {
-            cur = *self.children(cur).ok()?.get(comp)?;
+            cur = *self.children(cur).ok()?.get(comp.as_bytes())?;
         }
         Some(cur)
     }
@@ -315,7 +454,7 @@ impl Namespace {
         let mut cur = id;
         while cur != self.root {
             let node = self.get(cur);
-            comps.push(node.name.clone());
+            comps.push(node.name.as_str());
             cur = node.parent;
         }
         comps.reverse();
@@ -323,37 +462,50 @@ impl Namespace {
     }
 
     /// Mutate a file's metadata (size/timestamps). The namespace's byte
-    /// accounting follows size changes.
+    /// accounting follows size changes, and the last-activity index lists
+    /// the file again if its last activity changed.
     pub fn update_file<F: FnOnce(&mut FileMeta)>(
         &mut self,
         id: InodeId,
         f: F,
     ) -> Result<(), NsError> {
-        // Borrow-split: take size before and after.
-        let (old_size, new_size) = match &mut self.get_mut(id).kind {
+        // Borrow-split: take size and last activity before and after.
+        let (old_size, new_size, old_active, new_active) = match &mut self.get_mut(id).kind {
             InodeKind::File(meta) => {
-                let old = meta.size;
+                let (size, active) = (meta.size, meta.last_activity());
                 f(meta);
-                (old, meta.size)
+                (size, meta.size, active, meta.last_activity())
             }
             InodeKind::Dir { .. } => return Err(NsError::NotADirectory),
         };
         self.bytes = self.bytes - old_size + new_size;
+        if new_active != old_active {
+            self.activity.entry(new_active).or_default().push(id);
+        }
         Ok(())
+    }
+
+    /// Free `id`'s slot and drop its binding in its parent. The index keeps
+    /// any entries for the id; a purge discards them.
+    fn release(&mut self, id: InodeId) -> Inode {
+        let node = self.inodes[id.0 as usize]
+            .take()
+            .expect("dangling inode id");
+        self.children_mut(node.parent)
+            .expect("a parent is a directory")
+            .remove(node.name.as_bytes());
+        self.free.push(id.0);
+        node
     }
 
     /// Unlink a file. Returns its metadata (the caller releases OST space).
     pub fn unlink(&mut self, id: InodeId) -> Result<FileMeta, NsError> {
-        let (parent, name, meta) = {
-            let node = self.get(id);
-            match &node.kind {
-                InodeKind::File(meta) => (node.parent, node.name.clone(), meta.clone()),
-                InodeKind::Dir { .. } => return Err(NsError::NotADirectory),
-            }
+        if self.get(id).is_dir() {
+            return Err(NsError::NotADirectory);
+        }
+        let InodeKind::File(meta) = self.release(id).kind else {
+            unreachable!("checked to be a file above")
         };
-        self.children_mut(parent)?.remove(&name);
-        self.inodes[id.0 as usize] = None;
-        self.free.push(id.0);
         self.files -= 1;
         self.bytes -= meta.size;
         Ok(meta)
@@ -364,21 +516,72 @@ impl Namespace {
         if id == self.root {
             return Err(NsError::NotEmpty);
         }
-        let (parent, name) = {
-            let node = self.get(id);
-            match &node.kind {
-                InodeKind::Dir { children } if children.is_empty() => {
-                    (node.parent, node.name.clone())
-                }
-                InodeKind::Dir { .. } => return Err(NsError::NotEmpty),
-                InodeKind::File(_) => return Err(NsError::NotADirectory),
-            }
-        };
-        self.children_mut(parent)?.remove(&name);
-        self.inodes[id.0 as usize] = None;
-        self.free.push(id.0);
+        match &self.get(id).kind {
+            InodeKind::Dir { children } if children.is_empty() => {}
+            InodeKind::Dir { .. } => return Err(NsError::NotEmpty),
+            InodeKind::File(_) => return Err(NsError::NotADirectory),
+        }
+        self.release(id);
         self.dirs -= 1;
         Ok(())
+    }
+
+    /// Drain the last-activity buckets older than `cutoff` and return the
+    /// live files whose last activity is older than `cutoff`, in ascending
+    /// id order, each once. The caller must unlink every returned file: the
+    /// index no longer lists them.
+    pub(crate) fn take_inactive(&mut self, cutoff: SimTime) -> Vec<InodeId> {
+        let newer = self.activity.split_off(&cutoff);
+        let older = std::mem::replace(&mut self.activity, newer);
+        let mut victims = Vec::new();
+        for (at, ids) in older {
+            victims.extend(ids.into_iter().filter(|&id| {
+                self.inodes[id.0 as usize]
+                    .as_ref()
+                    .and_then(Inode::file)
+                    .is_some_and(|m| m.last_activity() == at)
+            }));
+        }
+        // An id appears twice in one bucket when its activity returned to
+        // an earlier time, or when it was reused at the same time.
+        victims.sort_unstable();
+        victims.dedup();
+        victims
+    }
+
+    /// Debug builds: check that the index lists every live file under its
+    /// current last activity, and that the file and byte counts equal a
+    /// recount of the slab.
+    pub(crate) fn debug_check(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut listed = vec![false; self.inodes.len()];
+        for (&at, ids) in &self.activity {
+            for &id in ids {
+                let node = self.inodes[id.0 as usize].as_ref();
+                if node
+                    .and_then(Inode::file)
+                    .is_some_and(|m| m.last_activity() == at)
+                {
+                    listed[id.0 as usize] = true;
+                }
+            }
+        }
+        let (mut files, mut bytes) = (0u64, 0u64);
+        for node in self.inodes.iter().flatten() {
+            if let Some(meta) = node.file() {
+                files += 1;
+                bytes += meta.size;
+                assert!(
+                    listed[node.id.0 as usize],
+                    "{:?} is missing from the last-activity index",
+                    node.id
+                );
+            }
+        }
+        assert_eq!(files, self.files, "file count drifted from a recount");
+        assert_eq!(bytes, self.bytes, "byte count drifted from a recount");
     }
 
     /// Depth-first visit of the subtree at `start` (inclusive), directories
@@ -413,6 +616,36 @@ impl Namespace {
             }
         });
         total
+    }
+}
+
+/// The namespace's steady-state bytes: the inode slab and free list, one
+/// key and value per child-map entry, the last-activity index (each
+/// bucket's key and `Vec` plus its reserved ids), and the heap bytes of
+/// boxed names (twice: the inode's and its parent's key) and boxed stripe
+/// layouts. `BTreeMap` node overhead is not counted: it has no capacity to
+/// read.
+impl MemFootprint for Namespace {
+    fn mem_bytes(&self) -> u64 {
+        let slab = slab_bytes::<Option<Inode>>(self.inodes.capacity())
+            + slab_bytes::<u32>(self.free.capacity());
+        let entry = slab_bytes::<(Name, InodeId)>(1);
+        let mut owned = 0u64;
+        for node in self.inodes.iter().flatten() {
+            if node.id != self.root {
+                owned += 2 * node.name.heap_bytes();
+            }
+            owned += match &node.kind {
+                InodeKind::Dir { children } => children.len() as u64 * entry,
+                InodeKind::File(meta) => meta.stripe.heap_bytes(),
+            };
+        }
+        let index: u64 = self
+            .activity
+            .values()
+            .map(|ids| slab_bytes::<(SimTime, Vec<InodeId>)>(1) + ids.mem_bytes())
+            .sum();
+        slab + owned + index
     }
 }
 
@@ -543,10 +776,85 @@ mod tests {
         ns.create_file(b, "a", meta(1, 0)).unwrap();
         let names: Vec<String> = {
             let mut v = Vec::new();
-            ns.visit(ns.root(), |n| v.push(n.name.clone()));
+            ns.visit(ns.root(), |n| v.push(n.name.to_string()));
             v
         };
         assert_eq!(names, vec!["", "a", "b", "a", "z"]);
+    }
+
+    #[test]
+    fn names_up_to_22_bytes_are_inline() {
+        assert_eq!(std::mem::size_of::<Name>(), 24);
+        for (s, inline) in [
+            ("", true),
+            ("x", true),
+            ("abcdefghijklmnopqrstuv", true),
+            ("abcdefghijklmnopqrstuvw", false),
+            ("üüüüüüüüüüü", true),
+            ("üüüüüüüüüüüx", false),
+        ] {
+            let n = Name::new(s);
+            assert_eq!(n.as_str(), s);
+            let boxed = if inline { 0 } else { s.len() as u64 };
+            assert_eq!(n.heap_bytes(), boxed, "{s:?}");
+            assert_eq!(n.clone(), n);
+        }
+    }
+
+    #[test]
+    fn names_order_as_strings_across_the_inline_boundary() {
+        let strs = [
+            "b",
+            "",
+            "a",
+            "abcdefghijklmnopqrstuvw",
+            "abcdefghijklmnopqrstuv",
+            "é",
+            "z",
+        ];
+        let mut names: Vec<Name> = strs.iter().map(|s| Name::new(s)).collect();
+        let mut sorted: Vec<&str> = strs.to_vec();
+        names.sort();
+        sorted.sort_unstable();
+        let got: Vec<&str> = names.iter().map(Name::as_str).collect();
+        assert_eq!(got, sorted);
+    }
+
+    #[test]
+    fn unlink_and_rmdir_drop_long_names_from_the_parent() {
+        let mut ns = Namespace::new();
+        let long = "a-directory-name-longer-than-22-bytes";
+        let d = ns.mkdir(ns.root(), long).unwrap();
+        let f = ns
+            .create_file(d, "another-file-name-over-22-bytes", meta(5, 0))
+            .unwrap();
+        assert_eq!(
+            ns.lookup(&format!("/{long}/another-file-name-over-22-bytes")),
+            Some(f)
+        );
+        ns.unlink(f).unwrap();
+        assert!(ns.children(d).unwrap().is_empty());
+        ns.rmdir(d).unwrap();
+        assert!(ns.children(ns.root()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn mem_bytes_counts_boxed_names_and_layouts() {
+        let mut ns = Namespace::new();
+        ns.create_file(ns.root(), "short", meta(1, 0)).unwrap();
+        let long = "n".repeat(30);
+        let mut wide = meta(1, 0);
+        wide.stripe = StripeLayout::new((0..6).map(crate::ost::OstId).collect());
+        ns.create_file(ns.root(), &long, wide).unwrap();
+        let bucket = &ns.activity[&SimTime::ZERO];
+        let expected = slab_bytes::<Option<Inode>>(ns.inodes.capacity())
+            + slab_bytes::<u32>(ns.free.capacity())
+            + 2 * slab_bytes::<(Name, InodeId)>(1)
+            + 2 * 30
+            + 6 * 4
+            + slab_bytes::<(SimTime, Vec<InodeId>)>(1)
+            + slab_bytes::<InodeId>(bucket.capacity());
+        assert_eq!(ns.mem_bytes(), expected);
     }
 
     #[test]

@@ -217,7 +217,7 @@ pub fn dtar_manifest(ns: &Namespace, root: InodeId) -> Vec<(String, Option<FileM
     fn rec(ns: &Namespace, id: InodeId, prefix: &str, out: &mut Vec<(String, Option<FileMeta>)>) {
         let node = ns.get(id);
         let path = if prefix.is_empty() {
-            node.name.clone()
+            node.name.to_string()
         } else {
             format!("{prefix}/{}", node.name)
         };
@@ -247,7 +247,7 @@ pub fn dtar_manifest(ns: &Namespace, root: InodeId) -> Vec<(String, Option<FileM
     // The root directory's own entry (empty path) is excluded by
     // construction when root is a dir with an empty name; for a named root
     // we drop its own entry to copy *contents*.
-    let root_name = &ns.get(root).name;
+    let root_name = ns.get(root).name.as_str();
     if !root_name.is_empty() {
         out.retain(|(p, _)| p != root_name);
         let prefix = format!("{root_name}/");
