@@ -1,4 +1,4 @@
-//! E5 — §II [14]: workload characterization of the center-wide mix.
+//! E5 — §II \[14\]: workload characterization of the center-wide mix.
 //!
 //! Generates the production mixed workload and recovers the paper's
 //! published statistics: "a mix of 60% write and 40% read I/O requests",

@@ -465,9 +465,10 @@ pub fn solve_concurrent(center: &Center, tests: &[FlowTest]) -> Vec<FlowSolution
     ids.iter().map(|&id| session.solution_of(id)).collect()
 }
 
-/// Handle to an active test in a [`FlowSession`]. Never reused.
+/// Handle to an active test in a [`FlowSession`]: its class set and the
+/// handle of its solver batch. Never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TestId(u64);
+pub struct TestId(usize, FlowId);
 
 /// Key identifying a test shape: everything that feeds the class build.
 type ClassKey = (usize, u32, u64, bool, bool);
@@ -507,9 +508,6 @@ pub struct FlowSession<'a> {
     slots: Vec<Vec<ResourceId>>,
     class_sets: Vec<PreparedClasses>,
     class_cache: BTreeMap<ClassKey, usize>,
-    /// Active tests: id -> (class-set index, handle of its first flow).
-    active: BTreeMap<u64, (usize, FlowId)>,
-    next_test: u64,
 }
 
 impl<'a> FlowSession<'a> {
@@ -526,8 +524,6 @@ impl<'a> FlowSession<'a> {
             slots,
             class_sets: Vec::new(),
             class_cache: BTreeMap::new(),
-            active: BTreeMap::new(),
-            next_test: 0,
         }
     }
 
@@ -555,26 +551,13 @@ impl<'a> FlowSession<'a> {
     pub fn add_test(&mut self, t: &FlowTest) -> TestId {
         check_test(self.center, t);
         let set = self.class_set_of(t);
-        let first = self.solver.add_batch(&self.class_sets[set].batch);
-        let id = TestId(self.next_test);
-        self.next_test += 1;
-        self.active.insert(id.0, (set, first));
-        id
+        TestId(set, self.solver.add_batch(&self.class_sets[set].batch))
     }
 
-    /// Deactivate a test (its job completed or was cancelled).
+    /// Deactivate a test (its job completed or was cancelled). Panics if
+    /// it is not active.
     pub fn remove_test(&mut self, id: TestId) {
-        let (set, first) = self
-            .active
-            .remove(&id.0)
-            .unwrap_or_else(|| panic!("test {id:?} is not active"));
-        self.solver
-            .remove_batch(first, self.class_sets[set].batch.len());
-    }
-
-    /// Number of currently active tests.
-    pub fn active_len(&self) -> usize {
-        self.active.len()
+        self.solver.remove_batch(id.1);
     }
 
     /// Re-solve the shared allocation for the current active set.
@@ -585,13 +568,11 @@ impl<'a> FlowSession<'a> {
     /// A test's class set and its per-class rates in the last
     /// [`Self::solve`]: its batch's own rate column.
     fn rates_of(&self, id: TestId) -> (&PreparedClasses, &[f64]) {
-        let (set, first) = self.active[&id.0];
-        let set = &self.class_sets[set];
         let rates = self
             .solver
-            .rates_of_batch(first, set.batch.len())
-            .expect("test solved after last delta");
-        (set, rates)
+            .rates_of_batch(id.1)
+            .expect("an active test, solved since it was added");
+        (&self.class_sets[id.0], rates)
     }
 
     /// Aggregate rate of an active test in the last [`Self::solve`]:
@@ -688,12 +669,10 @@ impl spider_simkit::MemFootprint for FlowSession<'_> {
                 batch + s.table.mem_bytes()
             })
             .sum();
-        let active = self.active.len() as u64 * std::mem::size_of::<(u64, usize, FlowId)>() as u64;
         self.solver.mem_bytes()
             + ns
             + slab_bytes::<PreparedClasses>(self.class_sets.capacity())
             + class_sets
-            + active
             + slab_bytes::<Vec<ResourceId>>(self.slots.capacity())
             + slots
     }
@@ -1020,7 +999,6 @@ mod tests {
             s.aggregate_of(e).as_bytes_per_sec().to_bits(),
             oracle[1].aggregate.as_bytes_per_sec().to_bits()
         );
-        assert_eq!(s.active_len(), 2);
     }
 
     #[test]
@@ -1199,6 +1177,22 @@ mod tests {
         }
         assert!(periodic, "some OST founds more than one class");
         assert!(spread, "some group has no routers");
+    }
+
+    #[test]
+    #[should_panic(expected = "is not active")]
+    fn removing_a_removed_test_panics() {
+        let c = small();
+        let mut s = FlowSession::new(&c);
+        let t = s.add_test(&FlowTest {
+            fs: 0,
+            clients: 8,
+            transfer_size: MIB,
+            write: true,
+            optimal_placement: false,
+        });
+        s.remove_test(t);
+        s.remove_test(t);
     }
 
     #[test]

@@ -231,6 +231,23 @@ fn live_feed_window(t_end: SimTime, dt: SimDuration, fs_moved: &BTreeMap<usize, 
     }
 }
 
+/// The first namespace whose log total strays from the summed bytes its jobs
+/// moved by more than one byte per job on it (at least one), as
+/// `(namespace, logged, moved)`; `None` when every log conserves bytes.
+fn unconserved_log(jobs: &[Job], res: &TimestepResult) -> Option<(usize, f64, u64)> {
+    let mut moved = vec![0u64; res.namespace_logs.len()];
+    let mut count = vec![0u64; res.namespace_logs.len()];
+    for (j, &bytes) in jobs.iter().zip(&res.bytes_moved) {
+        moved[j.fs] += bytes;
+        count[j.fs] += 1;
+    }
+    res.namespace_logs
+        .iter()
+        .enumerate()
+        .map(|(fs, log)| (fs, log.total(), moved[fs]))
+        .find(|&(fs, logged, moved)| (logged - moved as f64).abs() > count[fs].max(1) as f64)
+}
+
 /// Advance `jobs` through time until all complete or the horizon passes.
 pub fn run_timestep(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> TimestepResult {
     assert!(!cfg.step.is_zero());
@@ -238,6 +255,7 @@ pub fn run_timestep(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> Time
         SteppingMode::EventDriven => run_event_driven(center, jobs, cfg),
         SteppingMode::FixedStep => run_fixed_step(center, jobs, cfg),
     };
+    debug_assert_eq!(unconserved_log(jobs, &res), None);
     if spider_obs::enabled() {
         spider_obs::counter_add("timestep_runs", 1);
         spider_obs::counter_add("timestep_steps", res.steps);
@@ -591,6 +609,7 @@ pub fn run_timestep_sharded(
         spider_obs::counter_add("timestep_sharded_zones", run.stats.shards as u64);
     }
     res.solver = Some(solver);
+    debug_assert_eq!(unconserved_log(jobs, &res), None);
     (res, run.stats)
 }
 
@@ -866,6 +885,27 @@ mod tests {
         // rule differs: the event-driven loop counts its final empty check
         // as a step, a zone stops once its last job completes.
         assert_eq!((ev.steps, sh.steps), (6, 5));
+    }
+
+    #[test]
+    fn a_zero_client_job_completes_beside_a_running_one() {
+        // A zero-client job is an empty test: it moves nothing and
+        // completes at the first event point that retires a job (event
+        // driven and sharded) or at the end of the first step (fixed step).
+        let c = center();
+        let jobs = vec![job(0, 0, 1, 0), job(0, 4, 1, 0)];
+        let drain = SimTime(19_522_578_618);
+        let fixed_step = run_timestep(&c, &jobs, &fixed());
+        let event = run_timestep(&c, &jobs, &TimestepConfig::default());
+        let (sharded, _) = run_timestep_sharded(&c, &jobs, &TimestepConfig::default());
+        for (res, empty_done) in [
+            (fixed_step, SimTime::from_secs(5)),
+            (event, drain),
+            (sharded, drain),
+        ] {
+            assert_eq!(res.completions, vec![Some(empty_done), Some(drain)]);
+            assert_eq!(res.bytes_moved, vec![0, 4 << 30]);
+        }
     }
 
     #[test]

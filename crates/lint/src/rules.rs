@@ -156,7 +156,7 @@ pub(crate) fn stmt_line_of(sig: &[&Token], starts: &[u32], t: &Token) -> u32 {
 /// Lint one file in isolation: per-file rules plus the unused-allow check.
 /// `path` is the workspace-relative path used in diagnostics and quarantine
 /// matching. (The workspace pipeline in `lib.rs` calls the pieces —
-/// [`check_file`] / [`unused_allow`] — separately so the deep pass can mark
+/// `check_file` / `unused_allow` — separately so the deep pass can mark
 /// escapes used in between.)
 pub fn lint_source(path: &str, kind: FileKind, src: &str) -> Vec<Diagnostic> {
     let toks = lex(src);

@@ -139,13 +139,12 @@ pub struct MaxMinProblem {
 
 const EPS: f64 = 1e-9;
 
-/// The weight check of every entry point that takes one
-/// ([`FlowSpec::with_weight`], [`MaxMinProblem::validate_flow`] and
-/// [`crate::session::SolveSession::update_weight`]): a weight must be
-/// finite and above `EPS`. Water-filling skips a resource whose active
-/// weight is at most `EPS`, so a flow of such a weight would never be
-/// bottlenecked and would end unfrozen at rate 0.
-pub(crate) fn check_weight(weight: f64, flow: std::fmt::Arguments<'_>) {
+/// The weight check of both entry points that take one
+/// ([`FlowSpec::with_weight`] and [`MaxMinProblem::validate_flow`]): a
+/// weight must be finite and above `EPS`. Water-filling skips a resource
+/// whose active weight is at most `EPS`, so a flow of such a weight would
+/// never be bottlenecked and would end unfrozen at rate 0.
+fn check_weight(weight: f64, flow: std::fmt::Arguments<'_>) {
     assert!(
         weight > EPS && weight.is_finite(),
         "{flow} weight must be positive, finite and above {EPS:e}, got {weight}"
@@ -308,14 +307,6 @@ impl FlowColumns {
     pub(crate) fn push_row_renamed(&mut self, src: &FlowColumns, row: usize, local: &[u32]) {
         self.path_res
             .extend(src.path(row).iter().map(|&r| local[r as usize]));
-        self.path_off.push(self.path_res.len() as u32);
-        self.cap.push(src.cap[row]);
-        self.weight.push(src.weight[row]);
-    }
-
-    /// Append row `row` of `src` as the last row.
-    pub(crate) fn push_row(&mut self, src: &FlowColumns, row: usize) {
-        self.path_res.extend_from_slice(src.path(row));
         self.path_off.push(self.path_res.len() as u32);
         self.cap.push(src.cap[row]);
         self.weight.push(src.weight[row]);
@@ -988,6 +979,8 @@ pub(crate) fn verify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{FlowBatch, SolveSession};
+    use std::sync::Arc;
 
     /// Assert the event-driven and reference solvers agree on `flows`.
     fn assert_solvers_agree(p: &MaxMinProblem, flows: &[FlowSpec]) -> Vec<f64> {
@@ -1151,6 +1144,18 @@ mod tests {
     #[should_panic(expected = "resource capacity must be non-negative and finite")]
     fn nan_capacity_panics() {
         let _ = MaxMinProblem::new().add_resource(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "resource capacity must be non-negative and finite")]
+    fn infinite_capacity_panics() {
+        let _ = MaxMinProblem::new().add_resource(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be positive, finite and above 1e-9")]
+    fn infinite_weight_panics_in_with_weight() {
+        let _ = FlowSpec::new(vec![ResourceId(0)]).with_weight(f64::INFINITY);
     }
 
     #[test]
@@ -1378,6 +1383,65 @@ mod tests {
                 Bound::Resource(l2),
             ]
         );
+    }
+
+    #[test]
+    fn verify_certifies_an_empty_problem() {
+        let p = MaxMinProblem::new();
+        let rates = p.solve(&[]);
+        assert_eq!(p.verify(&[], &rates), Ok(Witness { bounds: vec![] }));
+        // As a session: nothing resident, then one empty batch.
+        let mut sess = SolveSession::new(p.clone());
+        sess.solve();
+        let empty = sess.add_batch(&Arc::new(FlowBatch::new(&p, &[])));
+        sess.solve();
+        let rates = sess.rates_of_batch(empty).expect("solved");
+        assert_eq!(p.verify(&[], rates), Ok(Witness { bounds: vec![] }));
+        assert!(sess.components().is_empty());
+    }
+
+    #[test]
+    fn verify_certifies_a_single_resource() {
+        // The cap binds first (level 1 < 10 / 7); the other two then share
+        // the remaining 3 over a weight of 6.
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(10.0);
+        let flows = vec![
+            FlowSpec::new(vec![r]),
+            FlowSpec::new(vec![r]).with_cap(1.0),
+            FlowSpec::new(vec![r, r]).with_weight(2.5),
+        ];
+        let rates = p.solve(&flows);
+        assert_eq!(rates, vec![1.5, 1.0, 1.5]);
+        let witness = p.verify(&flows, &rates).expect("a solve is certified");
+        assert_eq!(
+            witness.bounds,
+            vec![Bound::Resource(r), Bound::Cap, Bound::Resource(r)]
+        );
+    }
+
+    #[test]
+    fn verify_certifies_a_million_way_tie() {
+        // 10^6 unit flows saturate one resource at one level, stateless and
+        // as one session batch: every rate is the same bits, and each flow is
+        // maximal on the resource.
+        let mut p = MaxMinProblem::new();
+        let r = p.add_resource(3.0);
+        let flows = vec![FlowSpec::new(vec![r]); 1_000_000];
+        let rates = p.solve(&flows);
+        assert!(rates.iter().all(|x| x.to_bits() == rates[0].to_bits()));
+        let witness = p.verify(&flows, &rates).expect("a solve is certified");
+        assert!(witness.bounds.iter().all(|b| *b == Bound::Resource(r)));
+        let mut sess = SolveSession::new(p.clone());
+        let first = sess.add_batch(&Arc::new(FlowBatch::new(&p, &flows)));
+        sess.solve();
+        let session = sess.rates_of_batch(first).expect("solved");
+        assert!(session
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(rates.iter().map(|x| x.to_bits())));
+        p.verify(&flows, session)
+            .expect("a session solve is certified");
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Incremental max-min solving: a resident problem plus flow deltas.
+//! Incremental max-min solving: a resident problem plus batch deltas.
 //!
 //! [`SolveSession`] keeps a [`MaxMinProblem`]'s resources and its live
 //! flows alive across solves, so a caller that re-solves under churn (jobs
-//! arriving and completing, weights drifting) pays for the delta instead of
-//! rebuilding paths and resource tables every call:
+//! arriving and completing) pays for the delta instead of rebuilding paths
+//! and resource tables every call:
 //!
-//! - [`SolveSession::add_batch`] / [`SolveSession::remove_batch`] (and the
-//!   per-flow [`SolveSession::add_flows`] / [`SolveSession::remove_flows`] /
-//!   [`SolveSession::update_weight`]) edit the resident flow set in place.
+//! - [`SolveSession::add_batch`] / [`SolveSession::remove_batch`] admit and
+//!   retire whole prepared batches; a batch is resident whole or not at
+//!   all.
 //! - Fixed points are memoized per *connected component* of the
 //!   flow–resource coupling graph under a deterministic 128-bit key of the
 //!   component's paths, caps, and weights in solve order, deliberately
@@ -26,11 +26,9 @@
 //! keeps the `Arc<FlowBatch>` re-adds a recurring shape without validating
 //! or hashing any flow. One batch gets consecutive handles, and each
 //! resident batch owns the rate column the solves write, so
-//! [`SolveSession::rates_of_batch`] is one lookup and one slice. Removing a
-//! batch drops it and moves no other flow; removing part of one splits it
-//! into its surviving runs. Memory is bounded by the live flows, plus the
-//! last-solve rates of flows removed since, which
-//! [`SolveSession::rate_of`] still reports until the next solve.
+//! [`SolveSession::rates_of_batch`] is one lookup. Removing a batch drops
+//! it and its rates and moves no other flow, so memory is bounded by the
+//! live flows.
 //!
 //! # A persistent component index
 //!
@@ -97,13 +95,14 @@ use std::sync::Arc;
 use rayon::prelude::*;
 
 use crate::maxmin::{
-    check_weight, water_fill, FlowColumns, FlowSpec, MaxMinProblem, ResourceId, SolveStats,
-    Workspace,
+    water_fill, FlowColumns, FlowSpec, MaxMinProblem, ResourceId, SolveStats, Workspace,
 };
 
-/// Handle to a flow added to a [`SolveSession`]. Never reused within a
-/// session, even after the flow is removed; handles ascend in insertion
-/// order, which is the session's solve order.
+/// Handle to a flow in a [`SolveSession`]. A batch's flows get consecutive
+/// handles, and the first names the batch: [`SolveSession::add_batch`]
+/// returns it. An empty batch still takes one handle, which names no flow.
+/// Never reused within a session, even after the batch is removed; handles
+/// ascend in insertion order, which is the session's solve order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(u32);
 
@@ -383,26 +382,22 @@ impl FlowBatch {
         flows: impl IntoIterator<Item = (&'a [ResourceId], Option<f64>, f64)>,
     ) -> FlowBatch {
         let flows = flows.into_iter();
-        let n = flows.size_hint().0;
-        let mut cols = FlowColumns::with_capacity(n, 0);
-        let mut prefrozen = Vec::with_capacity(n);
+        let hint = flows.size_hint().0;
+        let mut cols = FlowColumns::with_capacity(hint, 0);
+        let mut prefrozen = Vec::with_capacity(hint);
         for (k, (path, cap, weight)) in flows.enumerate() {
             if k == 0 {
                 // A batch's paths mostly share one length: a test's classes
                 // all cross the same tiers.
-                cols.path_res.reserve(n * path.len());
+                cols.path_res.reserve(hint * path.len());
             }
             cols.push(path, cap, weight);
             let (path, cap) = (cols.path(k), cols.cap[k]);
             problem.validate_flow(k, path, cap, weight);
             prefrozen.push(problem.prefrozen_path(path, cap));
         }
-        FlowBatch::with_parts(cols, prefrozen)
-    }
-
-    /// Find the parts of already validated columns: flows that are not
-    /// prefrozen and share a resource join one part.
-    fn with_parts(cols: FlowColumns, prefrozen: Vec<bool>) -> FlowBatch {
+        // Find the parts: flows that are not prefrozen and share a resource
+        // join one part.
         let n = prefrozen.len();
         let live = || (0..n as u32).filter(|&k| !prefrozen[k as usize]);
         // Union each flow with the first flow seen on each of its resources.
@@ -450,32 +445,6 @@ impl FlowBatch {
             parts,
             prefrozen_count,
         }
-    }
-
-    /// Flows `lo..hi` as a batch of their own.
-    fn slice(&self, lo: usize, hi: usize) -> FlowBatch {
-        let mut cols = FlowColumns::default();
-        for k in lo..hi {
-            cols.push_row(&self.cols, k);
-        }
-        FlowBatch::with_parts(cols, self.prefrozen[lo..hi].to_vec())
-    }
-
-    /// Set flow `k`'s weight and re-hash its part. Returns that part, or
-    /// `None` for a prefrozen flow (in no part).
-    fn set_weight(&mut self, k: usize, weight: f64) -> Option<usize> {
-        self.cols.weight[k] = weight;
-        let at = self
-            .parts
-            .iter()
-            .position(|p| p.positions.binary_search(&(k as u32)).is_ok())?;
-        let cols = &self.cols;
-        let part = &mut self.parts[at];
-        part.hash = part
-            .positions
-            .iter()
-            .fold(SeqHash::EMPTY, |h, &k| h.push(digest_of(cols, k as usize)));
-        Some(at)
     }
 
     /// Number of flows.
@@ -555,8 +524,7 @@ struct Component {
     rows: u32,
     /// Memo key of its member sequence; stale while `dirty`.
     key: [u64; 2],
-    /// Membership or a member's weight changed since its key and rates
-    /// were last computed.
+    /// Membership changed since its key and rates were last computed.
     dirty: bool,
 }
 
@@ -897,9 +865,6 @@ pub struct SolveSession {
     free_residents: Vec<u32>,
     /// Slot of each resident batch, by its first handle.
     by_base: BTreeMap<u32, u32>,
-    /// Rates at the last solve of the flows removed since, one run per
-    /// entry, by the run's first handle.
-    departed: BTreeMap<u32, Vec<f64>>,
     index: Index,
     live_rows: usize,
     prefrozen_rows: usize,
@@ -914,7 +879,7 @@ pub struct SolveSession {
 
 impl SolveSession {
     /// Start a session over a built problem. The resource set is fixed for
-    /// the session's lifetime; flows come and go through the delta API.
+    /// the session's lifetime; flows come and go a batch at a time.
     pub fn new(problem: MaxMinProblem) -> Self {
         let index = Index::new(problem.resources());
         SolveSession {
@@ -923,7 +888,6 @@ impl SolveSession {
             rates: Vec::new(),
             free_residents: Vec::new(),
             by_base: BTreeMap::new(),
-            departed: BTreeMap::new(),
             index,
             live_rows: 0,
             prefrozen_rows: 0,
@@ -945,71 +909,28 @@ impl SolveSession {
         self.live_rows
     }
 
-    /// Active flow ids in solve order (ascending).
-    pub fn active_flows(&self) -> Vec<FlowId> {
-        self.by_base
-            .iter()
-            .flat_map(|(&base, &slot)| {
-                let len = resident(&self.residents, slot).batch.len() as u32;
-                (base..base + len).map(FlowId)
-            })
-            .collect()
-    }
-
-    /// Slot and position of an active flow, or `None` if `id` is not
-    /// active.
-    fn locate(&self, id: FlowId) -> Option<(u32, usize)> {
-        let (&base, &slot) = self.by_base.range(..=id.0).next_back()?;
-        let k = (id.0 - base) as usize;
-        (k < resident(&self.residents, slot).batch.len()).then_some((slot, k))
-    }
-
-    /// Whether `id` is currently active.
-    pub fn is_active(&self, id: FlowId) -> bool {
-        self.locate(id).is_some()
-    }
-
     /// Session event counters.
     pub fn stats(&self) -> &SessionStats {
         &self.stats
     }
 
     /// Add a prepared batch; its flows get the consecutive handles
-    /// `first..first + batch.len()`, and `first` is returned.
+    /// `first..first + batch.len()`, and `first`, the batch's handle, is
+    /// returned. An empty batch is resident too, under a handle of its own.
     pub fn add_batch(&mut self, batch: &Arc<FlowBatch>) -> FlowId {
         let first = self.next_id;
-        self.next_id = u32::try_from(batch.len())
+        self.next_id = u32::try_from(batch.len().max(1))
             .ok()
             .and_then(|n| first.checked_add(n))
             .expect("flow handles exhausted");
-        if !batch.is_empty() {
-            self.admit(first, Arc::clone(batch), vec![0.0; batch.len()]);
-        }
-        FlowId(first)
-    }
-
-    /// Add one flow; returns its handle.
-    pub fn add_flow(&mut self, spec: &FlowSpec) -> FlowId {
-        self.add_flows(std::slice::from_ref(spec))[0]
-    }
-
-    /// Add a batch of flows, prepared as one [`FlowBatch`]; handles are
-    /// returned in argument order, and they are consecutive.
-    pub fn add_flows(&mut self, specs: &[FlowSpec]) -> Vec<FlowId> {
-        let first = self.add_batch(&Arc::new(FlowBatch::new(&self.problem, specs)));
-        (first.0..self.next_id).map(FlowId).collect()
-    }
-
-    /// Make `batch` resident from handle `base` on, with the given rate
-    /// column, and index it.
-    fn admit(&mut self, base: u32, batch: Arc<FlowBatch>, rates: Vec<f64>) {
         self.live_rows += batch.len();
         self.prefrozen_rows += batch.prefrozen_count;
         let res = Resident {
-            base,
+            base: first,
             comp: vec![NONE; batch.parts.len()],
-            batch,
+            batch: Arc::clone(batch),
         };
+        let rates = vec![0.0; batch.len()];
         let slot = match self.free_residents.pop() {
             Some(slot) => {
                 self.residents[slot as usize] = Some(res);
@@ -1022,125 +943,24 @@ impl SolveSession {
                 self.residents.len() as u32 - 1
             }
         };
-        self.by_base.insert(base, slot);
+        self.by_base.insert(first, slot);
         self.index.insert(&mut self.residents, slot);
+        FlowId(first)
     }
 
-    /// Take the resident in `slot` out of the session: unindex it and free
-    /// its slot. Returns its first handle, batch and rate column.
-    fn evict(&mut self, slot: u32) -> (u32, Arc<FlowBatch>, Vec<f64>) {
+    /// Remove the batch [`Self::add_batch`] returned `first` for, with its
+    /// rates, without touching any other flow. Panics if it is not active.
+    pub fn remove_batch(&mut self, first: FlowId) {
+        let slot = self
+            .by_base
+            .remove(&first.0)
+            .unwrap_or_else(|| panic!("batch {first:?} is not active"));
         self.index.remove(&mut self.residents, slot);
         let res = self.residents[slot as usize].take().expect("live resident");
-        let rates = std::mem::take(&mut self.rates[slot as usize]);
+        self.rates[slot as usize] = Vec::new();
         self.free_residents.push(slot);
-        self.by_base.remove(&res.base);
         self.live_rows -= res.batch.len();
         self.prefrozen_rows -= res.batch.prefrozen_count;
-        (res.base, res.batch, rates)
-    }
-
-    /// Remove one flow. Panics if `id` is not active.
-    pub fn remove_flow(&mut self, id: FlowId) {
-        self.remove_flows(&[id]);
-    }
-
-    /// Remove `len` flows with consecutive handles from `first` on, as one
-    /// [`Self::add_batch`] returned them. A whole resident batch is dropped
-    /// without touching any other flow. Panics if a flow is not active.
-    pub fn remove_batch(&mut self, first: FlowId, len: usize) {
-        match self.by_base.get(&first.0) {
-            Some(&slot) if resident(&self.residents, slot).batch.len() == len => {
-                self.drop_resident(slot);
-            }
-            _ => {
-                let ids: Vec<FlowId> = (first.0..first.0 + len as u32).map(FlowId).collect();
-                self.remove_flows(&ids);
-            }
-        }
-    }
-
-    /// Remove a set of active flows. A batch that loses only some of its
-    /// flows splits into its surviving runs. Panics if an id is not active
-    /// or appears twice.
-    pub fn remove_flows(&mut self, ids: &[FlowId]) {
-        let mut ids = ids.to_vec();
-        ids.sort_unstable();
-        if let Some(pair) = ids.windows(2).find(|p| p[0] == p[1]) {
-            panic!("flow {:?} is not active", pair[0]);
-        }
-        // Per resident touched: the positions it loses, ascending.
-        let mut cuts: Vec<(u32, Vec<usize>)> = Vec::new();
-        for id in ids {
-            let (slot, k) = self
-                .locate(id)
-                .unwrap_or_else(|| panic!("flow {id:?} is not active"));
-            match cuts.last_mut() {
-                Some((s, ks)) if *s == slot => ks.push(k),
-                _ => cuts.push((slot, vec![k])),
-            }
-        }
-        for (slot, ks) in cuts {
-            self.cut(slot, &ks);
-        }
-    }
-
-    /// Remove the resident in `slot` whole; its rates stay readable until
-    /// the next solve if it was active at the last one.
-    fn drop_resident(&mut self, slot: u32) {
-        let (base, _, rates) = self.evict(slot);
-        if base < self.solved_below {
-            self.departed.insert(base, rates);
-        }
-    }
-
-    /// Remove positions `ks` (ascending, distinct) of the resident in
-    /// `slot`. Removed runs keep their last-solve rates until the next
-    /// solve; surviving runs are re-admitted as batches of their own, with
-    /// their rates.
-    fn cut(&mut self, slot: u32, ks: &[usize]) {
-        if ks.len() == resident(&self.residents, slot).batch.len() {
-            return self.drop_resident(slot);
-        }
-        let (base, batch, rates) = self.evict(slot);
-        let solved = base < self.solved_below;
-        let (mut lo, mut next) = (0, 0);
-        while lo < batch.len() {
-            let removed = ks.get(next) == Some(&lo);
-            let mut hi = lo;
-            if removed {
-                while ks.get(next) == Some(&hi) {
-                    hi += 1;
-                    next += 1;
-                }
-                if solved {
-                    self.departed
-                        .insert(base + lo as u32, rates[lo..hi].to_vec());
-                }
-            } else {
-                hi = ks.get(next).copied().unwrap_or(batch.len());
-                let run = Arc::new(batch.slice(lo, hi));
-                self.admit(base + lo as u32, run, rates[lo..hi].to_vec());
-            }
-            lo = hi;
-        }
-    }
-
-    /// Change the class weight of an active flow. Panics if `id` is not
-    /// active or the weight is not finite and above the solver's `EPS`.
-    pub fn update_weight(&mut self, id: FlowId, weight: f64) {
-        let (slot, k) = self
-            .locate(id)
-            .unwrap_or_else(|| panic!("flow {id:?} is not active"));
-        check_weight(weight, format_args!("flow {id:?}"));
-        let res = self.residents[slot as usize]
-            .as_mut()
-            .expect("live resident");
-        // A batch shared with the caller (or another resident) is copied
-        // before it changes.
-        if let Some(part) = Arc::make_mut(&mut res.batch).set_weight(k, weight) {
-            let c = res.comp[part];
-            self.index.comp_mut(c).dirty = true;
-        }
     }
 
     /// Insert a memoized fixed point, evicting the oldest half (by
@@ -1236,14 +1056,13 @@ impl SolveSession {
     /// Solve for the max-min fair per-member rates of the active flows.
     /// Bit-identical to [`MaxMinProblem::solve`] over the same flows in the
     /// same (ascending [`FlowId`]) order; read them with
-    /// [`Self::rates_of_batch`], [`Self::rate_of`] or [`Self::rates`].
+    /// [`Self::rates_of_batch`].
     ///
     /// Every component whose key hits the memo replays its fixed point (a
     /// clean one already holds it); the ones that miss re-solve in
     /// parallel, and enter the memo in component order.
     pub fn solve(&mut self) {
         self.stats.solves += 1;
-        self.departed.clear();
         let order = self.index.order(&self.residents);
 
         let mut missing: Vec<u32> = Vec::new();
@@ -1339,64 +1158,16 @@ impl SolveSession {
         );
     }
 
-    /// The run holding handle `id` among the flows active at the last
-    /// solve: the run's first handle and rates.
-    fn solved_run(&self, id: u32) -> Option<(u32, &[f64])> {
-        if id >= self.solved_below {
+    /// The rate column of the batch [`Self::add_batch`] returned `first`
+    /// for, from the last [`Self::solve`]: one rate per flow, in batch
+    /// order. `None` if the batch was added after that solve or has been
+    /// removed.
+    pub fn rates_of_batch(&self, first: FlowId) -> Option<&[f64]> {
+        if first.0 >= self.solved_below {
             return None;
         }
-        let live = self
-            .by_base
-            .range(..=id)
-            .next_back()
-            .map(|(&base, &slot)| (base, self.rates[slot as usize].as_slice()));
-        let gone = self
-            .departed
-            .range(..=id)
-            .next_back()
-            .map(|(&base, rates)| (base, rates.as_slice()));
-        [live, gone]
-            .into_iter()
-            .flatten()
-            .find(|&(base, rates)| ((id - base) as usize) < rates.len())
-    }
-
-    /// Per-member rates of the flows active at the last [`Self::solve`], in
-    /// solve order, assembled from the batches' rate columns. Empty before
-    /// the first solve.
-    pub fn rates(&self) -> Vec<f64> {
-        let live = self
-            .by_base
-            .range(..self.solved_below)
-            .map(|(&base, &slot)| (base, self.rates[slot as usize].as_slice()));
-        let gone = self
-            .departed
-            .iter()
-            .map(|(&base, rates)| (base, rates.as_slice()));
-        let mut runs: Vec<(u32, &[f64])> = live.chain(gone).collect();
-        runs.sort_unstable_by_key(|&(base, _)| base);
-        runs.into_iter()
-            .flat_map(|(_, rates)| rates.iter().copied())
-            .collect()
-    }
-
-    /// Rate of `id` in the last solve, or `None` if it was not active then.
-    pub fn rate_of(&self, id: FlowId) -> Option<f64> {
-        self.solved_run(id.0)
-            .map(|(base, rates)| rates[(id.0 - base) as usize])
-    }
-
-    /// Rates in the last solve of `len` consecutive handles from `first`
-    /// on, as one [`Self::add_batch`] returned them: one slice of that
-    /// batch's rate column. `None` if any of them was not active then, or
-    /// if a partial removal has split them into separate runs since.
-    pub fn rates_of_batch(&self, first: FlowId, len: usize) -> Option<&[f64]> {
-        if len == 0 {
-            return Some(&[]);
-        }
-        let (base, rates) = self.solved_run(first.0)?;
-        let lo = (first.0 - base) as usize;
-        rates.get(lo..lo + len)
+        let &slot = self.by_base.get(&first.0)?;
+        Some(&self.rates[slot as usize])
     }
 }
 
@@ -1409,11 +1180,6 @@ impl spider_simkit::MemFootprint for SolveSession {
             .memo
             .values()
             .map(|e| 16 + std::mem::size_of::<MemoEntry>() as u64 + e.live_rates.mem_bytes())
-            .sum();
-        let departed: u64 = self
-            .departed
-            .values()
-            .map(|r| 4 + slab_bytes::<f64>(r.capacity()) + std::mem::size_of::<Vec<f64>>() as u64)
             .sum();
         // Each distinct batch once: one prepared batch may be resident
         // several times.
@@ -1450,7 +1216,6 @@ impl spider_simkit::MemFootprint for SolveSession {
             + rates
             + slab_bytes::<u32>(self.free_residents.capacity())
             + self.by_base.len() as u64 * 8
-            + departed
             + self.index.uf.mem_bytes()
             + slab_bytes::<u32>(self.index.comp_at.capacity())
             + slab_bytes::<Option<Component>>(self.index.comps.capacity())
@@ -1465,25 +1230,27 @@ mod tests {
     use super::*;
     use spider_simkit::MemFootprint;
 
-    /// Specs of the session's active flows, for the from-scratch oracle.
-    fn active_specs(sess: &SolveSession, all: &[FlowSpec], ids: &[FlowId]) -> Vec<FlowSpec> {
-        sess.active_flows()
-            .iter()
-            .map(|id| {
-                let k = ids.iter().position(|i| i == id).expect("known id");
-                all[k].clone()
-            })
-            .collect()
+    /// Add `specs` as one prepared batch; returns its handle.
+    fn add(sess: &mut SolveSession, specs: &[FlowSpec]) -> FlowId {
+        let batch = Arc::new(FlowBatch::new(sess.problem(), specs));
+        sess.add_batch(&batch)
     }
 
     fn bits(rates: &[f64]) -> Vec<u64> {
         rates.iter().map(|r| r.to_bits()).collect()
     }
 
-    /// Solve and return the whole rate vector's bits, in solve order.
+    /// Solve and return the live batches' rates, concatenated in handle
+    /// order (the solve order).
     fn solve_bits(sess: &mut SolveSession) -> Vec<u64> {
         sess.solve();
-        bits(&sess.rates())
+        let rates: Vec<f64> = sess
+            .by_base
+            .keys()
+            .flat_map(|&first| sess.rates_of_batch(FlowId(first)).expect("solved"))
+            .copied()
+            .collect();
+        bits(&rates)
     }
 
     #[test]
@@ -1498,12 +1265,12 @@ mod tests {
         ];
         let oracle = p.solve(&specs);
         let mut sess = SolveSession::new(p);
-        sess.add_flows(&specs);
+        add(&mut sess, &specs);
         assert_eq!(solve_bits(&mut sess), bits(&oracle));
     }
 
     #[test]
-    fn removal_and_update_track_from_scratch_bitwise() {
+    fn whole_batch_removal_tracks_from_scratch_bitwise() {
         let mut p = MaxMinProblem::new();
         let rs: Vec<ResourceId> = (0..6).map(|i| p.add_resource(2.0 + i as f64)).collect();
         let specs: Vec<FlowSpec> = (0..12)
@@ -1512,17 +1279,16 @@ mod tests {
             })
             .collect();
         let mut sess = SolveSession::new(p.clone());
-        let ids = sess.add_flows(&specs);
+        let batches: Vec<FlowId> = specs.chunks(3).map(|c| add(&mut sess, c)).collect();
         sess.solve();
 
-        sess.remove_flows(&[ids[1], ids[7]]);
-        sess.update_weight(ids[4], 9.5);
-        let mut all = specs.clone();
-        all[4].weight = 9.5;
-        let oracle = p.solve(&active_specs(&sess, &all, &ids));
-        assert_eq!(solve_bits(&mut sess), bits(&oracle));
-        assert!(!sess.is_active(ids[1]));
-        assert!(sess.is_active(ids[4]));
+        // One batch from the middle and the last one.
+        sess.remove_batch(batches[1]);
+        sess.remove_batch(batches[3]);
+        let live = [&specs[0..3], &specs[6..9]].concat();
+        assert_eq!(solve_bits(&mut sess), bits(&p.solve(&live)));
+        assert_eq!(sess.active_len(), 6);
+        assert_eq!(sess.rates_of_batch(batches[1]), None);
     }
 
     #[test]
@@ -1534,10 +1300,10 @@ mod tests {
             FlowSpec::new(vec![r]).with_cap(1.5),
         ];
         let mut sess = SolveSession::new(p);
-        let gen1 = sess.add_flows(&wave);
+        let gen1 = add(&mut sess, &wave);
         let first = solve_bits(&mut sess);
-        sess.remove_flows(&gen1);
-        let gen2 = sess.add_flows(&wave);
+        sess.remove_batch(gen1);
+        let gen2 = add(&mut sess, &wave);
         let second = solve_bits(&mut sess);
         assert_eq!(first, second);
         assert_eq!(sess.stats().cache_hits, 1);
@@ -1564,18 +1330,18 @@ mod tests {
         let two = sess.add_batch(&batch);
         assert_eq!(Arc::strong_count(&batch), 3, "both residents share it");
         sess.solve();
-        let first = sess.rates_of_batch(one, 3).expect("solved").to_vec();
-        assert_eq!(sess.rates_of_batch(two, 3), Some(&first[..]));
-        sess.remove_batch(one, 3);
-        sess.remove_batch(two, 3);
+        let first = sess.rates_of_batch(one).expect("solved").to_vec();
+        assert_eq!(sess.rates_of_batch(two), Some(&first[..]));
+        sess.remove_batch(one);
+        sess.remove_batch(two);
         let three = sess.add_batch(&batch);
         sess.solve();
         assert_eq!(sess.stats().cache_hits, 0, "the one-copy shape is new");
-        sess.remove_batch(three, 3);
+        sess.remove_batch(three);
         let four = sess.add_batch(&batch);
         sess.solve();
         assert_eq!(sess.stats().cache_hits, 1, "and recurs");
-        assert_eq!(sess.active_flows(), vec![FlowId(9), FlowId(10), FlowId(11)]);
+        assert_eq!(sess.active_len(), 3);
         assert_eq!(four, FlowId(9));
     }
 
@@ -1585,78 +1351,40 @@ mod tests {
         let dead = p.add_resource(0.0);
         let live = p.add_resource(5.0);
         let mut sess = SolveSession::new(p);
-        let a = sess.add_flow(&FlowSpec::new(vec![live]));
+        let a = add(&mut sess, &[FlowSpec::new(vec![live])]);
         sess.solve();
         // A dead flow joins: the active set changed but the key (and so the
         // memo) must not — the extra flow's rate is exactly 0.
-        let b = sess.add_flow(&FlowSpec::new(vec![dead, live]));
+        let b = add(&mut sess, &[FlowSpec::new(vec![dead, live])]);
         sess.solve();
         assert_eq!(sess.stats().cache_hits, 1);
-        assert_eq!(sess.rates(), vec![5.0, 0.0]);
-        assert_eq!(sess.rate_of(a), Some(5.0));
-        assert_eq!(sess.rate_of(b), Some(0.0));
+        assert_eq!(sess.rates_of_batch(a), Some(&[5.0][..]));
+        assert_eq!(sess.rates_of_batch(b), Some(&[0.0][..]));
     }
 
     #[test]
-    fn rate_of_reflects_the_last_solve_only() {
-        let mut p = MaxMinProblem::new();
-        let r = p.add_resource(4.0);
-        let mut sess = SolveSession::new(p);
-        let a = sess.add_flow(&FlowSpec::new(vec![r]));
-        assert_eq!(sess.rate_of(a), None, "before any solve");
-        sess.solve();
-        assert_eq!(sess.rate_of(a), Some(4.0));
-        let b = sess.add_flow(&FlowSpec::new(vec![r]));
-        assert_eq!(sess.rate_of(b), None, "added after the last solve");
-        sess.solve();
-        assert_eq!(sess.rate_of(b), Some(2.0));
-    }
-
-    #[test]
-    fn batch_rates_are_one_slice_of_the_last_solve() {
+    fn batch_rates_are_the_last_solves_only() {
         let mut p = MaxMinProblem::new();
         let r = p.add_resource(6.0);
         let mut sess = SolveSession::new(p);
-        let a = sess.add_flows(&[FlowSpec::new(vec![r]), FlowSpec::new(vec![r])]);
-        let b = sess.add_flows(&[FlowSpec::new(vec![r]).with_weight(2.0)]);
-        assert_eq!(sess.rates_of_batch(a[0], 2), None, "before any solve");
+        let a = add(&mut sess, &[FlowSpec::new(vec![r]), FlowSpec::new(vec![r])]);
+        let b = add(&mut sess, &[FlowSpec::new(vec![r]).with_weight(2.0)]);
+        let empty = add(&mut sess, &[]);
+        assert_eq!(sess.rates_of_batch(a), None, "before any solve");
         sess.solve();
-        assert_eq!(sess.rates_of_batch(a[0], 2), Some(&[1.5, 1.5][..]));
-        assert_eq!(sess.rates_of_batch(b[0], 1), Some(&[1.5][..]));
-        assert_eq!(sess.rates_of_batch(b[0], 0), Some(&[][..]));
-        // Removed after the last solve: the batch still reads that solve.
-        sess.remove_batch(a[0], 2);
-        assert_eq!(sess.rates_of_batch(a[0], 2), Some(&[1.5, 1.5][..]));
-        assert_eq!(sess.rates(), vec![1.5, 1.5, 1.5]);
+        assert_eq!(sess.rates_of_batch(a), Some(&[1.5, 1.5][..]));
+        assert_eq!(sess.rates_of_batch(b), Some(&[1.5][..]));
+        assert_eq!(sess.rates_of_batch(empty), Some(&[][..]));
+        let c = add(&mut sess, &[FlowSpec::new(vec![r])]);
+        assert_ne!(c, empty, "an empty batch holds a handle of its own");
+        assert_eq!(sess.rates_of_batch(c), None, "added after the last solve");
+        sess.remove_batch(a);
+        sess.remove_batch(empty);
+        assert_eq!(sess.rates_of_batch(a), None, "removed");
+        assert_eq!(sess.rates_of_batch(empty), None, "removed");
         sess.solve();
-        assert_eq!(sess.rates_of_batch(a[0], 2), None);
-        assert_eq!(sess.rates_of_batch(b[0], 1), Some(&[3.0][..]));
-    }
-
-    #[test]
-    fn removing_part_of_a_batch_keeps_its_survivors() {
-        let mut p = MaxMinProblem::new();
-        let r = p.add_resource(8.0);
-        let s = p.add_resource(3.0);
-        let specs: Vec<FlowSpec> = (0..6)
-            .map(|k| {
-                FlowSpec::new(vec![if k % 3 == 0 { s } else { r }]).with_weight(1.0 + k as f64)
-            })
-            .collect();
-        let mut sess = SolveSession::new(p.clone());
-        let ids = sess.add_flows(&specs);
-        sess.solve();
-        let before = sess.rates();
-        sess.remove_flows(&[ids[1], ids[4], ids[2]]);
-        // Survivors and removed flows both still read the last solve.
-        for (k, id) in ids.iter().enumerate() {
-            assert_eq!(sess.rate_of(*id), Some(before[k]), "flow {k}");
-        }
-        assert_eq!(sess.rates(), before);
-        let live: Vec<FlowSpec> = [0, 3, 5].iter().map(|&k| specs[k].clone()).collect();
-        assert_eq!(solve_bits(&mut sess), bits(&p.solve(&live)));
-        assert_eq!(sess.active_flows(), vec![ids[0], ids[3], ids[5]]);
-        assert_eq!(sess.rate_of(ids[1]), None);
+        assert_eq!(sess.rates_of_batch(b), Some(&[2.0][..]));
+        assert_eq!(sess.rates_of_batch(c), Some(&[2.0][..]));
     }
 
     #[test]
@@ -1678,9 +1406,9 @@ mod tests {
             .collect();
         let mut sess = SolveSession::new(p);
         let cycle = |sess: &mut SolveSession| {
-            let ids = sess.add_flows(&test);
+            let first = add(sess, &test);
             sess.solve();
-            sess.remove_flows(&ids);
+            sess.remove_batch(first);
             sess.mem_bytes()
         };
         let one = cycle(&mut sess);
@@ -1699,9 +1427,10 @@ mod tests {
             .map(|_| p.add_resource(rng.range_f64(0.5, 40.0)))
             .collect();
         let mut sess = SolveSession::new(p.clone());
+        // One-flow batches in handle (= solve) order.
         let mut live: Vec<(FlowId, FlowSpec)> = Vec::new();
         for _ in 0..120 {
-            match rng.index(4) {
+            match rng.index(3) {
                 0 | 1 => {
                     let k = 1 + rng.index(3);
                     let path: Vec<ResourceId> = (0..k).map(|_| rs[rng.index(rs.len())]).collect();
@@ -1712,23 +1441,15 @@ mod tests {
                     if rng.chance(0.4) {
                         f = f.with_weight(rng.range_f64(0.5, 16.0));
                     }
-                    let id = sess.add_flow(&f);
+                    let id = add(&mut sess, std::slice::from_ref(&f));
                     live.push((id, f));
                 }
                 2 if !live.is_empty() => {
                     let (id, _) = live.remove(rng.index(live.len()));
-                    sess.remove_flow(id);
-                }
-                3 if !live.is_empty() => {
-                    let j = rng.index(live.len());
-                    let w = rng.range_f64(0.5, 16.0);
-                    sess.update_weight(live[j].0, w);
-                    live[j].1.weight = w;
+                    sess.remove_batch(id);
                 }
                 _ => {}
             }
-            // Oracle expects solve order: ascending FlowId.
-            live.sort_by_key(|(id, _)| *id);
             let specs: Vec<FlowSpec> = live.iter().map(|(_, f)| f.clone()).collect();
             assert_eq!(solve_bits(&mut sess), bits(&p.solve(&specs)));
         }
@@ -1743,38 +1464,24 @@ mod tests {
         let a = p.add_resource(10.0);
         let b = p.add_resource(20.0);
         let mut sess = SolveSession::new(p);
+        let (mut zone_a, mut zone_b) = (Vec::new(), Vec::new());
         for _ in 0..4 {
-            sess.add_flow(&FlowSpec::new(vec![a]));
-            sess.add_flow(&FlowSpec::new(vec![b]));
+            zone_a.push(add(&mut sess, &[FlowSpec::new(vec![a])]));
+            zone_b.push(add(&mut sess, &[FlowSpec::new(vec![b])]));
         }
         sess.solve();
         assert_eq!(sess.stats().components_resolved, 2);
-        let churned = sess.add_flow(&FlowSpec::new(vec![b]).with_weight(2.0));
+        let churned = add(&mut sess, &[FlowSpec::new(vec![b]).with_weight(2.0)]);
         sess.solve();
         // Zone A hit the memo; only zone B re-solved.
         assert_eq!(sess.stats().components_resolved, 3);
         assert_eq!(sess.stats().components_skipped, 1);
-        sess.remove_flow(churned);
+        sess.remove_batch(churned);
         sess.solve();
         // Back to the original shape: both components replay.
         assert_eq!(sess.stats().components_resolved, 3);
         assert_eq!(sess.stats().components_skipped, 3);
-        assert_eq!(
-            sess.components(),
-            vec![
-                sess.active_flows()
-                    .iter()
-                    .copied()
-                    .step_by(2)
-                    .collect::<Vec<_>>(),
-                sess.active_flows()
-                    .iter()
-                    .copied()
-                    .skip(1)
-                    .step_by(2)
-                    .collect::<Vec<_>>(),
-            ]
-        );
+        assert_eq!(sess.components(), vec![zone_a, zone_b]);
     }
 
     #[test]
@@ -1791,25 +1498,25 @@ mod tests {
             .map(|k| FlowSpec::new(vec![a1, a2]).with_weight(1.0 + f64::from(k)))
             .collect();
         let zone_b: Vec<FlowSpec> = (0..3).map(|_| FlowSpec::new(vec![b])).collect();
-        let za = sess.add_flows(&zone_a);
-        let zb = sess.add_flows(&zone_b);
+        let za = add(&mut sess, &zone_a);
+        let zb = add(&mut sess, &zone_b);
         sess.solve();
         assert_eq!(sess.stats().rows_written, 8, "the first solve writes all");
-        let a_rates = sess.rates_of_batch(za[0], 5).expect("solved").to_vec();
+        let a_rates = sess.rates_of_batch(za).expect("solved").to_vec();
 
-        let extra = sess.add_flows(&[FlowSpec::new(vec![b]).with_weight(2.0)]);
+        let extra = add(&mut sess, &[FlowSpec::new(vec![b]).with_weight(2.0)]);
         sess.solve();
         assert_eq!(sess.stats().rows_written, 8 + 4, "zone B's three and one");
-        sess.remove_flows(&extra);
+        sess.remove_batch(extra);
         sess.solve();
         assert_eq!(sess.stats().rows_written, 12 + 3, "zone B replays");
-        sess.remove_flows(&zb);
-        let zb2 = sess.add_flows(&zone_b);
+        sess.remove_batch(zb);
+        let zb2 = add(&mut sess, &zone_b);
         sess.solve();
         assert_eq!(sess.stats().rows_written, 15 + 3);
         assert_eq!(sess.stats().components_skipped, 1 + 2 + 2);
-        assert_eq!(sess.rates_of_batch(za[0], 5), Some(&a_rates[..]));
-        assert_eq!(sess.rates_of_batch(zb2[0], 3), Some(&[20.0 / 3.0; 3][..]));
+        assert_eq!(sess.rates_of_batch(za), Some(&a_rates[..]));
+        assert_eq!(sess.rates_of_batch(zb2), Some(&[20.0 / 3.0; 3][..]));
     }
 
     #[test]
@@ -1818,11 +1525,11 @@ mod tests {
         let a = p.add_resource(4.0);
         let b = p.add_resource(6.0);
         let mut sess = SolveSession::new(p);
-        let fa = sess.add_flow(&FlowSpec::new(vec![a]));
-        let fb = sess.add_flow(&FlowSpec::new(vec![b]));
-        let bridge = sess.add_flow(&FlowSpec::new(vec![a, b]));
+        let fa = add(&mut sess, &[FlowSpec::new(vec![a])]);
+        let fb = add(&mut sess, &[FlowSpec::new(vec![b])]);
+        let bridge = add(&mut sess, &[FlowSpec::new(vec![a, b])]);
         assert_eq!(sess.components().len(), 1, "bridge couples a and b");
-        sess.remove_flow(bridge);
+        sess.remove_batch(bridge);
         assert_eq!(
             sess.components(),
             vec![vec![fa], vec![fb]],
@@ -1839,9 +1546,9 @@ mod tests {
         // 1025 distinct single-flow shapes (distinct weights): the 1025th
         // insert evicts the oldest 512 entries.
         let solve_shape = |sess: &mut SolveSession, w: f64| {
-            let id = sess.add_flow(&FlowSpec::new(vec![r]).with_weight(w));
+            let id = add(sess, &[FlowSpec::new(vec![r]).with_weight(w)]);
             sess.solve();
-            sess.remove_flow(id);
+            sess.remove_batch(id);
         };
         for i in 0..1024 {
             solve_shape(&mut sess, 1.0 + i as f64);
@@ -1866,14 +1573,18 @@ mod tests {
         let a2 = p.add_resource(2.0);
         let b1 = p.add_resource(3.0);
         let mut sess = SolveSession::new(p);
-        let ids = sess.add_flows(&[
-            FlowSpec::new(vec![a1]),             // component A
-            FlowSpec::new(vec![b1]),             // component B
-            FlowSpec::new(vec![a2, a1]),         // bridges a1-a2 into A
-            FlowSpec::new(vec![]).with_cap(1.0), // cap-only singleton
-            FlowSpec::new(vec![dead, b1]),       // prefrozen singleton (dead res)
-            FlowSpec::new(vec![a2]),             // component A via a2
-        ]);
+        let first = add(
+            &mut sess,
+            &[
+                FlowSpec::new(vec![a1]),             // component A
+                FlowSpec::new(vec![b1]),             // component B
+                FlowSpec::new(vec![a2, a1]),         // bridges a1-a2 into A
+                FlowSpec::new(vec![]).with_cap(1.0), // cap-only singleton
+                FlowSpec::new(vec![dead, b1]),       // prefrozen singleton (dead res)
+                FlowSpec::new(vec![a2]),             // component A via a2
+            ],
+        );
+        let ids: Vec<FlowId> = (0..6).map(|k| FlowId(first.0 + k)).collect();
         assert_eq!(
             sess.components(),
             vec![
@@ -1955,7 +1666,7 @@ mod tests {
                 })
                 .collect();
             let mut sess = SolveSession::new(p.clone());
-            sess.add_flows(&flows);
+            add(&mut sess, &flows);
             assert_eq!(solve_bits(&mut sess), bits(&p.solve(&flows)));
         }
     }
@@ -1990,29 +1701,19 @@ mod tests {
             "the tie leaves an ulp"
         );
         let mut sess = SolveSession::new(p);
-        sess.add_flows(&specs);
+        add(&mut sess, &specs);
         assert_eq!(solve_bits(&mut sess), bits(&whole));
     }
 
     #[test]
     #[should_panic(expected = "is not active")]
-    fn removing_a_removed_flow_panics() {
+    fn removing_a_batch_twice_panics() {
         let mut p = MaxMinProblem::new();
         let r = p.add_resource(1.0);
         let mut sess = SolveSession::new(p);
-        let id = sess.add_flow(&FlowSpec::new(vec![r]));
-        sess.remove_flow(id);
-        sess.remove_flow(id);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight must be positive, finite and above 1e-9")]
-    fn sub_eps_weight_rejected_by_update_weight() {
-        let mut p = MaxMinProblem::new();
-        let r = p.add_resource(1.0);
-        let mut sess = SolveSession::new(p);
-        let id = sess.add_flow(&FlowSpec::new(vec![r]));
-        sess.update_weight(id, 1e-10);
+        let id = add(&mut sess, &[FlowSpec::new(vec![r])]);
+        sess.remove_batch(id);
+        sess.remove_batch(id);
     }
 
     #[test]
@@ -2020,7 +1721,7 @@ mod tests {
     fn unbounded_flow_rejected_at_add_time() {
         let p = MaxMinProblem::new();
         let mut sess = SolveSession::new(p);
-        sess.add_flow(&FlowSpec::new(vec![]));
+        add(&mut sess, &[FlowSpec::new(vec![])]);
     }
 
     #[test]
@@ -2029,6 +1730,6 @@ mod tests {
         let mut p = MaxMinProblem::new();
         let r = p.add_resource(10.0);
         let mut sess = SolveSession::new(p);
-        sess.add_flow(&FlowSpec::new(vec![r]).with_cap(f64::NAN));
+        add(&mut sess, &[FlowSpec::new(vec![r]).with_cap(f64::NAN)]);
     }
 }

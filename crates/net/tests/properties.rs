@@ -8,6 +8,14 @@ use spider_net::maxmin::{FlowSpec, MaxMinProblem};
 use spider_net::session::{FlowBatch, FlowId, SolveSession, UnionFind};
 use spider_net::torus::{Coord, LinkLoads, Torus};
 
+/// A live batch in the session churn test: its handle, the prepared batch
+/// and the specs it was prepared from.
+struct Live {
+    first: FlowId,
+    batch: Arc<FlowBatch>,
+    specs: Vec<FlowSpec>,
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -71,24 +79,22 @@ proptest! {
     /// Incremental session solves — decomposed into components, the
     /// missed ones solved in parallel — are bit-identical to undecomposed
     /// from-scratch solves over the live flows in insertion order, after
-    /// any sequence of deltas, at every thread budget (budget 0 is fully
-    /// sequential; 7 is an odd worker count). The deltas: single adds and
-    /// removes, weight updates, batch removals from the middle of the
-    /// active set (every flow of a run, or every other one), re-adds of a
-    /// removed shape under a fresh handle, a weight update that is undone
-    /// so the next solve probes the memo for a shape it holds, multi-flow
-    /// `add_flows` batches, one prepared `FlowBatch` added twice, removal
-    /// of part of a batch, and a bridge flow that merges two components and
-    /// whose removal splits them again. A flow removed after the last solve
-    /// still reads that solve's rate, and after every op the session's
-    /// components equal a from-scratch union-find partition of the live
-    /// flows.
+    /// any sequence of batch deltas, at every thread budget (budget 0 is
+    /// fully sequential; 7 is an odd worker count). The deltas: adds of
+    /// batches of one to five flows, removals of a batch from the middle of
+    /// the active set, re-adds of a removed batch's shape under a fresh
+    /// handle, one prepared `FlowBatch` added twice, a bridge batch that
+    /// merges two components and whose removal splits them again, and the
+    /// newest batch removed and its prepared batch re-added, which the next
+    /// solve must answer wholly from the memo. A removed batch reads no
+    /// rates, and after every op the session's components equal a
+    /// from-scratch union-find partition of the live flows.
     #[test]
     fn session_churn_bitwise_across_thread_budgets(
         caps in prop::collection::vec(0.5f64..50.0, 2..8),
         ops in prop::collection::vec(
             // (op selector, path seeds, cap?, weight, victim seed, span)
-            (0u8..11, prop::collection::vec(0usize..64, 1..4), prop::option::of(0.05f64..8.0),
+            (0u8..7, prop::collection::vec(0usize..64, 1..4), prop::option::of(0.05f64..8.0),
              0.5f64..16.0, 0usize..64, 1usize..6),
             1..40
         ),
@@ -98,37 +104,53 @@ proptest! {
         let mut p = MaxMinProblem::new();
         let rs: Vec<_> = caps.iter().map(|&c| p.add_resource(c)).collect();
         let mut sess = SolveSession::new(p.clone());
-        // Live flows in insertion (= solve) order, removed shapes, and the
-        // bits each flow got at the last solve.
-        let mut live: Vec<(FlowId, FlowSpec)> = Vec::new();
-        let mut removed: Vec<FlowSpec> = Vec::new();
-        let mut last_bits: BTreeMap<FlowId, u64> = BTreeMap::new();
-        // The components of the live flows, from scratch: no resource here
-        // is exhausted and every cap is positive, so no flow is prefrozen.
-        let partition = |live: &[(FlowId, FlowSpec)]| -> Vec<Vec<FlowId>> {
+        // Live batches in handle (= solve) order, and removed shapes.
+        let mut live: Vec<Live> = Vec::new();
+        let mut removed: Vec<Vec<FlowSpec>> = Vec::new();
+        let check = |sess: &mut SolveSession, live: &[Live]| {
+            sess.solve();
+            let specs: Vec<FlowSpec> = live.iter().flat_map(|l| l.specs.iter().cloned()).collect();
+            let session_bits: Vec<u64> = live
+                .iter()
+                .flat_map(|l| sess.rates_of_batch(l.first).expect("live and solved"))
+                .map(|r| r.to_bits())
+                .collect();
+            let oracle_bits: Vec<u64> = p.solve(&specs).iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(&session_bits, &oracle_bits);
+            // The components, each flow named by its position in solve
+            // order; a batch's first flow is the one its handle names.
+            let comps = sess.components();
+            let mut ids: Vec<FlowId> = comps.iter().flatten().copied().collect();
+            ids.sort();
+            let mut at = 0;
+            for l in live {
+                prop_assert_eq!(ids[at], l.first);
+                at += l.specs.len();
+            }
+            prop_assert_eq!(ids.len(), at);
+            let positions: Vec<Vec<usize>> = comps
+                .iter()
+                .map(|g| g.iter().map(|id| ids.binary_search(id).expect("listed")).collect())
+                .collect();
+            // From scratch: no resource here is exhausted and every cap is
+            // positive, so no flow is prefrozen.
             let mut uf = UnionFind::new(caps.len());
-            for (_, f) in live {
+            for f in &specs {
                 let path: Vec<u32> = f.resources.iter().map(|r| r.0 as u32).collect();
                 uf.union_all(&path);
             }
-            let mut groups: BTreeMap<u32, Vec<FlowId>> = BTreeMap::new();
-            for (id, f) in live {
-                groups.entry(uf.find(f.resources[0].0 as u32)).or_default().push(*id);
+            let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+            for (k, f) in specs.iter().enumerate() {
+                groups.entry(uf.find(f.resources[0].0 as u32)).or_default().push(k);
             }
-            let mut groups: Vec<Vec<FlowId>> = groups.into_values().collect();
+            let mut groups: Vec<Vec<usize>> = groups.into_values().collect();
             groups.sort();
-            groups
+            prop_assert_eq!(positions, groups);
         };
-        let check = |sess: &mut SolveSession,
-                     live: &[(FlowId, FlowSpec)],
-                     last_bits: &mut BTreeMap<FlowId, u64>| {
-            let specs: Vec<FlowSpec> = live.iter().map(|(_, f)| f.clone()).collect();
-            sess.solve();
-            let session_bits: Vec<u64> = sess.rates().iter().map(|r| r.to_bits()).collect();
-            let oracle_bits: Vec<u64> = p.solve(&specs).iter().map(|r| r.to_bits()).collect();
-            prop_assert_eq!(&session_bits, &oracle_bits);
-            prop_assert_eq!(sess.components(), partition(live));
-            *last_bits = live.iter().map(|(id, _)| *id).zip(session_bits).collect();
+        let add = |sess: &mut SolveSession, batch: Arc<FlowBatch>, specs: Vec<FlowSpec>| Live {
+            first: sess.add_batch(&batch),
+            batch,
+            specs,
         };
         // `n` flows from one path seed list, each shifted by its position.
         let batch_of = |path: &[usize], cap: Option<f64>, weight: f64, n: usize| -> Vec<FlowSpec> {
@@ -148,109 +170,66 @@ proptest! {
             let mut gone: Vec<FlowId> = Vec::new();
             match op {
                 0 | 1 => {
-                    let f = batch_of(&path, cap, weight, 1).remove(0);
-                    let id = sess.add_flow(&f);
-                    live.push((id, f));
+                    let specs = batch_of(&path, cap, weight, span);
+                    let batch = Arc::new(FlowBatch::new(&p, &specs));
+                    live.push(add(&mut sess, batch, specs));
                 }
                 2 if !live.is_empty() => {
-                    let (id, f) = live.remove(victim % live.len());
-                    sess.remove_flow(id);
-                    gone.push(id);
-                    removed.push(f);
+                    let l = live.remove(victim % live.len());
+                    sess.remove_batch(l.first);
+                    gone.push(l.first);
+                    removed.push(l.specs);
                 }
-                3 if !live.is_empty() => {
-                    let j = victim % live.len();
-                    sess.update_weight(live[j].0, weight);
-                    live[j].1.weight = weight;
+                3 if !removed.is_empty() => {
+                    let specs = removed[victim % removed.len()].clone();
+                    let batch = Arc::new(FlowBatch::new(&p, &specs));
+                    live.push(add(&mut sess, batch, specs));
                 }
-                4 if !live.is_empty() => {
-                    // A batch from the middle: `span` flows from the
-                    // victim's position on, adjacent or every other one,
-                    // handed over in reverse order.
-                    let start = victim % live.len();
-                    let stride = 1 + victim % 2;
-                    let picks: Vec<usize> =
-                        (start..live.len()).step_by(stride).take(span).collect();
-                    for &k in picks.iter().rev() {
-                        let (id, f) = live.remove(k);
-                        gone.push(id);
-                        removed.push(f);
-                    }
-                    sess.remove_flows(&gone);
-                }
-                5 if !removed.is_empty() => {
-                    let f = removed[victim % removed.len()].clone();
-                    let id = sess.add_flow(&f);
-                    live.push((id, f));
-                }
-                6 if !live.is_empty() => {
-                    // Solve under a new weight, then restore the old one:
-                    // the shape before the update was solved last round, so
-                    // restoring it must replay from the memo.
-                    let j = victim % live.len();
-                    let old = live[j].1.weight;
-                    sess.update_weight(live[j].0, weight);
-                    live[j].1.weight = weight;
-                    check(&mut sess, &live, &mut last_bits);
-                    sess.update_weight(live[j].0, old);
-                    live[j].1.weight = old;
-                    let hits = sess.stats().cache_hits;
-                    check(&mut sess, &live, &mut last_bits);
-                    prop_assert_eq!(sess.stats().cache_hits, hits + 1);
-                }
-                7 => {
-                    // One multi-flow batch.
-                    let specs = batch_of(&path, cap, weight, span);
-                    let ids = sess.add_flows(&specs);
-                    live.extend(ids.into_iter().zip(specs));
-                }
-                8 => {
+                4 => {
                     // One prepared batch, resident twice.
                     let specs = batch_of(&path, cap, weight, span);
                     let batch = Arc::new(FlowBatch::new(&p, &specs));
                     for _ in 0..2 {
-                        let first = sess.add_batch(&batch);
-                        let ids = sess.active_flows();
-                        let ids = &ids[ids.len() - span..];
-                        prop_assert_eq!(ids[0], first);
-                        live.extend(ids.iter().copied().zip(specs.iter().cloned()));
+                        live.push(add(&mut sess, Arc::clone(&batch), specs.clone()));
                     }
                 }
-                9 => {
-                    // A solved batch loses every other flow, from its
-                    // second on: its survivors split into runs.
-                    let specs = batch_of(&path, cap, weight, span + 1);
-                    let ids = sess.add_flows(&specs);
-                    live.extend(ids.iter().copied().zip(specs));
-                    check(&mut sess, &live, &mut last_bits);
-                    gone = ids.iter().copied().skip(1).step_by(2).collect();
-                    for id in &gone {
-                        let k = live.iter().position(|(l, _)| l == id).expect("live");
-                        removed.push(live.remove(k).1);
-                    }
-                    sess.remove_flows(&gone);
-                }
-                10 if live.len() >= 2 => {
-                    // A bridge between two live flows' first resources,
+                5 if live.len() >= 2 => {
+                    // A bridge between two live batches' first resources,
                     // solved, then removed again.
-                    let a = live[victim % live.len()].1.resources[0];
-                    let b = live[(victim / 2 + 1) % live.len()].1.resources[0];
-                    let bridge = FlowSpec::new(vec![a, b]).with_weight(weight);
-                    let id = sess.add_flow(&bridge);
-                    live.push((id, bridge));
-                    check(&mut sess, &live, &mut last_bits);
-                    let (id, f) = live.pop().expect("just pushed");
-                    sess.remove_flow(id);
-                    gone.push(id);
-                    removed.push(f);
+                    let a = live[victim % live.len()].specs[0].resources[0];
+                    let b = live[(victim / 2 + 1) % live.len()].specs[0].resources[0];
+                    let bridge = vec![FlowSpec::new(vec![a, b]).with_weight(weight)];
+                    let batch = Arc::new(FlowBatch::new(&p, &bridge));
+                    live.push(add(&mut sess, batch, bridge));
+                    check(&mut sess, &live);
+                    let l = live.pop().expect("just pushed");
+                    sess.remove_batch(l.first);
+                    gone.push(l.first);
+                    removed.push(l.specs);
+                }
+                6 if !live.is_empty() => {
+                    // The newest batch leaves and its prepared batch comes
+                    // back: the shape solved last round recurs, so the next
+                    // solve replays every component from the memo.
+                    let l = live.pop().expect("non-empty");
+                    sess.remove_batch(l.first);
+                    prop_assert_eq!(sess.rates_of_batch(l.first), None);
+                    check(&mut sess, &live);
+                    prop_assert_eq!(sess.rates_of_batch(l.first), None);
+                    live.push(add(&mut sess, l.batch, l.specs));
+                    let hits = sess.stats().cache_hits;
+                    check(&mut sess, &live);
+                    prop_assert_eq!(sess.stats().cache_hits, hits + 1);
                 }
                 _ => {}
             }
-            for id in gone {
-                prop_assert!(!sess.is_active(id));
-                prop_assert_eq!(sess.rate_of(id).map(f64::to_bits), last_bits.get(&id).copied());
+            for &id in &gone {
+                prop_assert_eq!(sess.rates_of_batch(id), None);
             }
-            check(&mut sess, &live, &mut last_bits);
+            check(&mut sess, &live);
+            for &id in &gone {
+                prop_assert_eq!(sess.rates_of_batch(id), None);
+            }
         }
         rayon::set_spare_thread_budget(0);
     }
@@ -335,11 +314,16 @@ proptest! {
         for budget in [0, 1] {
             rayon::set_spare_thread_budget(budget);
             let mut sess = SolveSession::new(p.clone());
-            for chunk in specs.chunks(batch) {
-                sess.add_flows(chunk);
-            }
+            let firsts: Vec<FlowId> = specs
+                .chunks(batch)
+                .map(|chunk| sess.add_batch(&Arc::new(FlowBatch::new(&p, chunk))))
+                .collect();
             sess.solve();
-            let parts = sess.rates();
+            let parts: Vec<f64> = firsts
+                .iter()
+                .flat_map(|&first| sess.rates_of_batch(first).expect("solved"))
+                .copied()
+                .collect();
             prop_assert!(p.verify(&specs, &parts).is_ok(), "{:?}", p.verify(&specs, &parts));
             let parts: Vec<u64> = parts.iter().map(|r| r.to_bits()).collect();
             prop_assert_eq!(&parts, &whole);

@@ -68,6 +68,8 @@ pub struct FileSystem {
     /// The namespace tree.
     pub ns: Namespace,
     rr_cursor: usize,
+    /// The OSTs the last allocation picked.
+    picked: Vec<OstId>,
     /// The per-OST split of the extent an append or unlink is charging.
     split: Vec<u64>,
 }
@@ -89,6 +91,7 @@ impl FileSystem {
             oss,
             ns: Namespace::new(),
             rr_cursor: 0,
+            picked: Vec::new(),
             split: Vec::new(),
         }
     }
@@ -139,17 +142,18 @@ impl FileSystem {
         }
     }
 
-    /// Pick `count` OSTs for a new file under the configured policy.
-    pub fn allocate_osts(&mut self, count: usize, rng: &mut SimRng) -> Vec<OstId> {
+    /// Pick `count` OSTs for a new file under the configured policy, into a
+    /// buffer the file system owns and reuses.
+    pub fn allocate_osts(&mut self, count: usize, rng: &mut SimRng) -> &[OstId] {
         let n = self.osts.len();
         let count = count.clamp(1, n);
+        self.picked.clear();
         match self.config.alloc {
             OstAllocPolicy::RoundRobin => {
                 let start = self.rr_cursor;
                 self.rr_cursor = (self.rr_cursor + count) % n;
-                (0..count)
-                    .map(|i| OstId(((start + i) % n) as u32))
-                    .collect()
+                self.picked
+                    .extend((0..count).map(|i| OstId(((start + i) % n) as u32)));
             }
             OstAllocPolicy::WeightedFree => {
                 // Sample OSTs proportionally to free space, without
@@ -166,9 +170,11 @@ impl FileSystem {
                     .collect();
                 keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
                 keyed.truncate(count);
-                keyed.into_iter().map(|(_, id)| OstId(id)).collect()
+                self.picked
+                    .extend(keyed.into_iter().map(|(_, id)| OstId(id)));
             }
         }
+        &self.picked
     }
 
     /// Create a file at `dir/name` with `stripe_count` OSTs (0 = default).
@@ -186,12 +192,13 @@ impl FileSystem {
         } else {
             stripe_count
         };
-        let osts = self.allocate_osts(count, rng);
-        for o in &osts {
+        self.allocate_osts(count, rng);
+        for o in &self.picked {
             // Object creation reserves no space yet; just count the object.
             self.osts[o.0 as usize].allocate(0);
         }
-        let stripe = StripeLayout::new(osts).with_stripe_size(self.config.default_stripe_size);
+        let stripe = StripeLayout::from_slice(&self.picked)
+            .with_stripe_size(self.config.default_stripe_size);
         self.ns.create_file(
             dir,
             name,
@@ -312,9 +319,9 @@ mod tests {
     fn round_robin_allocation_cycles() {
         let mut fs = fs(4);
         let mut rng = SimRng::seed_from_u64(1);
-        let a = fs.allocate_osts(2, &mut rng);
-        let b = fs.allocate_osts(2, &mut rng);
-        let c = fs.allocate_osts(2, &mut rng);
+        let a = fs.allocate_osts(2, &mut rng).to_vec();
+        let b = fs.allocate_osts(2, &mut rng).to_vec();
+        let c = fs.allocate_osts(2, &mut rng).to_vec();
         assert_eq!(a, vec![OstId(0), OstId(1)]);
         assert_eq!(b, vec![OstId(2), OstId(3)]);
         assert_eq!(c, vec![OstId(0), OstId(1)], "wraps");

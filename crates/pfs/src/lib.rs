@@ -24,7 +24,7 @@
 //!   its victims.
 //! - [`fs`]: a mounted file system instance tying MDS + OSTs + namespace
 //!   together, with OST allocation policies.
-//! - [`purge`]: the 14-day automatic purge (§IV-C), driven by the
+//! - [`purge`](mod@purge): the 14-day automatic purge (§IV-C), driven by the
 //!   namespace's last-activity index.
 //! - [`journal`]: the Lustre journal whose loss in the 2010 incident cost
 //!   "more than a million files" (§IV-E), plus the recovery model.

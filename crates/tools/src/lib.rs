@@ -9,17 +9,17 @@
 //! - [`culling`]: the slow-disk identification and replacement campaign
 //!   (§V-A, Lesson Learned 13): performance binning, iterative replacement,
 //!   acceptance envelopes (5% / 7.5%).
-//! - [`libpio`]: the balanced placement runtime (§VI-A, [33]): load-aware
+//! - [`libpio`]: the balanced placement runtime (§VI-A, \[33\]): load-aware
 //!   OST/router selection behind a small API, the thing that bought >70%
 //!   on synthetic benchmarks and +24% for S3D.
-//! - [`iosi`]: the I/O Signature Identifier (§VI-B, [16]): per-application
+//! - [`iosi`]: the I/O Signature Identifier (§VI-B, \[16\]): per-application
 //!   I/O signatures recovered from noisy server-side throughput logs.
 //! - [`monitor`]: the monitoring stack of §IV-A: health checks and the
 //!   Lustre Health Checker event coalescer (the DDN-tool controller poller
 //!   is `spider_obs::live::Monitor`).
 //! - [`lustredu`]: server-side disk-usage aggregation (§VI-C) versus the
 //!   MDS-crushing client-side `du`.
-//! - [`ptools`]: scalable parallel file tools (§VI-C, [10]): work-stealing
+//! - [`ptools`]: scalable parallel file tools (§VI-C, \[10\]): work-stealing
 //!   `dwalk`/`dfind`/`dcp`/`dtar` equivalents over a namespace, with real
 //!   multi-core speedups via rayon.
 //! - [`planner`]: capacity planning (§IV-C, §VII): project classification,

@@ -1,6 +1,6 @@
 //! Workload characterization — recovering the §II statistics from a trace.
 //!
-//! The paper's design inputs came from analyzing Spider I logs [14]: the
+//! The paper's design inputs came from analyzing Spider I logs \[14\]: the
 //! 60/40 write/read split, the small/large request-size bimodality, and the
 //! Pareto-tailed inter-arrival and idle time distributions. This analyzer
 //! recomputes those statistics from any request trace, so generated

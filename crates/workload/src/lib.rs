@@ -3,7 +3,7 @@
 //! # spider-workload
 //!
 //! I/O workload models for the center simulation, parameterized from the
-//! paper's published characterization of Spider I traffic (§II, [14]):
+//! paper's published characterization of Spider I traffic (§II, \[14\]):
 //! 60% write / 40% read requests; request sizes bimodal (small, under
 //! 16 KB, or large multiples of 1 MB); inter-arrival and idle times
 //! long-tailed, "modeled as a Pareto distribution".
@@ -14,7 +14,7 @@
 //!   server-side throughput log.
 //! - [`mix`]: composes the center-wide mixed workload from several compute
 //!   resources — the thing a data-centric PFS actually experiences.
-//! - [`characterize`]: recovers the paper's workload statistics from a
+//! - [`characterize`](mod@characterize): recovers the paper's workload statistics from a
 //!   trace (write fraction, size bimodality, Pareto tail fit via the Hill
 //!   estimator) — validating generator output against §II.
 //! - [`ior`]: the IOR-like synthetic benchmark behind Figures 3 and 4

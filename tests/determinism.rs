@@ -46,7 +46,8 @@ fn incremental_sessions_are_byte_stable() {
     // every intermediate rate vector bit for bit — including the solves
     // answered from the fixed-point memo.
     use spider::net::maxmin::{FlowSpec, MaxMinProblem};
-    use spider::net::SolveSession;
+    use spider::net::{FlowBatch, SolveSession};
+    use std::sync::Arc;
     let script = || -> Vec<u64> {
         let mut p = MaxMinProblem::new();
         let res: Vec<_> = (0..6)
@@ -54,21 +55,35 @@ fn incremental_sessions_are_byte_stable() {
             .collect();
         let mut s = SolveSession::new(p);
         let mut bits = Vec::new();
-        let mut ids = Vec::new();
+        // Live batches in handle order, and removed ones.
+        let mut live = Vec::new();
+        let mut gone = Vec::new();
         for k in 0..20u32 {
-            let path = vec![res[k as usize % 6], res[(k as usize + 2) % 6]];
-            let spec = FlowSpec::new(path)
-                .with_cap(3.0 + f64::from(k % 5))
-                .with_weight(1.0 + f64::from(k % 3));
-            ids.push(s.add_flow(&spec));
+            let specs: Vec<FlowSpec> = (k..=k + k % 3)
+                .map(|j| {
+                    FlowSpec::new(vec![res[j as usize % 6], res[(j as usize + 2) % 6]])
+                        .with_cap(3.0 + f64::from(j % 5))
+                        .with_weight(1.0 + f64::from(k % 3))
+                })
+                .collect();
+            let batch = Arc::new(FlowBatch::new(s.problem(), &specs));
+            live.push((s.add_batch(&batch), batch));
             if k % 4 == 3 {
-                s.remove_flow(ids[(k as usize) / 2]);
+                // A batch from the middle leaves.
+                let (first, batch) = live.remove(live.len() / 2);
+                s.remove_batch(first);
+                gone.push(batch);
             }
-            if k % 5 == 2 {
-                s.update_weight(*ids.last().expect("just pushed"), 2.5);
+            if k % 5 == 2 && !gone.is_empty() {
+                // A removed batch comes back under a fresh handle.
+                let batch = gone.remove(0);
+                live.push((s.add_batch(&batch), batch));
             }
             s.solve();
-            bits.extend(s.rates().iter().map(|r| r.to_bits()));
+            for (first, _) in &live {
+                let rates = s.rates_of_batch(*first).expect("solved");
+                bits.extend(rates.iter().map(|r| r.to_bits()));
+            }
         }
         bits
     };
