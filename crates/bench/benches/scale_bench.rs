@@ -1,4 +1,5 @@
-//! Million-client memory-budget bench: the columnar/arena scaling gates.
+//! Million-client memory-budget bench: the columnar and event-engine
+//! scaling gates.
 //!
 //! Two sections, both asserted (a budget nobody enforces is a comment):
 //!
@@ -7,11 +8,12 @@
 //!    collapse makes solve cost a function of hardware shape, not client
 //!    count, and the resident [`FlowSession`]'s deterministic footprint
 //!    must stay within the steady-state budget of **128 bytes/client**.
-//! 2. **Arena engine churn** — steady-state event traffic through the
-//!    slab-backed [`Engine`]: every completion schedules a successor, so
-//!    the arena recycles a fixed slot population while millions of events
-//!    flow. Records events/sec and asserts the arena stayed at its initial
-//!    occupancy (no per-event allocation).
+//! 2. **Engine churn** — steady-state event traffic through the [`Engine`],
+//!    whose heap entries carry their payloads: every completion schedules a
+//!    successor, so a fixed resident population flows through millions of
+//!    events. Records events/sec and asserts the queue's high water stayed
+//!    at the resident count and the heap's bytes at their loaded value (no
+//!    per-event allocation).
 //!
 //! The smoke shape ([`spider_bench::record`] decides it, and where
 //! `BENCH_scale.json` — bytes/client, events/sec, wall times — goes) runs
@@ -86,12 +88,13 @@ fn main() {
         );
     }
 
-    // ---- arena engine: steady-state event churn ----
+    // ---- event engine: steady-state churn ----
     let resident = 10_000u64;
     let mut engine: Engine<u32> = Engine::new();
     for i in 0..resident {
         engine.schedule(SimTime::ZERO + SimDuration::from_nanos(i + 1), i as u32);
     }
+    let loaded_bytes = engine.mem_bytes();
     let mut processed = 0u64;
     let t0 = Instant::now();
     engine.run_to_completion(|ctx, ev| {
@@ -103,20 +106,24 @@ fn main() {
     let churn_ms = t0.elapsed().as_secs_f64() * 1e3;
     let events_per_sec = processed as f64 / (churn_ms / 1e3);
     let engine_bytes = engine.mem_bytes();
-    let slots = engine.arena_slots();
+    let high_water = engine.queue_high_water();
 
     println!(
-        "scale_bench arena: {processed} events in {churn_ms:.1}ms \
-         ({events_per_sec:.0} events/s), {slots} slots, {engine_bytes} B"
+        "scale_bench engine: {processed} events in {churn_ms:.1}ms \
+         ({events_per_sec:.0} events/s), high water {high_water}, {engine_bytes} B"
     );
     assert_eq!(processed, churn_events);
     assert_eq!(
-        slots as u64, resident,
-        "arena grew past the resident population: churn must recycle slots"
+        high_water as u64, resident,
+        "the queue grew past the resident population"
+    );
+    assert_eq!(
+        engine_bytes, loaded_bytes,
+        "churn grew the heap: steady state must allocate nothing"
     );
 
     let fields = format!(
-        r#"  "note": "wall times and events/sec measured on this machine; bytes figures are deterministic (container capacities via MemFootprint, identical on every host). The columnar section is the E3 shape at 10^6 clients: the weighted-class collapse resolves a million clients to O(100) flow classes, so solve wall time is flat in client count, and the resident session holds class-level columns plus a client-to-class table with one entry per class, so its bytes do not grow with the client count either. The arena section is steady-state churn: a fixed resident event population recycled through the slab free list, zero allocation per event",
+        r#"  "note": "wall times and events/sec measured on this machine; bytes figures are deterministic (container capacities via MemFootprint, identical on every host). The columnar section is the E3 shape at 10^6 clients: the weighted-class collapse resolves a million clients to O(100) flow classes, so solve wall time is flat in client count, and the resident session holds class-level columns plus a client-to-class table with one entry per class, so its bytes do not grow with the client count either. The engine section is steady-state churn: a fixed resident event population whose payloads ride in their heap entries, zero allocation per event",
   "shape": {{"clients": {clients}, "churn_events": {churn_events}, "resident_events": {resident}}},
   "columnar": {{
     "clients": {clients},
@@ -127,11 +134,11 @@ fn main() {
     "bytes_per_client": {bytes_per_client:.2},
     "budget_bytes_per_client": {BYTES_PER_CLIENT_BUDGET}
   }},
-  "arena_engine": {{
+  "event_engine": {{
     "events": {processed},
     "wall_ms": {churn_ms:.2},
     "events_per_sec": {events_per_sec:.0},
-    "arena_slots": {slots},
+    "queue_high_water": {high_water},
     "engine_bytes": {engine_bytes}
   }}"#,
         gbps = rep.mean.as_gb_per_sec(),

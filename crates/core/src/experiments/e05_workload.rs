@@ -5,6 +5,7 @@
 //! "a majority of I/O requests are either small (under 16 KB) or large
 //! (multiples of 1 MB)", and Pareto-tailed inter-arrival/idle times.
 
+use spider_obs::PhaseTimer;
 use spider_simkit::{SimDuration, SimRng};
 use spider_workload::characterize::Tally;
 use spider_workload::mix::CenterWorkload;
@@ -32,8 +33,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
     // once, not once per stream and once combined. Every chunk forks its
     // streams' generators from the same parent state, so each stream is the
     // one a single pass would generate.
+    //
+    // Wall-time sub-phases, recorded only in the obs manifest's `wall`
+    // section: the streams (generated and tallied together) and the fits.
     let wl = CenterWorkload::olcf_production();
     let streams = wl.total_streams();
+    let phase = PhaseTimer::start("exp:E5/streams");
     let mut all = Tally::default();
     for lo in (0..streams).step_by(E5_CHUNK) {
         let chunk = lo..(lo + E5_CHUNK as u32).min(streams);
@@ -43,7 +48,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
             all.absorb(part);
         }
     }
+    drop(phase);
+    let phase = PhaseTimer::start("exp:E5/fit");
     let c = all.finish();
+    drop(phase);
 
     let mut table = Table::new(
         "E5: production mix characterization vs the paper's published values",

@@ -7,6 +7,7 @@
 //! recover the application's period and burst volume "at no cost to the
 //! user and without taxing the storage subsystem".
 
+use spider_obs::PhaseTimer;
 use spider_simkit::{SimDuration, SimRng, SimTime, TimeSeries};
 use spider_tools::iosi::{extract_signature, IosiConfig};
 use spider_workload::generator::trace_to_series;
@@ -52,8 +53,14 @@ pub fn run(scale: Scale) -> Vec<Table> {
     };
     let app = S3dConfig::small(ranks);
     let interval = SimDuration::from_secs(10);
+    // Wall-time sub-phases, recorded only in the obs manifest's `wall`
+    // section: the four runs' traces and log bins, then IOSI.
+    let phase = PhaseTimer::start("exp:E7/logs");
     let runs: Vec<TimeSeries> = (0..4).map(|i| one_run(&app, interval, 0xE7 + i)).collect();
+    drop(phase);
+    let phase = PhaseTimer::start("exp:E7/iosi");
     let sig = extract_signature(&runs, &IosiConfig::default());
+    drop(phase);
 
     let mut table = Table::new(
         "E7: IOSI signature extraction from noisy server-side logs",

@@ -14,6 +14,7 @@
 //! same per-replication random stream (common random numbers), so the
 //! declustering benefit is estimated as a low-variance paired difference.
 
+use spider_obs::PhaseTimer;
 use spider_simkit::montecarlo::{replicate, Estimate, McConfig};
 use spider_simkit::OnlineStats;
 use spider_storage::raid::RaidConfig;
@@ -29,10 +30,12 @@ use crate::report::Table;
 /// stats, and the field-wise totals (windows, splitting activity).
 type ScenAcc = (OnlineStats, OnlineStats, FastReliabilityReport);
 
-fn scenarios(groups: u32) -> Vec<(&'static str, ReliabilityConfig)> {
+/// The scenarios: table name, wall-time phase and configuration.
+fn scenarios(groups: u32) -> Vec<(&'static str, &'static str, ReliabilityConfig)> {
     vec![
         (
             "RAID-6 8+2, classic rebuild",
+            "exp:E16/raid6_classic",
             ReliabilityConfig {
                 groups,
                 ..ReliabilityConfig::spider2()
@@ -40,6 +43,7 @@ fn scenarios(groups: u32) -> Vec<(&'static str, ReliabilityConfig)> {
         ),
         (
             "RAID-6 8+2, declustered 4x",
+            "exp:E16/raid6_declustered",
             ReliabilityConfig {
                 groups,
                 declustering: 4.0,
@@ -48,6 +52,7 @@ fn scenarios(groups: u32) -> Vec<(&'static str, ReliabilityConfig)> {
         ),
         (
             "RAID-5 9+1, classic rebuild",
+            "exp:E16/raid5_classic",
             ReliabilityConfig {
                 groups,
                 raid: RaidConfig {
@@ -73,12 +78,16 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mc = McConfig::new(0xE16, reps);
     let run = replicate(&mc, |_, rng| {
         let mut per: Vec<ScenAcc> = Vec::with_capacity(scens.len());
-        for (_, scen) in &scens {
+        for (_, phase, scen) in &scens {
             // Common random numbers: every scenario replays this
             // replication's exact draws, so cross-scenario differences are
-            // paired, not independent.
+            // paired, not independent. Each scenario's wall time, summed
+            // over replications on every thread, is recorded only in the
+            // obs manifest's `wall` section.
             let mut crn = rng.clone();
+            let timer = PhaseTimer::start(phase);
             let rep = run_reliability_fast(scen, &split, &mut crn);
+            drop(timer);
             per.push((
                 OnlineStats::from_iter([rep.data_loss_events]),
                 OnlineStats::from_iter([rep.disk_failures]),
@@ -102,7 +111,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "analytic loss prob/group/yr",
         ],
     );
-    for ((name, scen), (loss, fails, totals)) in scens.iter().zip(&per) {
+    for ((name, _, scen), (loss, fails, totals)) in scens.iter().zip(&per) {
         let loss_est = Estimate::of(loss);
         let fail_est = Estimate::of(fails);
         t.row(vec![

@@ -120,6 +120,20 @@ impl JobColumns {
         }
     }
 
+    /// Whether job `i` has started by `t` and still has bytes to move.
+    /// Admitting it completes it at its start instead when it has none, so
+    /// a job with nothing to move never enters a solve.
+    fn admit(&mut self, jobs: &[Job], i: usize, t: SimTime) -> bool {
+        if self.completions[i].is_some() || jobs[i].start > t {
+            return false;
+        }
+        if self.remaining[i] == 0.0 {
+            self.completions[i] = Some(jobs[i].start);
+            return false;
+        }
+        true
+    }
+
     /// Finish the run: round the byte columns into the public result.
     fn into_result(
         self,
@@ -280,7 +294,7 @@ fn run_fixed_step(center: &Center, jobs: &[Job], cfg: &TimestepConfig) -> Timest
         steps += 1;
         // Active jobs at this instant.
         let active: Vec<usize> = (0..jobs.len())
-            .filter(|&i| jobs[i].start <= t && cols.completions[i].is_none())
+            .filter(|&i| cols.admit(jobs, i, t))
             .collect();
         if active.is_empty() {
             // Jump to the next job start, if any.
@@ -375,7 +389,7 @@ impl<'a> EventLoop<'a> {
         self.steps += 1;
         let cols = &mut self.cols;
         for (i, j) in jobs.iter().enumerate() {
-            if cols.test_of[i].is_none() && cols.completions[i].is_none() && j.start <= t {
+            if cols.test_of[i].is_none() && cols.admit(jobs, i, t) {
                 cols.test_of[i] = Some(self.session.add_test(&j.flow_test()));
             }
         }
@@ -889,21 +903,16 @@ mod tests {
 
     #[test]
     fn a_zero_client_job_completes_beside_a_running_one() {
-        // A zero-client job is an empty test: it moves nothing and
-        // completes at the first event point that retires a job (event
-        // driven and sharded) or at the end of the first step (fixed step).
+        // A zero-client job has nothing to move: every driver completes it
+        // at its start, and the other job runs as if it were alone.
         let c = center();
         let jobs = vec![job(0, 0, 1, 0), job(0, 4, 1, 0)];
         let drain = SimTime(19_522_578_618);
         let fixed_step = run_timestep(&c, &jobs, &fixed());
         let event = run_timestep(&c, &jobs, &TimestepConfig::default());
         let (sharded, _) = run_timestep_sharded(&c, &jobs, &TimestepConfig::default());
-        for (res, empty_done) in [
-            (fixed_step, SimTime::from_secs(5)),
-            (event, drain),
-            (sharded, drain),
-        ] {
-            assert_eq!(res.completions, vec![Some(empty_done), Some(drain)]);
+        for res in [fixed_step, event, sharded] {
+            assert_eq!(res.completions, vec![Some(SimTime::ZERO), Some(drain)]);
             assert_eq!(res.bytes_moved, vec![0, 4 << 30]);
         }
     }

@@ -49,6 +49,6 @@ pub use layout::StripeLayout;
 pub use mds::{MdsCluster, MdsOp, MetadataServer};
 pub use namespace::{FileMeta, Inode, InodeId, InodeKind, Name, Namespace};
 pub use oss::{JournalingMode, ObjectStorageServer, OssId};
-pub use ost::{Ost, OstId};
+pub use ost::{Ost, OstId, OstRates};
 pub use purge::{purge, PurgeReport};
 pub use recovery::{FailoverModel, RecoveryMode};

@@ -12,9 +12,12 @@
 //! - **Aging/fragmentation**: an aged file system underperforms a freshly
 //!   formatted one even at the same fullness (§V-D's thin-file-system QA
 //!   exists to measure exactly this).
+//!
+//! [`OstRates`] multiplies both factors onto the group's [`RaidRates`]; it
+//! is the one place an OST's bandwidth is computed.
 
 use spider_simkit::{Bandwidth, SimRng};
-use spider_storage::raid::{RaidGroup, RaidState};
+use spider_storage::raid::{RaidGroup, RaidRates, RaidState};
 
 /// Identifier of an OST within a file system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -102,18 +105,24 @@ impl Ost {
         1.0 - 0.25 * self.aging.clamp(0.0, 1.0)
     }
 
+    /// The OST's request-independent rate inputs, for pricing requests
+    /// against it while it does not change.
+    pub fn rates(&self) -> OstRates<'_> {
+        OstRates {
+            group: self.group.rates(),
+            fullness: self.fullness_factor(),
+            aging: self.aging_factor(),
+        }
+    }
+
     /// Effective write bandwidth at the Lustre object layer.
     pub fn write_bandwidth(&self, io_size: u64, sequential: bool) -> Bandwidth {
-        self.group.write_bandwidth(io_size, sequential)
-            * self.fullness_factor()
-            * self.aging_factor()
+        self.rates().write_bandwidth(io_size, sequential)
     }
 
     /// Effective read bandwidth at the Lustre object layer.
     pub fn read_bandwidth(&self, io_size: u64, sequential: bool) -> Bandwidth {
-        self.group.read_bandwidth(io_size, sequential)
-            * self.fullness_factor()
-            * self.aging_factor()
+        self.rates().read_bandwidth(io_size, sequential)
     }
 
     /// Allocate an object of `bytes`. Returns `false` (and allocates
@@ -160,6 +169,28 @@ impl Ost {
     pub fn age_synthetically(&mut self, churn_cycles: f64, rng: &mut SimRng) {
         let jitter = 0.9 + 0.2 * rng.f64();
         self.aging = (self.aging + 0.1 * churn_cycles * jitter).min(1.0);
+    }
+}
+
+/// An [`Ost`]'s request-independent rate inputs: its group's
+/// [`RaidRates`] and the fullness and aging factors, applied as
+/// `(group × fullness) × aging`. Built by [`Ost::rates`].
+#[derive(Debug, Clone, Copy)]
+pub struct OstRates<'a> {
+    group: RaidRates<'a>,
+    fullness: f64,
+    aging: f64,
+}
+
+impl OstRates<'_> {
+    /// Effective write bandwidth at the Lustre object layer.
+    pub fn write_bandwidth(&self, io_size: u64, sequential: bool) -> Bandwidth {
+        self.group.write_bandwidth(io_size, sequential) * self.fullness * self.aging
+    }
+
+    /// Effective read bandwidth at the Lustre object layer.
+    pub fn read_bandwidth(&self, io_size: u64, sequential: bool) -> Bandwidth {
+        self.group.read_bandwidth(io_size, sequential) * self.fullness * self.aging
     }
 }
 

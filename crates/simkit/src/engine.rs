@@ -5,13 +5,11 @@
 //! events, and stop the run. Determinism: events firing at the same instant
 //! are delivered in scheduling order (a monotone sequence number breaks ties).
 //!
-//! Event storage is arena-based: the priority heap orders fixed-size
-//! `(at, seq, slot)` entries while payloads live in a slab indexed by `slot`,
-//! with freed slots recycled through a free list. Steady-state churn
-//! (schedule one, fire one) therefore allocates nothing — the heap, slab and
-//! free list all retain their capacity — which is what lets million-event
-//! runs hold a flat memory profile. Delivery order is a function of
-//! `(at, seq)` alone, so the arena is invisible to models.
+//! Each pending event is one heap entry `(at, seq, payload)`, ordered by
+//! `(at, seq)` alone. Every payload in the workspace is at most 8 bytes, so
+//! an entry is 24 bytes (16 for `()`). Steady-state churn (schedule one,
+//! fire one) allocates nothing, because the heap keeps its capacity, which
+//! is what lets million-event runs hold a flat memory profile.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -19,25 +17,25 @@ use std::collections::BinaryHeap;
 use crate::mem::{slab_bytes, MemFootprint};
 use crate::{SimDuration, SimTime};
 
-/// Heap key for one pending event: the payload lives in the slab at `slot`.
-struct HeapEntry {
+/// One pending event: its key `(at, seq)` and its payload.
+struct HeapEntry<E> {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    payload: E,
 }
 
-impl PartialEq for HeapEntry {
+impl<E> PartialEq for HeapEntry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
+impl<E> Eq for HeapEntry<E> {}
+impl<E> PartialOrd for HeapEntry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapEntry {
+impl<E> Ord for HeapEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first.
         other
@@ -69,12 +67,7 @@ impl Ord for HeapEntry {
 pub struct Engine<E> {
     now: SimTime,
     seq: u64,
-    heap: BinaryHeap<HeapEntry>,
-    /// Payload arena, indexed by [`HeapEntry::slot`]. `None` marks a freed
-    /// slot awaiting reuse through `free`.
-    slab: Vec<Option<E>>,
-    /// Freed slab indices, reused LIFO before the slab grows.
-    free: Vec<u32>,
+    heap: BinaryHeap<HeapEntry<E>>,
     processed: u64,
     high_water: usize,
     stopped: bool,
@@ -93,8 +86,6 @@ impl<E> Engine<E> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
             processed: 0,
             high_water: 0,
             stopped: false,
@@ -131,15 +122,7 @@ impl<E> Engine<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let slot = if let Some(slot) = self.free.pop() {
-            self.slab[slot as usize] = Some(payload);
-            slot
-        } else {
-            let slot = u32::try_from(self.slab.len()).expect("event arena exceeds u32 slots");
-            self.slab.push(Some(payload));
-            slot
-        };
-        self.heap.push(HeapEntry { at, seq, slot });
+        self.heap.push(HeapEntry { at, seq, payload });
         self.high_water = self.high_water.max(self.heap.len());
     }
 
@@ -163,18 +146,7 @@ impl<E> Engine<E> {
         let entry = self.heap.pop().expect("peeked");
         self.now = entry.at;
         self.processed += 1;
-        let payload = self.slab[entry.slot as usize]
-            .take()
-            .expect("heap entry points at an occupied slab slot");
-        self.free.push(entry.slot);
-        Some(payload)
-    }
-
-    /// Number of payload slots the arena has ever grown to (live + free).
-    /// Steady-state churn reuses freed slots, so this tracks the *peak*
-    /// concurrent event count, not the total processed.
-    pub fn arena_slots(&self) -> usize {
-        self.slab.len()
+        Some(entry.payload)
     }
 
     /// Run until the queue drains, the horizon passes, or a handler calls
@@ -255,9 +227,7 @@ impl<E> Engine<E> {
 
 impl<E> MemFootprint for Engine<E> {
     fn mem_bytes(&self) -> u64 {
-        slab_bytes::<HeapEntry>(self.heap.capacity())
-            + slab_bytes::<Option<E>>(self.slab.capacity())
-            + slab_bytes::<u32>(self.free.capacity())
+        slab_bytes::<HeapEntry<E>>(self.heap.capacity())
     }
 }
 
@@ -440,18 +410,28 @@ mod tests {
     }
 
     #[test]
-    fn arena_reuses_slots_under_steady_state_churn() {
-        // One event in flight at a time: the slab must never grow past the
-        // peak concurrency (1), no matter how many events are processed.
+    fn heap_stays_flat_under_steady_state_churn() {
+        // One event in flight at a time: neither the queue's high water nor
+        // the reserved bytes may grow past the first event's, no matter how
+        // many events are processed.
         let mut eng: Engine<u64> = Engine::new();
         eng.schedule(SimTime::ZERO, 0);
+        let first = eng.mem_bytes();
+        assert!(first > 0);
         eng.run_to_completion(|ctx, ev| {
             if ev < 10_000 {
                 ctx.schedule_in(SimDuration::from_nanos(1), ev + 1);
             }
         });
         assert_eq!(eng.processed(), 10_001);
-        assert_eq!(eng.arena_slots(), 1, "slab grew past peak concurrency");
+        assert_eq!(eng.queue_high_water(), 1, "the queue grew past one event");
+        assert_eq!(eng.mem_bytes(), first, "churn grew the heap");
+    }
+
+    #[test]
+    fn an_entry_is_its_key_plus_an_eight_byte_payload() {
+        assert_eq!(std::mem::size_of::<HeapEntry<u64>>(), 24);
+        assert_eq!(std::mem::size_of::<HeapEntry<()>>(), 16);
     }
 
     #[test]
@@ -470,7 +450,7 @@ mod tests {
             assert_eq!(
                 load_and_drain(&mut eng),
                 first,
-                "steady-state reuse must not grow the arena"
+                "steady-state reuse must not grow the heap"
             );
         }
     }

@@ -30,7 +30,7 @@
 ///     eng.run_to_completion(|_, _| {});
 ///     eng.mem_bytes()
 /// };
-/// // Arena storage retains its capacity for reuse: after the first
+/// // The heap retains its capacity for reuse: after the first
 /// // load/drain cycle the footprint is flat forever.
 /// let steady = cycle(&mut eng);
 /// assert_eq!(cycle(&mut eng), steady);

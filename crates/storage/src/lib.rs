@@ -36,7 +36,7 @@ pub use controller::{ControllerGeneration, ControllerPair, ControllerState};
 pub use disk::{Disk, DiskHealth, DiskId, DiskPopulationSpec, DiskSpec};
 pub use enclosure::{Enclosure, EnclosureId, EnclosureLayout};
 pub use fleet::{FleetSpec, StorageFleet};
-pub use raid::{RaidConfig, RaidGroup, RaidGroupId, RaidState};
+pub use raid::{RaidConfig, RaidGroup, RaidGroupId, RaidRates, RaidState};
 pub use reliability::{
     analytic_group_loss_probability, run_reliability, run_reliability_fast, FastReliabilityReport,
     ReliabilityConfig, ReliabilityReport, SplittingConfig, SECS_PER_YEAR,

@@ -1,11 +1,11 @@
 //! Property tests for the million-client columnar layer: the stateless
 //! flow solve must build the same problem as a one-test session wherever
 //! both price OSTs alike, the class-collapsed IOR path must be
-//! **bit-identical** to eager per-client expansion, and the arena-backed
-//! event engine must deliver in exactly the `(time, insertion-seq)` order
-//! the spec promises, slot reuse and all. These are the guarantees that
-//! let the SoA/arena storage swap in under every existing paper table
-//! without moving a single output byte.
+//! **bit-identical** to eager per-client expansion, and the event engine
+//! must deliver in exactly the `(time, insertion-seq)` order the spec
+//! promises, across a drain and refill. These are the guarantees that let
+//! the SoA storage swap in under every existing paper table without moving
+//! a single output byte.
 
 use proptest::prelude::*;
 
@@ -13,6 +13,7 @@ use spider::core::center::Center;
 use spider::core::config::CenterConfig;
 use spider::core::flowsim::{solve, solve_concurrent, CenterTarget, FlowSolution, FlowTest};
 use spider::prelude::*;
+use spider::simkit::MemFootprint;
 use spider::workload::ior::{run_ior, IorConfig, IorTarget};
 
 proptest! {
@@ -88,12 +89,12 @@ proptest! {
         }
     }
 
-    /// The arena-backed engine delivers in exactly `(time, insertion-seq)`
-    /// order across arbitrary schedules — including a drain/refill cycle
-    /// that forces slab slot reuse, where a bookkeeping slip would surface
-    /// as payload corruption or misordering.
+    /// The engine delivers in exactly `(time, insertion-seq)` order across
+    /// arbitrary schedules, including a drain/refill cycle, where a
+    /// bookkeeping slip would surface as payload corruption or
+    /// misordering; the refill reuses the heap's capacity.
     #[test]
-    fn arena_engine_delivers_in_time_then_seq_order(
+    fn engine_delivers_in_time_then_seq_order(
         first in prop::collection::vec(0u64..1_000, 1..80),
         second in prop::collection::vec(1_000u64..2_000, 1..80),
     ) {
@@ -109,20 +110,19 @@ proptest! {
         engine.run(SimTime::from_secs(1_000), |ctx, ev| {
             got.push((ctx.now(), ev));
         });
-        let slots_after_first = engine.arena_slots();
+        let bytes_after_first = engine.mem_bytes();
 
-        // Refill: freed slots must be recycled, not re-grown.
+        // Refill: the drained heap's capacity must be reused, not re-grown.
         for (k, &secs) in second.iter().enumerate() {
             let t = SimTime::from_secs(secs);
             let payload = 10_000 + k as u32;
             engine.schedule(t, payload);
             expect.push((t, payload));
         }
-        prop_assert!(
-            engine.arena_slots() <= slots_after_first.max(second.len()),
-            "arena grew past peak occupancy: {} slots",
-            engine.arena_slots()
-        );
+        prop_assert_eq!(engine.queue_high_water(), first.len().max(second.len()));
+        if second.len() <= first.len() {
+            prop_assert_eq!(engine.mem_bytes(), bytes_after_first, "the refill grew the heap");
+        }
         engine.run_to_completion(|ctx, ev| {
             got.push((ctx.now(), ev));
         });
