@@ -13,7 +13,7 @@ use spider_workload::mix::CenterWorkload;
 use crate::config::Scale;
 use crate::report::{pct, Table};
 
-/// Streams generated and tallied together, in parallel.
+/// Streams drawn and tallied together, in parallel.
 const E5_CHUNK: usize = 16;
 
 /// Run E5.
@@ -24,27 +24,27 @@ pub fn run(scale: Scale) -> Vec<Table> {
     };
     let rng = SimRng::seed_from_u64(0xE5);
     // Characterization needs each client's requests in time order only,
-    // which every stream already is, so each stream is tallied as it is
-    // generated and dropped; the streams are never merged or held at once.
-    // The tallies are combined in client order, which keeps the gap samples
-    // in the order of one pass over the streams, so both Hill fits keep
-    // their bits. Streams are generated a chunk at a time and each chunk's
-    // tallies are combined before the next, so the samples are held about
-    // once, not once per stream and once combined. Every chunk forks its
-    // streams' generators from the same parent state, so each stream is the
-    // one a single pass would generate.
+    // which every stream draws them in, so each stream is tallied as it is
+    // drawn: no request is held, and the streams are never merged. A tally
+    // keeps each gap as whole nanoseconds, 4 bytes for an inter-arrival gap
+    // (8 for the rare one from 2^32 ns, about 4.3 s, up to the 5 s idle
+    // threshold, and for an idle gap). The Hill fits sort their top samples
+    // before they sum them, so only which gaps were seen matters, not the
+    // order the tallies are combined in. Streams are drawn a chunk at a time
+    // and each chunk's tallies are combined before the next, so the samples
+    // are held about once, not once per stream and once combined. Every chunk
+    // forks its streams' generators from the same parent state, so each
+    // stream is the one a single pass would draw.
     //
     // Wall-time sub-phases, recorded only in the obs manifest's `wall`
-    // section: the streams (generated and tallied together) and the fits.
+    // section: the streams (drawn and tallied together) and the fits.
     let wl = CenterWorkload::olcf_production();
     let streams = wl.total_streams();
     let phase = PhaseTimer::start("exp:E5/streams");
     let mut all = Tally::default();
     for lo in (0..streams).step_by(E5_CHUNK) {
         let chunk = lo..(lo + E5_CHUNK as u32).min(streams);
-        for part in wl.generate_streams(horizon, &mut rng.clone(), chunk, |stream| {
-            stream.iter().collect::<Tally>()
-        }) {
+        for part in wl.generate_streams(horizon, &mut rng.clone(), chunk, |s| s.collect()) {
             all.absorb(part);
         }
     }

@@ -20,24 +20,25 @@ use crate::report::Table;
 /// One run's server log: the app plus uncorrelated background noise.
 fn one_run(app: &S3dConfig, interval: SimDuration, seed: u64) -> TimeSeries {
     let mut rng = SimRng::seed_from_u64(seed);
-    // The app trace comes in generation order, not time order; binning
-    // sums whole byte counts, which are exact in any order.
-    let app_trace = app.trace(&mut rng);
-    let mut log = trace_to_series(&app_trace, interval);
+    // The app's requests are binned as they are drawn, in generation order,
+    // not time order; each bin sums whole byte counts far below 2^53, which
+    // are exact in any order.
+    let mut log = trace_to_series(app.requests(&mut rng), interval);
     // Background: the analytics/visualization portion of the production
     // mix (clients 48..76 in the composer's ordering). The target app's
     // OST subset sees read-heavy analysis traffic as noise; competing
     // checkpoint apps land on other OSTs/namespaces and do not appear in
-    // this server-side log slice, so only these streams are generated.
-    // Each bin sums integer byte counts far below 2^53, so binning stream
-    // by stream gives the same bits as binning the merged trace.
+    // this server-side log slice, so only these streams are drawn. Each is
+    // binned into its own log as it is drawn, and the logs are superposed
+    // in stream order; by the same exactness this gives the bits of binning
+    // the merged trace.
     let bg =
-        CenterWorkload::olcf_production().generate_streams(app.runtime, &mut rng, 48..76, |t| t);
-    let mut bg_log = TimeSeries::new(interval);
-    for r in bg.iter().flatten() {
-        bg_log.add(r.at, r.size as f64);
+        CenterWorkload::olcf_production().generate_streams(app.runtime, &mut rng, 48..76, |s| {
+            trace_to_series(s, interval)
+        });
+    for stream_log in &bg {
+        log = log.superpose(stream_log);
     }
-    log = log.superpose(&bg_log);
     // Pad both to the same length horizon.
     log.add(SimTime::ZERO + app.runtime, 0.0);
     log
@@ -54,7 +55,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let app = S3dConfig::small(ranks);
     let interval = SimDuration::from_secs(10);
     // Wall-time sub-phases, recorded only in the obs manifest's `wall`
-    // section: the four runs' traces and log bins, then IOSI.
+    // section: the four runs' logs, binned as the requests are drawn, then
+    // IOSI.
     let phase = PhaseTimer::start("exp:E7/logs");
     let runs: Vec<TimeSeries> = (0..4).map(|i| one_run(&app, interval, 0xE7 + i)).collect();
     drop(phase);

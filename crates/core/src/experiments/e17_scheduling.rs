@@ -20,9 +20,10 @@ fn recover(app: &S3dConfig, interval: SimDuration, seed: u64) -> Option<IoSignat
     let runs: Vec<TimeSeries> = (0..3)
         .map(|i| {
             let mut rng = SimRng::seed_from_u64(seed + i);
-            // Binning the unsorted app trace is exact (whole byte counts).
-            let mut log = trace_to_series(&app.trace(&mut rng), interval);
-            // Light uncorrelated noise.
+            // The app's requests are binned as they are drawn, out of time
+            // order, which is exact (whole byte counts).
+            let mut log = trace_to_series(app.requests(&mut rng), interval);
+            // Light uncorrelated noise, drawn after every request.
             for bin in 0..(app.runtime.as_nanos() / interval.as_nanos()) {
                 log.add(
                     spider_simkit::SimTime(bin * interval.as_nanos()),

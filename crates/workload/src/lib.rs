@@ -10,8 +10,8 @@
 //!
 //! - [`spec`]: request/stream types and the workload presets (checkpoint/
 //!   restart, analytics reads, interactive, data transfer, production mix).
-//! - [`generator`]: turns a spec into a deterministic request trace and a
-//!   server-side throughput log.
+//! - [`generator`]: turns a spec into a deterministic request stream, drawn
+//!   as it is read, and bins requests into a server-side throughput log.
 //! - [`mix`]: composes the center-wide mixed workload from several compute
 //!   resources — the thing a data-centric PFS actually experiences.
 //! - [`characterize`](mod@characterize): recovers the paper's workload statistics from a
@@ -33,7 +33,7 @@ pub mod s3d;
 pub mod spec;
 
 pub use characterize::{characterize, Characterization};
-pub use generator::{generate_trace, trace_to_series};
+pub use generator::{generate_trace, trace_to_series, RequestStream};
 pub use ior::{run_ior, IorConfig, IorMode, IorReport, IorTarget};
 pub use mix::{CenterWorkload, SourceKind, WorkloadSource};
 pub use obdsurvey::{run_obdsurvey, ObdSurveyReport};

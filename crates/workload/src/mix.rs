@@ -6,13 +6,18 @@
 //! DTNs) and produces the merged request stream whose statistics the
 //! data-centric design must be sized for — including the published 60/40
 //! write/read split.
+//!
+//! [`CenterWorkload::generate_streams`] hands each stream to its consumer as
+//! a [`RequestStream`] that draws requests as they are read, so E5, E7 and
+//! E17 fold the mix without holding it; [`CenterWorkload::generate`]
+//! collects and merges the streams for the callers that replay a trace.
 
 use std::ops::Range;
 
 use rayon::prelude::*;
 use spider_simkit::{SimDuration, SimRng};
 
-use crate::generator::{generate_trace, merge_traces};
+use crate::generator::{merge_traces, RequestStream};
 use crate::spec::{IoRequest, StreamSpec};
 
 /// Which machine a source runs on.
@@ -85,24 +90,26 @@ impl CenterWorkload {
 
     /// Generate the merged, time-sorted request trace over `horizon`.
     pub fn generate(&self, horizon: SimDuration, rng: &mut SimRng) -> Vec<IoRequest> {
-        merge_traces(self.generate_streams(horizon, rng, 0..self.total_streams(), |t| t))
+        merge_traces(self.generate_streams(horizon, rng, 0..self.total_streams(), |s| s.collect()))
     }
 
-    /// Generate the time-sorted trace of each stream in `clients` over
-    /// `horizon` and hand it to `f`, returning `f`'s results in client
-    /// order. `|t| t` keeps the traces; a consumer that reduces its stream
-    /// (E5 tallies each one) never holds more than one trace per thread.
+    /// Hand `f` the [`RequestStream`] of each stream in `clients` over
+    /// `horizon`, returning `f`'s results in client order. A stream draws its
+    /// requests as `f` reads them: `|s| s.collect::<Vec<_>>()` keeps the
+    /// trace, and a consumer that folds its stream (E5 tallies each one, E7
+    /// bins each one) never holds a request.
     ///
-    /// Every stream's seed is forked from `rng` in client order, generated
+    /// Every stream's generator is forked from `rng` in client order, drawn
     /// or not, so `rng` ends in the same state for any `clients` and each
     /// stream is exactly that client's requests in
-    /// [`generate`](Self::generate).
+    /// [`generate`](Self::generate). Each stream draws from its own copy of
+    /// its fork.
     pub fn generate_streams<T: Send>(
         &self,
         horizon: SimDuration,
         rng: &mut SimRng,
         clients: Range<u32>,
-        f: impl Fn(Vec<IoRequest>) -> T + Sync,
+        f: impl Fn(RequestStream<'_>) -> T + Sync,
     ) -> Vec<T> {
         assert!(
             clients.end <= self.total_streams(),
@@ -120,9 +127,11 @@ impl CenterWorkload {
                 client += 1;
             }
         }
-        // spider-lint: allow(taint-path, reason = "every seed is forked from rng before the parallel section, each stream is consumed by f alone, and the ordered collect puts stream i's result at index i, so the output is the same at every thread budget")
-        jobs.par_iter_mut()
-            .map(|(spec, client, child)| f(generate_trace(spec, *client, horizon, child)))
+        // spider-lint: allow(taint-path, reason = "every generator is forked from rng before the parallel section, each stream draws from its own copy of its fork and is consumed by f alone, and the ordered collect puts stream i's result at index i, so the output is the same at every thread budget")
+        jobs.par_iter()
+            .map(|(spec, client, child)| {
+                f(RequestStream::new(spec, *client, horizon, child.clone()))
+            })
             .collect()
     }
 }
@@ -173,7 +182,8 @@ mod tests {
         let mut full_rng = SimRng::seed_from_u64(4);
         let merged = wl.generate(horizon, &mut full_rng);
         let mut part_rng = SimRng::seed_from_u64(4);
-        let streams = wl.generate_streams(horizon, &mut part_rng, 48..76, |t| t);
+        let streams: Vec<Vec<IoRequest>> =
+            wl.generate_streams(horizon, &mut part_rng, 48..76, |s| s.collect());
         assert_eq!(streams.len(), 28);
         for (stream, client) in streams.iter().zip(48u32..) {
             let expected: Vec<IoRequest> = merged
@@ -195,7 +205,7 @@ mod tests {
     fn rejects_clients_past_the_last_stream() {
         let wl = CenterWorkload::olcf_production();
         let mut rng = SimRng::seed_from_u64(5);
-        wl.generate_streams(SimDuration::from_mins(1), &mut rng, 70..81, |t| t);
+        wl.generate_streams(SimDuration::from_mins(1), &mut rng, 70..81, |s| s.count());
     }
 
     #[test]

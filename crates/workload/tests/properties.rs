@@ -94,8 +94,7 @@ proptest! {
     fn s3d_volume_conserved(ranks in 1u32..64, seed in any::<u64>()) {
         let cfg = S3dConfig::small(ranks);
         let mut rng = SimRng::seed_from_u64(seed);
-        let trace = cfg.trace(&mut rng);
-        let total: u64 = trace.iter().map(|r| r.size).sum();
+        let total: u64 = cfg.requests(&mut rng).map(|r| r.size).sum();
         prop_assert_eq!(
             total,
             cfg.checkpoint_bytes() * cfg.checkpoint_times().len() as u64

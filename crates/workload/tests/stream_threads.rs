@@ -1,8 +1,8 @@
 //! Thread-budget differential tests for `CenterWorkload::generate_streams`.
 //!
-//! The streams are generated and consumed in parallel, and must be
-//! bit-identical at every spare-thread budget, whether they are kept or
-//! tallied as E5 does. This lives in its own integration-test binary
+//! The streams are drawn and consumed in parallel, and must be bit-identical
+//! at every spare-thread budget, whether they are kept, tallied as E5 does
+//! or binned as E7 does. This lives in its own integration-test binary
 //! because it sets the global rayon-shim thread budget, which would race
 //! with any other test sharing the process; its own tests take turns on
 //! [`BUDGET`].
@@ -11,6 +11,7 @@ use std::sync::{Mutex, PoisonError};
 
 use spider_simkit::{SimDuration, SimRng};
 use spider_workload::characterize::{Characterization, Tally};
+use spider_workload::generator::trace_to_series;
 use spider_workload::mix::CenterWorkload;
 use spider_workload::spec::IoRequest;
 
@@ -26,12 +27,12 @@ fn streams_at_budget(spare: usize) -> (Vec<Vec<IoRequest>>, u64) {
         SimDuration::from_mins(5),
         &mut rng,
         0..wl.total_streams(),
-        |t| t,
+        |s| s.collect(),
     );
     (streams, rng.f64().to_bits())
 }
 
-/// E5's fused path: each stream tallied as it is generated, the tallies
+/// E5's fused path: each stream tallied as it is drawn, the tallies
 /// collected in client order. Returns the statistics' bits, the histogram
 /// and the generator's next draw.
 fn tally_at_budget(spare: usize) -> (Vec<u64>, Vec<u64>, u64) {
@@ -43,7 +44,7 @@ fn tally_at_budget(spare: usize) -> (Vec<u64>, Vec<u64>, u64) {
             SimDuration::from_mins(30),
             &mut rng,
             0..wl.total_streams(),
-            |t| t.iter().collect::<Tally>(),
+            |s| s.collect::<Tally>(),
         )
         .into_iter()
         .collect::<Tally>()
@@ -63,6 +64,27 @@ fn tally_at_budget(spare: usize) -> (Vec<u64>, Vec<u64>, u64) {
         c.size_histogram.counts().to_vec(),
         rng.f64().to_bits(),
     )
+}
+
+/// E7's background: the analytics and visualization streams of one
+/// hour-long run, each binned into a 10 s log as it is drawn. Returns each
+/// stream's bins' bits and the generator's next draw.
+fn bins_at_budget(spare: usize) -> (Vec<Vec<u64>>, u64) {
+    rayon::set_spare_thread_budget(spare);
+    let mut rng = SimRng::seed_from_u64(0xE7);
+    let logs = CenterWorkload::olcf_production().generate_streams(
+        SimDuration::from_hours(1),
+        &mut rng,
+        48..76,
+        |s| {
+            trace_to_series(s, SimDuration::from_secs(10))
+                .bins()
+                .iter()
+                .map(|b| b.to_bits())
+                .collect()
+        },
+    );
+    (logs, rng.f64().to_bits())
 }
 
 /// Restore the machine-derived budget for anything running after us.
@@ -96,6 +118,21 @@ fn tallied_streams_finish_bit_identical_across_thread_budgets() {
     restore_budget();
 
     assert!(t1.0[0] > 10_000, "only {} requests", t1.0[0]);
+    assert!(t1 == t2, "1 vs 2 threads");
+    assert!(t1 == t8, "1 vs 8 threads");
+}
+
+#[test]
+fn binned_streams_are_bit_identical_across_thread_budgets() {
+    let _turn = BUDGET.lock().unwrap_or_else(PoisonError::into_inner);
+    let t1 = bins_at_budget(0);
+    let t2 = bins_at_budget(1);
+    let t8 = bins_at_budget(7);
+    restore_budget();
+
+    assert_eq!(t1.0.len(), 28);
+    let active = t1.0.iter().filter(|bins| !bins.is_empty()).count();
+    assert!(active > 20, "only {active} streams issued requests");
     assert!(t1 == t2, "1 vs 2 threads");
     assert!(t1 == t8, "1 vs 8 threads");
 }
